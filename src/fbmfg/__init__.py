@@ -6,7 +6,8 @@ The package splits into layers that mirror how the solver is built:
     periodic grids, fields, difference operators, and the discrete norms.
 ``parabolic``
     implicit single-equation marching (forward, backward, and a
-    mass-conserving divergence-form variant).
+    mass-conserving divergence-form variant): a per-mode Fourier march for
+    constant diffusion, a sparse ``splu`` step loop otherwise.
 ``truncation``
     clamp levels, the clamped nonlinearities, and the de-truncation
     bookkeeping.

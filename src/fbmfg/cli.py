@@ -17,7 +17,8 @@ dotted key names (``grid.n = 32``).  The two entry points are
 Parsing is strict: unknown or duplicated keys are rejected, as are model
 parameters a model does not accept.  Numbers in the CSV outputs use 17
 significant digits so repeated runs of one configuration are
-byte-identical (wall-clock times appear only in manifests).
+byte-identical.  Wall-clock times appear only in manifests, with one
+exception: the ``runtime`` column of ``sweep.csv``.
 
 Exit codes for ``run``: 0 the iteration converged and the converged pair
 sits strictly inside the truncation clamps; 2 it diverged or ran out of

@@ -110,8 +110,6 @@ def apply_T(
     m0: Field,
     state: IterateState,
     trunc: TruncationParams,
-    *,
-    force_direct: bool = False,
 ) -> IterateState:
     """One sweep of the solution operator: forward density, backward value.
 
@@ -144,7 +142,7 @@ def apply_T(
         source=G_src,
         initial=m0,
     )
-    m_new = solve_forward(fp, force_direct=force_direct)
+    m_new = solve_forward(fp)
 
     Dm_new = gradient_values(m_new.values, grid.h, grid.dim)
     F_src = np.empty_like(u_old)
@@ -159,7 +157,7 @@ def apply_T(
         source=F_src,
         final=final_cost(m_new.slice_field(grid.nt)),
     )
-    u_new = solve_backward(hjb, force_direct=force_direct)
+    u_new = solve_backward(hjb)
     return IterateState(u=u_new, m=m_new)
 
 
@@ -321,7 +319,6 @@ def picard_solve(
     K: Optional[float] = None,
     p: Optional[float] = None,
     relaxation: float = 1.0,
-    force_direct: bool = False,
 ) -> IterationReport:
     """Iterate the two-stage sweep to a fixed point (or a verdict).
 
@@ -368,9 +365,7 @@ def picard_solve(
     status = "max_iter"
     increases = 0
     for k in range(1, max_iter + 1):
-        candidate = apply_T(
-            model, final_cost, m0, state, trunc, force_direct=force_direct
-        )
+        candidate = apply_T(model, final_cost, m0, state, trunc)
         if relaxation != 1.0:
             # Blending with the previous iterate keeps the slice data exact:
             # the sweep already matches them, so the update there is zero.

@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .parabolic import constant_diffusion
 from .torus_grid import Field, TorusGrid, hessian_values, norm_C1, norm_C2
 
 __all__ = [
@@ -119,15 +120,6 @@ class CouplingModel:
 def _eye_like(dim: int, spatial: tuple[int, ...]) -> np.ndarray:
     eye = np.eye(dim).reshape((dim, dim) + (1,) * len(spatial))
     return np.broadcast_to(eye, (dim, dim) + tuple(spatial))
-
-
-def _constant_matrix(A, dim: int) -> np.ndarray:
-    arr = np.asarray(A, dtype=float)
-    if arr.ndim == 0:
-        return float(arr) * np.eye(dim)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"diffusion must be scalar or ({dim}, {dim}), got {arr.shape}")
-    return arr.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +336,7 @@ def build_mfg_coupling(
                 [np.asarray(spec.A(coords, float(t)), dtype=float) for t in grid.times()]
             )
     else:
-        diffusion = _constant_matrix(spec.A if spec.A is not None else 1.0, dim)
+        diffusion = constant_diffusion(dim, spec.A if spec.A is not None else 1.0)
 
     return CouplingModel(
         name=name, dim=dim, F=F, G=G,
@@ -464,7 +456,7 @@ def build_congestion_coupling(
         _check_density(m)
         return np.asarray(H1_p(Du / np.power(m, alpha)), dtype=float)
 
-    diffusion = _constant_matrix(A, dim)
+    diffusion = constant_diffusion(dim, A)
     return CouplingModel(
         name=name, dim=dim, F=F, G=G,
         diffusion_u=diffusion, diffusion_m=diffusion,

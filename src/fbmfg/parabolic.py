@@ -2,11 +2,11 @@
 
 The driver equations all reduce to linear problems of the form
 
-    v_t - c_ij(x,t) v_{x_i x_j} + b_i(x,t) v_{x_i} + c0(x,t) v + g(x,t) = 0
+    v_t - c_ij(x,t) v_{x_i x_j} + g(x,t) = 0
 
 marched forward in time from ``v(x, 0)``, or the backward-in-time variant
 
-    -u_t - c_ij u_{x_i x_j} + ... + g = 0,     u(x, T) given,
+    -u_t - c_ij u_{x_i x_j} + g = 0,     u(x, T) given,
 
 which is solved by the substitution ``t -> T - t``: reverse the coefficient
 and source slices, run the forward march, reverse the output.  That makes
@@ -19,10 +19,19 @@ Time stepping is backward Euler: each step solves
 
 with ``L_j`` the spatial operator sampled at the implicit level ``t_j``.
 Spatial stencils are the second-order centered ones from
-:mod:`fbmfg.torus_grid`, assembled into sparse matrices via periodic shift
-operators.  Linear systems go through a direct sparse factorization in one
-dimension and a preconditioned Krylov iteration (BiCGStab + ILU) in two;
-either way the relative residual is verified against ``RESIDUAL_TOL``.
+:mod:`fbmfg.torus_grid`.  The march takes one of two paths, chosen from the
+shape of the diffusion:
+
+- a constant ``(dim, dim)`` matrix makes ``I + dt * L`` circulant, so the
+  march is one scalar recursion per discrete Fourier mode,
+  ``v̂_j = (v̂_{j-1} - dt ĝ_j) / (1 + dt λ̂_k)``, with ``λ̂_k`` the symbol of
+  exactly those stencils (mixed term included);
+- x- or t-dependent coefficients assemble ``L_j`` as a sparse matrix from
+  periodic shift operators and solve each step by a direct ``splu``
+  factorization (refactored only when the coefficients change in time).
+
+Either way the finished march is checked against its discrete equation:
+the relative residual of every step must stay below ``RESIDUAL_TOL``.
 
 :func:`solve_fp_conservative` is the positivity/mass-preserving variant for
 transport-diffusion of a density,
@@ -46,12 +55,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .torus_grid import Field, SpaceTimeField, TorusGrid
+from .torus_grid import Field, SpaceTimeField, TorusGrid, hessian_values
 
 __all__ = [
     "SolverError",
     "ParabolicProblem",
-    "step_implicit",
     "solve_forward",
     "solve_backward",
     "solve_fp_conservative",
@@ -63,7 +71,7 @@ RESIDUAL_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed to converge, or a step produced non-finite values."""
+    """A march failed its residual check, or produced non-finite values."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +151,13 @@ class ParabolicProblem:
     diffusion : ndarray
         Second-order coefficients ``c_ij``.  Accepted shapes:
         ``(dim, dim)`` (constant), ``(dim, dim) + spatial`` (x-dependent),
-        or with a leading ``nt + 1`` axis for time dependence.
+        or with a leading ``nt + 1`` axis for time dependence.  Only the
+        constant shape takes the Fourier march.
     source : SpaceTimeField or ndarray, optional
         The inhomogeneity ``g`` with our sign convention
         ``v_t - c_ij v_ij + g = 0``; zero when omitted.
     initial, final : Field, optional
         Data for the forward / backward march (whichever applies).
-    first_order : ndarray, optional
-        Nondivergence drift coefficients ``b_i``; shapes as for
-        ``diffusion`` with one coefficient axis ``(dim,)``.
-    zeroth_order : ndarray, optional
-        Reaction coefficient; scalar/spatial/space-time shapes.
     positivity : bool
         Request the M-matrix-preserving treatment: mixed second-derivative
         terms move to the explicit side, subject to the time-step
@@ -168,111 +172,78 @@ class ParabolicProblem:
     source: Optional[Union[SpaceTimeField, np.ndarray]] = None
     initial: Optional[Field] = None
     final: Optional[Field] = None
-    first_order: Optional[np.ndarray] = None
-    zeroth_order: Optional[np.ndarray] = None
     positivity: bool = False
     ellipticity: float = 1e-10
 
     def __post_init__(self) -> None:
         g = self.grid
-        self.diffusion = self._normalize(np.asarray(self.diffusion, float), (g.dim, g.dim))
-        if self.first_order is not None:
-            self.first_order = self._normalize(np.asarray(self.first_order, float), (g.dim,))
-        if self.zeroth_order is not None:
-            self.zeroth_order = self._normalize(np.asarray(self.zeroth_order, float), ())
+        self.diffusion = np.asarray(self.diffusion, float)
+        comp = (g.dim, g.dim)
+        ok_shapes = {comp, comp + g.shape, (g.nt + 1,) + comp, (g.nt + 1,) + comp + g.shape}
+        if self.diffusion.shape not in ok_shapes:
+            raise ValueError(
+                f"coefficient shape {self.diffusion.shape} not understood "
+                f"(expected one of {sorted(ok_shapes)})"
+            )
         if isinstance(self.source, SpaceTimeField):
             self.source = self.source.values
-        if self.source is not None:
-            self.source = np.asarray(self.source, float)
-            if self.source.shape != (g.nt + 1, *g.shape):
-                raise ValueError(
-                    f"source shape {self.source.shape} does not match {(g.nt + 1, *g.shape)}"
-                )
+        if self.source is None:
+            self.source = np.zeros((g.nt + 1, *g.shape))
+        self.source = np.asarray(self.source, float)
+        if self.source.shape != (g.nt + 1, *g.shape):
+            raise ValueError(
+                f"source shape {self.source.shape} does not match {(g.nt + 1, *g.shape)}"
+            )
         self._validate_coefficients()
 
     # -- coefficient bookkeeping ------------------------------------------
 
-    def _normalize(self, arr: np.ndarray, comp_shape: tuple[int, ...]) -> np.ndarray:
-        """Bring a coefficient array to ``comp_shape`` or ``comp_shape + spatial``,
-        optionally with a leading time axis; record time dependence."""
-        g = self.grid
-        ok_shapes = {
-            comp_shape,
-            comp_shape + g.shape,
-            (g.nt + 1,) + comp_shape,
-            (g.nt + 1,) + comp_shape + g.shape,
-        }
-        if arr.shape not in ok_shapes:
-            raise ValueError(
-                f"coefficient shape {arr.shape} not understood (expected one of {sorted(ok_shapes)})"
-            )
-        return arr
-
-    def _is_time_dependent(self, arr: Optional[np.ndarray], comp_rank: int) -> bool:
-        if arr is None:
-            return False
-        return arr.ndim in (1 + comp_rank, 1 + comp_rank + self.grid.dim) and arr.shape[0] == self.grid.nt + 1
-
     @property
     def time_dependent(self) -> bool:
-        return (
-            self._is_time_dependent(self.diffusion, 2)
-            or self._is_time_dependent(self.first_order, 1)
-            or self._is_time_dependent(self.zeroth_order, 0)
-        )
+        c = self.diffusion
+        return c.ndim in (3, 3 + self.grid.dim) and c.shape[0] == self.grid.nt + 1
 
-    def coeff_slice(self, arr: Optional[np.ndarray], comp_rank: int, j: int) -> Optional[np.ndarray]:
-        """Coefficient at slice ``j`` broadcast to ``comp_shape + spatial``."""
-        if arr is None:
-            return None
+    def coefficients(self) -> np.ndarray:
+        """``c_ij`` with axes ``(dim, dim, time) + spatial``.
+
+        Axes along which the coefficients are constant have size 1, so the
+        result broadcasts against ``(dim, dim, nt + 1) + spatial`` stacks.
+        """
+        c = self.diffusion if self.time_dependent else self.diffusion[np.newaxis]
+        c = np.moveaxis(c, 0, 2)
+        if c.ndim == 3:
+            c = c.reshape(c.shape + (1,) * self.grid.dim)
+        return c
+
+    def diffusion_slice(self, j: int) -> np.ndarray:
+        """``c_ij`` at slice ``j`` as a read-only ``(dim, dim) + spatial`` view."""
         g = self.grid
-        if self._is_time_dependent(arr, comp_rank):
-            arr = arr[j]
-        target = arr.shape[:comp_rank] + g.shape
-        if arr.ndim == comp_rank:
-            arr = arr.reshape(arr.shape + (1,) * g.dim)
-        return np.broadcast_to(arr, target)
-
-    def source_slice(self, j: int) -> Optional[np.ndarray]:
-        return None if self.source is None else self.source[j]
+        c = self.coefficients()[:, :, j if self.time_dependent else 0]
+        return np.broadcast_to(c, (g.dim, g.dim, *g.shape))
 
     # -- validation --------------------------------------------------------
 
     def _validate_coefficients(self) -> None:
         if not self.ellipticity > 0:
             raise ValueError("ellipticity floor must be positive")
-        for arr in (self.diffusion, self.first_order, self.zeroth_order):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError("coefficients must be finite")
-        c = self.diffusion
+        if not np.all(np.isfinite(self.diffusion)):
+            raise ValueError("coefficients must be finite")
+        c = self.coefficients()
         if self.grid.dim == 1:
-            min_eig = np.min(self._component(c, 0, 0))
+            min_eig = np.min(c[0, 0])
         else:
-            a = self._component(c, 0, 0)
-            d = self._component(c, 1, 1)
-            b = self._component(c, 0, 1)
+            a, d, b = c[0, 0], c[1, 1], c[0, 1]
             min_eig = np.min(0.5 * ((a + d) - np.sqrt((a - d) ** 2 + 4.0 * b * b)))
         if min_eig < self.ellipticity:
             raise ValueError(
                 f"diffusion is not uniformly elliptic: min eigenvalue {min_eig} < {self.ellipticity}"
             )
 
-    def _component(self, c: np.ndarray, i: int, j: int) -> np.ndarray:
-        # component (i, j) of the diffusion array regardless of layout
-        if c.ndim == 2 or (c.ndim == 2 + self.grid.dim and c.shape[0] == self.grid.dim):
-            return c[i, j]
-        return c[:, i, j]
-
-    def max_offdiagonal(self) -> float:
-        if self.grid.dim == 1:
-            return 0.0
-        return float(np.max(np.abs(self._component(self.diffusion, 0, 1))))
-
     def check_positivity_restriction(self) -> None:
         """Enforce the explicit-mixed-term step restriction when requested."""
-        if not self.positivity:
+        if not self.positivity or self.grid.dim == 1:
             return
-        off = self.max_offdiagonal()
+        off = float(np.max(np.abs(self.coefficients()[0, 1])))
         if off > 0.0:
             limit = self.grid.h**2 / (8.0 * off)
             if self.grid.dt > limit:
@@ -282,109 +253,112 @@ class ParabolicProblem:
 
 
 # ---------------------------------------------------------------------------
-# Matrix assembly and linear solves
+# Marching
 # ---------------------------------------------------------------------------
 
 
-def _spatial_operator(problem: ParabolicProblem, j: int, include_mixed: bool) -> sp.csr_matrix:
-    """Assemble ``L_j`` with ``L v = -c_ij v_ij + b_i v_i + c0 v`` (nondivergence)."""
+def _fourier_symbols(problem: ParabolicProblem) -> tuple[np.ndarray, Union[float, np.ndarray]]:
+    """Symbols of the implicit and explicit parts of ``L`` on the ``rfftn`` modes.
+
+    ``-c_ii`` times the 3-point stencil has symbol ``c_ii 4 sin^2(θ_i/2) / h^2``;
+    ``-2 c_01`` times the 4-point cross stencil has ``2 c_01 sin θ_0 sin θ_1 / h^2``.
+    The mixed part is explicit under ``positivity`` and implicit otherwise.
+    """
     g = problem.grid
-    n, dim, h = g.n, g.dim, g.h
-    c = problem.coeff_slice(problem.diffusion, 2, j)
-    L = sp.csr_matrix((g.num_points, g.num_points))
+    c = problem.diffusion
+    freqs = [np.fft.fftfreq(g.n)] * (g.dim - 1) + [np.fft.rfftfreq(g.n)]
+    theta = np.meshgrid(*(2.0 * np.pi * f for f in freqs), indexing="ij", sparse=True)
+    implicit = sum(c[i, i] * 4.0 * np.sin(0.5 * theta[i]) ** 2 for i in range(g.dim)) / g.h**2
+    explicit = 0.0
+    if g.dim == 2:
+        mixed = 2.0 * c[0, 1] * np.sin(theta[0]) * np.sin(theta[1]) / g.h**2
+        if problem.positivity:
+            explicit = mixed
+        else:
+            implicit = implicit + mixed
+    return implicit, explicit
+
+
+def _fourier_march(problem: ParabolicProblem, out: np.ndarray) -> None:
+    """Fill slices ``1..nt`` of ``out`` by the per-mode backward-Euler recursion."""
+    g = problem.grid
+    axes = tuple(range(1, g.dim + 1))
+    implicit, explicit = _fourier_symbols(problem)
+    keep = 1.0 - g.dt * explicit
+    denom = 1.0 + g.dt * implicit
+    # One complex stack: source modes, overwritten in place by solution modes.
+    hat = np.fft.rfftn(problem.source, axes=axes)
+    hat[0] = np.fft.rfftn(out[0])
+    for j in range(1, g.nt + 1):
+        hat[j] = (keep * hat[j - 1] - g.dt * hat[j]) / denom
+    out[1:] = np.fft.irfftn(hat[1:], s=g.shape, axes=axes)
+
+
+def _spatial_operator(grid: TorusGrid, c: np.ndarray, include_mixed: bool) -> sp.csr_matrix:
+    """Assemble ``L v = -c_ij v_ij`` for one slice of coefficients ``c``."""
+    n, dim, h = grid.n, grid.dim, grid.h
+    L = sp.csr_matrix((grid.num_points, grid.num_points))
     for i in range(dim):
         L = L - _diag(c[i, i]) @ _second_diff(n, dim, i, h)
-    if dim == 2 and include_mixed:
-        off = c[0, 1]
-        if np.any(off != 0.0):
-            L = L - 2.0 * _diag(off) @ _cross_diff(n, h)
-    b = problem.coeff_slice(problem.first_order, 1, j)
-    if b is not None:
-        for i in range(dim):
-            L = L + _diag(b[i]) @ _first_diff(n, dim, i, h)
-    c0 = problem.coeff_slice(problem.zeroth_order, 0, j)
-    if c0 is not None:
-        L = L + _diag(c0)
+    if dim == 2 and include_mixed and np.any(c[0, 1] != 0.0):
+        L = L - 2.0 * _diag(c[0, 1]) @ _cross_diff(n, h)
     return L.tocsr()
 
 
-class _DirectSolver:
-    def __init__(self, A: sp.spmatrix):
-        self.A = A.tocsr()
-        self._lu = spla.splu(A.tocsc())
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)
-
-
-class _KrylovSolver:
-    def __init__(self, A: sp.spmatrix):
-        self.A = A.tocsr()
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-8, fill_factor=20.0)
-        self._M = spla.LinearOperator(A.shape, ilu.solve)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = spla.bicgstab(self.A, rhs, M=self._M, rtol=1e-12, atol=0.0, maxiter=500)
-        if info != 0:
-            raise SolverError(f"Krylov solver failed to converge (info={info})")
-        return x
-
-
-def _make_solver(A: sp.spmatrix, dim: int, force_direct: bool = False):
-    if dim == 1 or force_direct:
-        return _DirectSolver(A)
-    return _KrylovSolver(A)
-
-
-def _check_residual(solver, x: np.ndarray, rhs: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise SolverError(f"non-finite values produced at {context}")
-    res = solver.A @ x - rhs
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    rel = float(np.linalg.norm(res)) / scale
-    if rel > RESIDUAL_TOL:
-        raise SolverError(f"linear solve residual {rel:.2e} exceeds {RESIDUAL_TOL} at {context}")
-
-
-def _system_solver(problem: ParabolicProblem, j: int, force_direct: bool = False):
+def _splu_march(problem: ParabolicProblem, out: np.ndarray) -> None:
+    """Fill slices ``1..nt`` of ``out`` by sparse direct solves, one per step."""
     g = problem.grid
-    include_mixed = not problem.positivity
-    L = _spatial_operator(problem, j, include_mixed)
-    A = (sp.identity(g.num_points, format="csr") + g.dt * L).tocsr()
-    return _make_solver(A, g.dim, force_direct)
+    eye = sp.identity(g.num_points, format="csr")
+    explicit_mixed = problem.positivity and g.dim == 2
+    lu = None
+    for j in range(1, g.nt + 1):
+        c = problem.diffusion_slice(j)
+        if lu is None or problem.time_dependent:
+            L = _spatial_operator(g, c, include_mixed=not problem.positivity)
+            lu = spla.splu((eye + g.dt * L).tocsc())
+        v = np.ravel(out[j - 1])
+        rhs = v.copy()
+        if explicit_mixed:
+            rhs += g.dt * (2.0 * np.ravel(c[0, 1]) * (_cross_diff(g.n, g.h) @ v))
+        rhs -= g.dt * np.ravel(problem.source[j])
+        out[j] = lu.solve(rhs).reshape(g.shape)
 
 
-def _explicit_mixed_term(problem: ParabolicProblem, j: int, v_prev_flat: np.ndarray) -> np.ndarray:
-    """Mixed-derivative contribution evaluated on the previous slice."""
+def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
+    """Verify a finished march against the discrete equation of every step.
+
+    Step ``j`` must satisfy ``(I + dt L_j) v_j = v_{j-1} - dt g_j`` (with the
+    mixed term on ``v_{j-1}`` under ``positivity``) to a relative residual
+    below ``RESIDUAL_TOL``; ``L`` is applied through the grid's own stencils.
+    """
     g = problem.grid
-    if g.dim != 2 or not problem.positivity:
-        return np.zeros_like(v_prev_flat)
-    c = problem.coeff_slice(problem.diffusion, 2, j)
-    off = c[0, 1]
-    if not np.any(off != 0.0):
-        return np.zeros_like(v_prev_flat)
-    cross = _cross_diff(g.n, g.h) @ v_prev_flat
-    return 2.0 * np.ravel(off) * cross
+    if not np.all(np.isfinite(v)):
+        raise SolverError("non-finite values produced by the march")
+    c = problem.coefficients()
+    if problem.time_dependent:
+        c = c[:, :, 1:]
+    hess = hessian_values(v, g.h, g.dim)
+    rhs = v[:-1] - g.dt * problem.source[1:]
+    res = v[1:] - rhs
+    for i in range(g.dim):
+        res -= (g.dt * c[i, i]) * hess[i, i, 1:]
+    if g.dim == 2:
+        if problem.positivity:
+            explicit = (2.0 * g.dt * c[0, 1]) * hess[0, 1, :-1]
+            rhs += explicit
+            res -= explicit
+        else:
+            res -= (2.0 * g.dt * c[0, 1]) * hess[0, 1, 1:]
+    scale = np.maximum(np.linalg.norm(rhs.reshape(g.nt, -1), axis=1), 1e-300)
+    rel = np.linalg.norm(res.reshape(g.nt, -1), axis=1) / scale
+    worst = int(np.argmax(rel))
+    if rel[worst] > RESIDUAL_TOL:
+        raise SolverError(
+            f"march residual {rel[worst]:.2e} exceeds {RESIDUAL_TOL} at slice {worst + 1}"
+        )
 
 
-def step_implicit(problem: ParabolicProblem, j: int, v_prev: Field) -> Field:
-    """One backward-Euler step from slice ``j - 1`` to slice ``j``."""
-    g = problem.grid
-    if not (1 <= j <= g.nt):
-        raise ValueError(f"slice index {j} out of range 1..{g.nt}")
-    problem.check_positivity_restriction()
-    solver = _system_solver(problem, j)
-    vp = np.ravel(v_prev.values)
-    rhs = vp + g.dt * _explicit_mixed_term(problem, j, vp)
-    src = problem.source_slice(j)
-    if src is not None:
-        rhs = rhs - g.dt * np.ravel(src)
-    x = solver.solve(rhs)
-    _check_residual(solver, x, rhs, f"step {j}")
-    return Field(g, x.reshape(g.shape))
-
-
-def solve_forward(problem: ParabolicProblem, *, force_direct: bool = False) -> SpaceTimeField:
+def solve_forward(problem: ParabolicProblem) -> SpaceTimeField:
     """March the problem from its initial slice to ``T``."""
     g = problem.grid
     if problem.initial is None:
@@ -394,41 +368,29 @@ def solve_forward(problem: ParabolicProblem, *, force_direct: bool = False) -> S
     problem.check_positivity_restriction()
     out = np.empty((g.nt + 1, *g.shape))
     out[0] = problem.initial.values
-    solver = None if problem.time_dependent else _system_solver(problem, 0, force_direct)
-    v = np.ravel(out[0]).copy()
-    for j in range(1, g.nt + 1):
-        step_solver = _system_solver(problem, j, force_direct) if problem.time_dependent else solver
-        rhs = v + g.dt * _explicit_mixed_term(problem, j, v)
-        src = problem.source_slice(j)
-        if src is not None:
-            rhs = rhs - g.dt * np.ravel(src)
-        v = step_solver.solve(rhs)
-        _check_residual(step_solver, v, rhs, f"slice {j}")
-        out[j] = v.reshape(g.shape)
+    if problem.diffusion.shape == (g.dim, g.dim):
+        _fourier_march(problem, out)
+    else:
+        _splu_march(problem, out)
+    _check_march(problem, out)
     return SpaceTimeField(g, out)
 
 
 def _reverse_in_time(problem: ParabolicProblem) -> ParabolicProblem:
-    def rev(arr: Optional[np.ndarray], comp_rank: int) -> Optional[np.ndarray]:
-        if arr is None:
-            return None
-        if problem._is_time_dependent(arr, comp_rank):
-            return np.ascontiguousarray(arr[::-1])
-        return arr
-
+    diffusion = problem.diffusion
+    if problem.time_dependent:
+        diffusion = np.ascontiguousarray(diffusion[::-1])
     return replace(
         problem,
-        diffusion=rev(problem.diffusion, 2),
-        source=None if problem.source is None else np.ascontiguousarray(problem.source[::-1]),
+        diffusion=diffusion,
+        source=np.ascontiguousarray(problem.source[::-1]),
         initial=problem.final,
         final=None,
-        first_order=rev(problem.first_order, 1),
-        zeroth_order=rev(problem.zeroth_order, 0),
     )
 
 
-def solve_backward(problem: ParabolicProblem, *, force_direct: bool = False) -> SpaceTimeField:
-    """Solve ``-u_t - c_ij u_ij + ... + g = 0`` down from the final slice.
+def solve_backward(problem: ParabolicProblem) -> SpaceTimeField:
+    """Solve ``-u_t - c_ij u_ij + g = 0`` down from the final slice.
 
     Implemented by time reversal: reverse every time-indexed input, run the
     forward march, reverse the output slices.  Slice ``nt`` of the result
@@ -436,14 +398,23 @@ def solve_backward(problem: ParabolicProblem, *, force_direct: bool = False) -> 
     """
     if problem.final is None:
         raise ValueError("solve_backward needs a final slice")
-    reversed_problem = _reverse_in_time(problem)
-    w = solve_forward(reversed_problem, force_direct=force_direct)
+    w = solve_forward(_reverse_in_time(problem))
     return SpaceTimeField(problem.grid, np.ascontiguousarray(w.values[::-1]))
 
 
 # ---------------------------------------------------------------------------
 # Conservative transport-diffusion for densities
 # ---------------------------------------------------------------------------
+
+
+def _check_residual(A: sp.csr_matrix, x: np.ndarray, rhs: np.ndarray, context: str) -> None:
+    if not np.all(np.isfinite(x)):
+        raise SolverError(f"non-finite values produced at {context}")
+    res = A @ x - rhs
+    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    rel = float(np.linalg.norm(res)) / scale
+    if rel > RESIDUAL_TOL:
+        raise SolverError(f"linear solve residual {rel:.2e} exceeds {RESIDUAL_TOL} at {context}")
 
 
 def _upwind_advection_matrix(grid: TorusGrid, velocity: np.ndarray) -> sp.csr_matrix:
@@ -470,25 +441,21 @@ def _upwind_advection_matrix(grid: TorusGrid, velocity: np.ndarray) -> sp.csr_ma
     return A.tocsr()
 
 
-def _conservative_diffusion_matrix(problem: ParabolicProblem, j: int) -> sp.csr_matrix:
+def _conservative_diffusion_matrix(grid: TorusGrid, c: np.ndarray) -> sp.csr_matrix:
     """Discretization of ``m -> d_ii (A_ii m)`` (diagonal part, flux form)."""
-    g = problem.grid
-    c = problem.coeff_slice(problem.diffusion, 2, j)
-    D = sp.csr_matrix((g.num_points, g.num_points))
-    for i in range(g.dim):
-        D = D + _second_diff(g.n, g.dim, i, g.h) @ _diag(c[i, i])
+    D = sp.csr_matrix((grid.num_points, grid.num_points))
+    for i in range(grid.dim):
+        D = D + _second_diff(grid.n, grid.dim, i, grid.h) @ _diag(c[i, i])
     return D.tocsr()
 
 
-def _conservative_cross_term(problem: ParabolicProblem, j: int, m_flat: np.ndarray) -> np.ndarray:
-    g = problem.grid
-    if g.dim != 2:
+def _conservative_cross_term(grid: TorusGrid, c: np.ndarray, m_flat: np.ndarray) -> np.ndarray:
+    if grid.dim != 2:
         return np.zeros_like(m_flat)
-    c = problem.coeff_slice(problem.diffusion, 2, j)
     off = c[0, 1]
     if not np.any(off != 0.0):
         return np.zeros_like(m_flat)
-    return 2.0 * (_cross_diff(g.n, g.h) @ (np.ravel(off) * m_flat))
+    return 2.0 * (_cross_diff(grid.n, grid.h) @ (np.ravel(off) * m_flat))
 
 
 def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> SpaceTimeField:
@@ -498,7 +465,7 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     ----------
     problem : ParabolicProblem
         Supplies the grid, the diffusion ``A_ij`` and the initial density;
-        ``source``, ``first_order`` and ``zeroth_order`` are ignored here.
+        ``source`` is ignored here.
     drift : ndarray
         The divergence-form drift ``b`` with shape ``(nt+1, dim) + spatial``
         (the transport velocity of the density is ``-b``).
@@ -523,15 +490,15 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     out[0] = problem.initial.values
     eye = sp.identity(g.num_points, format="csr")
     m = np.ravel(out[0]).copy()
-    diffusion_static = not problem._is_time_dependent(problem.diffusion, 2)
-    D = _conservative_diffusion_matrix(problem, 0) if diffusion_static else None
+    D = None
     for j in range(1, g.nt + 1):
-        Dj = D if diffusion_static else _conservative_diffusion_matrix(problem, j)
+        c = problem.diffusion_slice(j)
+        if D is None or problem.time_dependent:
+            D = _conservative_diffusion_matrix(g, c)
         adv = _upwind_advection_matrix(g, -drift[j])
-        A = (eye - g.dt * (Dj + adv)).tocsr()
-        solver = _DirectSolver(A)
-        rhs = m + g.dt * _conservative_cross_term(problem, j, m)
-        m = solver.solve(rhs)
-        _check_residual(solver, m, rhs, f"fp slice {j}")
+        A = (eye - g.dt * (D + adv)).tocsr()
+        rhs = m + g.dt * _conservative_cross_term(g, c, m)
+        m = spla.splu(A.tocsc()).solve(rhs)
+        _check_residual(A, m, rhs, f"fp slice {j}")
         out[j] = m.reshape(g.shape)
     return SpaceTimeField(g, out)

@@ -30,7 +30,7 @@ reused by the solver modules on stacked slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,10 +112,6 @@ class TorusGrid:
     def times(self) -> np.ndarray:
         """All ``nt + 1`` slice times ``j*dt``."""
         return np.arange(self.nt + 1) * self.dt
-
-    def with_horizon(self, T: float, nt: int) -> "TorusGrid":
-        """Same spatial grid, different time axis."""
-        return replace(self, T=T, nt=nt)
 
 
 @dataclass

@@ -10,7 +10,6 @@ from fbmfg.parabolic import (
     solve_backward,
     solve_forward,
     solve_fp_conservative,
-    step_implicit,
 )
 from fbmfg.torus_grid import Field, SpaceTimeField, TorusGrid
 
@@ -26,24 +25,6 @@ def make_problem_1d(n=32, nt=64, T=0.1, **kwargs):
     defaults = dict(diffusion=constant_diffusion(1, 1.0))
     defaults.update(kwargs)
     return g, ParabolicProblem(grid=g, **defaults)
-
-
-class TestStepImplicit:
-    def test_constants_are_invariant(self):
-        g, prob = make_problem_1d()
-        v = Field.full(g, 1.0)
-        out = step_implicit(prob, 1, v)
-        assert np.allclose(out.values, 1.0, rtol=0, atol=1e-13)
-
-    def test_source_integration_single_step(self):
-        g, prob = make_problem_1d(source=np.ones((65, 32)))
-        out = step_implicit(prob, 1, Field.zeros(g))
-        assert np.allclose(out.values, -g.dt, rtol=0, atol=1e-14)
-
-    def test_slice_index_validated(self):
-        g, prob = make_problem_1d()
-        with pytest.raises(ValueError):
-            step_implicit(prob, 0, Field.zeros(g))
 
 
 class TestSolveForward:
@@ -184,6 +165,23 @@ class TestTwoDimensional:
         err = np.max(np.abs(sol.values[-1] - exact))
         assert err <= 12.0 * (g.h**2 + g.dt)
 
+    def test_x_dependent_diagonal_diffusion(self):
+        # Takes the splu path: discrete maximum principle and invariance of
+        # constants, as for the constant-coefficient march.
+        g = TorusGrid(dim=2, n=16, nt=8, T=0.02)
+        x, y = g.coordinates()
+        C = np.zeros((2, 2, *g.shape))
+        C[0, 0] = 1.0 + 0.5 * np.sin(TWO_PI * x)
+        C[1, 1] = 0.8 + 0.3 * np.cos(TWO_PI * y)
+        v0 = np.random.default_rng(23).uniform(-1.0, 2.0, size=g.shape)
+        sol = solve_forward(ParabolicProblem(grid=g, diffusion=C, initial=Field(g, v0)))
+        assert np.min(sol.values) >= v0.min() - 1e-10
+        assert np.max(sol.values) <= v0.max() + 1e-10
+        const = solve_forward(
+            ParabolicProblem(grid=g, diffusion=C, initial=Field.full(g, 3.0))
+        )
+        assert np.allclose(const.values, 3.0, rtol=0, atol=1e-10)
+
     def test_positivity_time_step_restriction(self):
         C = np.array([[1.0, 0.4], [0.4, 1.0]])
         g = TorusGrid(dim=2, n=16, nt=4, T=1.0)  # dt far above h^2/(8 c12)
@@ -192,6 +190,45 @@ class TestTwoDimensional:
         )
         with pytest.raises(ValueError, match="dt"):
             solve_forward(prob)
+
+
+class TestFourierAgainstSplu:
+    """The splu step loop is the reference for the Fourier march.
+
+    The same constant matrix goes in once as ``(dim, dim)`` (Fourier march)
+    and once broadcast to a ``(nt+1, dim, dim) + spatial`` stack (splu).
+    """
+
+    MIXED = [[1.0, 0.25], [0.25, 1.0]]
+    CASES = {
+        "1d": (1, [[1.0]], False),
+        "2d-diagonal": (2, [[1.0, 0.0], [0.0, 0.6]], False),
+        "2d-mixed": (2, MIXED, False),
+        "2d-mixed-positivity": (2, MIXED, True),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_paths_agree(self, case):
+        dim, C, positivity = self.CASES[case]
+        C = np.array(C)
+        g = TorusGrid(dim=dim, n=16, nt=16, T=0.01)
+        stack = np.broadcast_to(
+            C.reshape((1, dim, dim) + (1,) * dim), (g.nt + 1, dim, dim, *g.shape)
+        )
+        rng = np.random.default_rng(11)
+        source = rng.normal(size=(g.nt + 1, *g.shape))
+        datum = Field(g, rng.normal(size=g.shape))
+        for solve, key in ((solve_forward, "initial"), (solve_backward, "final")):
+            fourier, splu = (
+                solve(
+                    ParabolicProblem(
+                        grid=g, diffusion=diffusion, source=source,
+                        positivity=positivity, **{key: datum},
+                    )
+                )
+                for diffusion in (C, stack)
+            )
+            assert np.max(np.abs(fourier.values - splu.values)) <= 1e-12
 
 
 class TestConservativeFP:
@@ -290,3 +327,17 @@ class TestValidation:
         g = TorusGrid(dim=1, n=8, nt=2, T=0.1)
         with pytest.raises(ValueError, match="finite"):
             ParabolicProblem(grid=g, diffusion=np.array([[np.nan]]))
+
+    @pytest.mark.parametrize("path", ["fourier", "splu"])
+    def test_nonfinite_source_is_a_solver_error(self, path):
+        g = TorusGrid(dim=2, n=8, nt=4, T=0.01)
+        diffusion = np.eye(2)
+        if path == "splu":
+            diffusion = np.broadcast_to(diffusion[:, :, None, None], (2, 2, *g.shape))
+        source = np.zeros((g.nt + 1, *g.shape))
+        source[2, 3, 3] = np.nan
+        prob = ParabolicProblem(
+            grid=g, diffusion=diffusion, source=source, initial=Field.zeros(g)
+        )
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_forward(prob)
