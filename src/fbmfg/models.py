@@ -79,12 +79,18 @@ class CouplingModel:
     F : callable
         Source of the backward equation, ``F(u, m, Du, Dm, x, t)``.  Array
         arguments carry a leading component axis where applicable (``Du``,
-        ``Dm`` have shape ``(dim,) + spatial``); ``x`` is a tuple of
-        coordinate arrays and ``t`` a float.
+        ``Dm`` have shape ``(dim,) + shape``); ``x`` is a tuple of
+        coordinate arrays.  ``shape`` is the trailing shape of the field
+        arguments, and ``x`` and ``t`` arrive broadcast against it: the
+        solver passes whole space-time stacks, ``shape = (nt + 1,) +
+        spatial``, with ``t`` an array of slice times; the audits pass
+        sample points and a float ``t``.  F must be pointwise, returning
+        an array of that shape.
     G : callable
         Source of the forward equation, ``G(u, m, Du, Dm, D2u, x, t)`` with
-        ``D2u`` of shape ``(dim, dim) + spatial``.  G must be affine in
-        ``D2u`` for the splitting used by the audits and the solver.
+        ``D2u`` of shape ``(dim, dim) + shape`` and the same conventions.
+        G must be affine in ``D2u`` for the splitting used by the audits
+        and the solver.
     diffusion_u, diffusion_m : ndarray or callable
         Either a constant ``(dim, dim)`` matrix or a callable mapping a
         :class:`TorusGrid` to a coefficient array accepted by the stepper.
@@ -132,7 +138,10 @@ class HamiltonianSpec:
     """Callables defining ``H(x, t, p, m)`` and the diffusion ``A``.
 
     ``x`` is a tuple of coordinate arrays, ``p`` has a leading ``(dim,)``
-    axis, and every callable is vectorized over the trailing shape.  The
+    axis, and every callable is vectorized over the trailing shape, against
+    which ``x`` and ``t`` arrive broadcast (the solver passes whole
+    ``(nt + 1,) + spatial`` stacks with an array ``t``; the derivative
+    probes and audits pass sample points and a float ``t``).  The
     derivative fields are the ones the transport terms need:
 
     * ``H_p``  -> ``(dim,) + shape``   gradient in p,
@@ -331,10 +340,9 @@ def build_mfg_coupling(
 
     if A_is_callable:
         def diffusion(grid: TorusGrid) -> np.ndarray:
-            coords = grid.coordinates()
-            return np.stack(
-                [np.asarray(spec.A(coords, float(t)), dtype=float) for t in grid.times()]
-            )
+            x, t = grid.space_time_coordinates()
+            A = np.broadcast_to(np.asarray(spec.A(x, t), dtype=float), (dim, dim) + t.shape)
+            return np.moveaxis(A, 2, 0)
     else:
         diffusion = constant_diffusion(dim, spec.A if spec.A is not None else 1.0)
 

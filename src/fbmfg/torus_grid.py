@@ -113,6 +113,17 @@ class TorusGrid:
         """All ``nt + 1`` slice times ``j*dt``."""
         return np.arange(self.nt + 1) * self.dt
 
+    def space_time_coordinates(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """``(x, t)`` as read-only views broadcast to ``(nt + 1,) + shape``.
+
+        This is the layout of a space-time stack, so a pointwise callable
+        evaluates on every slice in one call.
+        """
+        stack = (self.nt + 1, *self.shape)
+        x = tuple(np.broadcast_to(c, stack) for c in self.coordinates())
+        t = np.broadcast_to(self.times().reshape((-1,) + (1,) * self.dim), stack)
+        return x, t
+
 
 @dataclass
 class Field:

@@ -41,6 +41,16 @@ class TestTorusGrid:
         assert abs(g.dt * g.nt - g.T) <= np.finfo(float).eps * g.T
         assert len(t) == 11
 
+    def test_space_time_coordinates_broadcast_every_slice(self):
+        g = grid2d(n=16, nt=3)
+        x, t = g.space_time_coordinates()
+        assert t.shape == (4, 16, 16)
+        assert all(xi.shape == (4, 16, 16) for xi in x)
+        for j, tj in enumerate(g.times()):
+            assert np.all(t[j] == tj)
+            assert all(np.array_equal(xi[j], ci) for xi, ci in zip(x, g.coordinates()))
+        assert not t.flags.writeable and not x[0].flags.writeable
+
     @pytest.mark.parametrize(
         "kwargs",
         [
