@@ -546,6 +546,8 @@ def _manifest_text(
             )
         lines.append(f"resolved.residual_u = {report.residuals['u']!r}")
         lines.append(f"resolved.residual_m = {report.residuals['m']!r}")
+        if "reason" in report.residuals:
+            lines.append(f"resolved.residual_reason = {report.residuals['reason']}")
     note = _critical_horizon_note(cfg)
     if note is not None:
         lines.append(f"note.critical_horizon = {note}")

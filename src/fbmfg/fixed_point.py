@@ -27,7 +27,10 @@ differences,
 
     d = |du|_W21p + |du|_C1 + |dm|_C1,
 
-with ``p = dim + 3`` by default.  Divergence is declared after five
+with ``p = dim + 3`` by default.  Each iterate's gradients and Hessian are
+evaluated once and shared by the next sweep's sources, the row norms, the
+monitors and the final checks; the distance takes the stencils of the
+differences themselves, once each.  Divergence is declared after five
 consecutive increases of ``d`` (or any non-finite value); exhausting the
 iteration budget without meeting the tolerance is reported as its own
 status, since near a critical horizon the factors hover just below one and
@@ -40,21 +43,29 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .models import CouplingModel, FinalCost
 from .parabolic import ParabolicProblem, solve_backward, solve_forward
+
+# norm_C10 and norm_W21p are not called here; they stay imported because
+# benchmark/tracing.py wraps the torus_grid names it finds in this module.
 from .torus_grid import (
     Field,
     SpaceTimeField,
     TorusGrid,
+    gradient_magnitude,
     gradient_values,
+    hessian_magnitude,
     hessian_values,
     norm_C1,
     norm_C10,
+    norm_C10_values,
     norm_W21p,
+    norm_W21p_values,
     time_derivative,
 )
 from .truncation import TruncationParams, select_K, wrap_model
@@ -74,7 +85,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IterateState:
-    """One iterate pair: value function and density on the same grid."""
+    """One iterate pair: value function and density on the same grid.
+
+    The centered derivatives ``Du``, ``D2u`` and ``Dm`` of every slice are
+    evaluated on first use and kept, so the fields must not be modified in
+    place afterwards.
+    """
 
     u: SpaceTimeField
     m: SpaceTimeField
@@ -87,6 +103,18 @@ class IterateState:
     def grid(self) -> TorusGrid:
         return self.u.grid
 
+    @cached_property
+    def Du(self) -> np.ndarray:
+        return gradient_values(self.u.values, self.grid.h, self.grid.dim)
+
+    @cached_property
+    def D2u(self) -> np.ndarray:
+        return hessian_values(self.u.values, self.grid.h, self.grid.dim)
+
+    @cached_property
+    def Dm(self) -> np.ndarray:
+        return gradient_values(self.m.values, self.grid.h, self.grid.dim)
+
 
 def initial_state(grid: TorusGrid, m0: Field) -> IterateState:
     """Starting pair: zero value function, density frozen at its datum."""
@@ -97,11 +125,22 @@ def initial_state(grid: TorusGrid, m0: Field) -> IterateState:
 
 
 def iterate_distance(a: IterateState, b: IterateState, p: float) -> float:
-    """The contraction metric ``|du|_W21p + |du|_C1 + |dm|_C1``."""
+    """The contraction metric ``|du|_W21p + |du|_C1 + |dm|_C1``.
+
+    Equal to ``norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)``, with each
+    stencil of the differences evaluated once.
+    """
     grid = a.grid
-    du = SpaceTimeField(grid, a.u.values - b.u.values)
-    dm_c1 = norm_C10(SpaceTimeField(grid, a.m.values - b.m.values))
-    return norm_W21p(du, p) + norm_C10(du) + dm_c1
+    du = a.u.values - b.u.values
+    dm = a.m.values - b.m.values
+    du_grad = gradient_magnitude(gradient_values(du, grid.h, grid.dim))
+    du_hess = hessian_magnitude(hessian_values(du[:-1], grid.h, grid.dim))
+    dm_grad = gradient_magnitude(gradient_values(dm, grid.h, grid.dim))
+    return (
+        norm_W21p_values(du, du_grad[:-1], du_hess, grid, p)
+        + norm_C10_values(du, du_grad)
+        + norm_C10_values(dm, dm_grad)
+    )
 
 
 def apply_T(
@@ -118,22 +157,20 @@ def apply_T(
     sees the incoming value function but the *new* density (and the final
     condition is built from the new final density).  The datum slices pass
     through the linear solves untouched, so ``m(0) = m0`` and
-    ``u(T) = h[m(T)]`` hold exactly on the output.
+    ``u(T) = h[m(T)]`` hold exactly on the output.  The incoming pair's
+    derivatives come from its cache; the new density's gradient is handed
+    on to the returned pair.
     """
     grid = state.grid
     F_hat, G_hat = wrap_model(model.F, model.G, trunc)
     x, t = grid.space_time_coordinates()
-
     u_old, m_old = state.u.values, state.m.values
-    Du_old = gradient_values(u_old, grid.h, grid.dim)
-    D2u_old = hessian_values(u_old, grid.h, grid.dim)
-    Dm_old = gradient_values(m_old, grid.h, grid.dim)
 
     # Each problem (and so its source stack) is dropped once its march ends.
     m_new = solve_forward(ParabolicProblem(
         grid,
         diffusion=model.diffusion_values(grid, "m"),
-        source=G_hat(u_old, m_old, Du_old, Dm_old, D2u_old, x, t),
+        source=G_hat(u_old, m_old, state.Du, state.Dm, state.D2u, x, t),
         initial=m0,
     ))
 
@@ -141,10 +178,12 @@ def apply_T(
     u_new = solve_backward(ParabolicProblem(
         grid,
         diffusion=model.diffusion_values(grid, "u"),
-        source=F_hat(u_old, m_new.values, Du_old, Dm_new, x, t),
+        source=F_hat(u_old, m_new.values, state.Du, Dm_new, x, t),
         final=final_cost(m_new.slice_field(grid.nt)),
     ))
-    return IterateState(u=u_new, m=m_new)
+    new_state = IterateState(u=u_new, m=m_new)
+    vars(new_state)["Dm"] = Dm_new  # pre-fill the cached property
+    return new_state
 
 
 @dataclass(frozen=True)
@@ -159,6 +198,26 @@ class IterationRow:
     norm_m_c10: float
     min_m: float
     max_Du: float
+
+
+def _iteration_row(
+    k: int, d: float, gamma: float, state: IterateState, p: float
+) -> IterationRow:
+    """The row of sweep ``k``; the norms read the new pair's cached derivatives."""
+    u, m = state.u.values, state.m.values
+    Du_mag = gradient_magnitude(state.Du)
+    return IterationRow(
+        iteration=k,
+        distance=d,
+        gamma=gamma,
+        norm_u_w21p=norm_W21p_values(
+            u, Du_mag[:-1], hessian_magnitude(state.D2u[:, :, :-1]), state.grid, p
+        ),
+        norm_u_c10=norm_C10_values(u, Du_mag),
+        norm_m_c10=norm_C10_values(m, gradient_magnitude(state.Dm)),
+        min_m=float(np.min(m)),
+        max_Du=float(np.max(Du_mag)),
+    )
 
 
 @dataclass(frozen=True)
@@ -213,16 +272,13 @@ class IterationReport:
 
 
 def _detrunc_check(state: IterateState, K: float) -> tuple[bool, tuple[str, ...], dict]:
-    grid = state.grid
     u, m = state.u.values, state.m.values
-    Du = _max_magnitude(gradient_values(u, grid.h, grid.dim))
-    Dm = _max_magnitude(gradient_values(m, grid.h, grid.dim))
     bounds = {
         "max_abs_u": float(np.max(np.abs(u))),
         "min_m": float(np.min(m)),
         "max_m": float(np.max(m)),
-        "max_Du": Du,
-        "max_Dm": Dm,
+        "max_Du": float(np.max(gradient_magnitude(state.Du))),
+        "max_Dm": float(np.max(gradient_magnitude(state.Dm))),
     }
     failures = []
     if not bounds["min_m"] >= 1.0 / K:
@@ -238,10 +294,6 @@ def _detrunc_check(state: IterateState, K: float) -> tuple[bool, tuple[str, ...]
     return not failures, tuple(failures), bounds
 
 
-def _max_magnitude(vec: np.ndarray) -> float:
-    return float(np.max(np.sqrt(np.sum(vec * vec, axis=0))))
-
-
 def _pde_residuals(
     model: CouplingModel, state: IterateState
 ) -> dict:
@@ -252,33 +304,31 @@ def _pde_residuals(
     against the forward difference, the density equation at slices
     ``1 .. nt`` against the backward difference.  At an exact fixed point
     both residuals are round-off.  A model whose sources reject the final
-    pair (e.g. a density that left its domain after divergence) yields NaN
-    rather than an exception.
+    pair (a ``ValueError`` or ``ArithmeticError``, e.g. a density that left
+    its domain after divergence) yields NaN residuals and a ``"reason"``
+    entry naming the error; any other exception propagates.
     """
     grid = state.grid
     u, m = state.u.values, state.m.values
-    try:
-        with np.errstate(all="ignore"):
-            x, t = grid.space_time_coordinates()
-            Du = gradient_values(u, grid.h, grid.dim)
-            Dm = gradient_values(m, grid.h, grid.dim)
-            D2u = hessian_values(u, grid.h, grid.dim)
-            D2m = hessian_values(m, grid.h, grid.dim)
-            c_u, c_m = (
-                ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
-                for eq in ("u", "m")
-            )
-            # time_derivative's slice j - 1 is the backward difference at j.
-            res_u = (
-                -time_derivative(state.u) - np.sum(c_u * D2u, axis=(0, 1))
-                + model.F(u, m, Du, Dm, x, t)
-            )[:-1]
-            res_m = (
-                time_derivative(state.m)[:-1] - np.sum(c_m * D2m, axis=(0, 1))[1:]
-                + model.G(u, m, Du, Dm, D2u, x, t)[1:]
-            )
-    except Exception:  # noqa: BLE001 - residuals are diagnostics only
-        return {"u": math.nan, "m": math.nan}
+    Du, Dm, D2u = state.Du, state.Dm, state.D2u
+    with np.errstate(all="ignore"):
+        x, t = grid.space_time_coordinates()
+        D2m = hessian_values(m, grid.h, grid.dim)
+        c_u, c_m = (
+            ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
+            for eq in ("u", "m")
+        )
+        try:
+            F = model.F(u, m, Du, Dm, x, t)
+            G = model.G(u, m, Du, Dm, D2u, x, t)
+        except (ValueError, ArithmeticError) as exc:
+            return {"u": math.nan, "m": math.nan,
+                    "reason": f"{type(exc).__name__}: {exc}"}
+        # time_derivative's slice j - 1 is the backward difference at j.
+        res_u = (-time_derivative(state.u) - np.sum(c_u * D2u, axis=(0, 1)) + F)[:-1]
+        res_m = (
+            time_derivative(state.m)[:-1] - np.sum(c_m * D2m, axis=(0, 1))[1:] + G[1:]
+        )
     return {"u": float(np.max(np.abs(res_u))), "m": float(np.max(np.abs(res_m)))}
 
 
@@ -341,6 +391,8 @@ def picard_solve(
     increases = 0
     for k in range(1, max_iter + 1):
         candidate = apply_T(model, final_cost, m0, state, trunc)
+        # Only the sweep reads the old pair's derivatives; release them.
+        state = IterateState(u=state.u, m=state.m)
         if relaxation != 1.0:
             # Blending with the previous iterate keeps the slice data exact:
             # the sweep already matches them, so the update there is zero.
@@ -363,18 +415,7 @@ def picard_solve(
         distances.append(d)
         if k >= 2:
             gammas.append(gamma)
-        row = IterationRow(
-            iteration=k,
-            distance=d,
-            gamma=gamma,
-            norm_u_w21p=norm_W21p(new_state.u, p),
-            norm_u_c10=norm_C10(new_state.u),
-            norm_m_c10=norm_C10(new_state.m),
-            min_m=float(np.min(new_state.m.values)),
-            max_Du=_max_magnitude(
-                gradient_values(new_state.u.values, grid.h, grid.dim)
-            ),
-        )
+        row = _iteration_row(k, d, gamma, new_state, p)
         rows.append(row)
         if row.norm_u_c10 > M1 or row.norm_m_c10 > M1:
             m1_violations.append(k)
@@ -394,13 +435,15 @@ def picard_solve(
             increases = 0
 
     detrunc_ok, failures, bounds = _detrunc_check(state, trunc.K)
+    residuals = _pde_residuals(model, state)
     return IterationReport(
         status=status,
         iterations=len(distances),
         distance_history=tuple(distances),
         gamma_history=tuple(gammas),
         rows=tuple(rows),
-        final_state=state,
+        # A fresh pair, so the report does not hold the derivative cache.
+        final_state=IterateState(u=state.u, m=state.m),
         K=trunc.K,
         M1=M1,
         L_h=final_cost.L_h,
@@ -411,7 +454,7 @@ def picard_solve(
         detrunc_failures=failures,
         m1_violations=tuple(m1_violations),
         bounds=bounds,
-        residuals=_pde_residuals(model, state),
+        residuals=residuals,
         regularizing_final_cost=final_cost.regularizing,
     )
 

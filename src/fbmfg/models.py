@@ -320,19 +320,22 @@ def build_mfg_coupling(
     def F(u, m, Du, Dm, x, t):
         return np.asarray(spec.H(x, t, Du, m), dtype=float)
 
+    # Terms the spec leaves undeclared are zero and are skipped.
     def G(u, m, Du, Dm, D2u, x, t):
         Hp = np.asarray(spec.H_p(x, t, Du, m), dtype=float)
         Hpp = np.asarray(spec.H_pp(x, t, Du, m), dtype=float)
         out = -np.sum(Hp * Dm, axis=0)
-        div_term = (
-            np.asarray(H_xp_div(x, t, Du, m), dtype=float)
-            + np.sum(Hpp * D2u, axis=(0, 1))
-            + np.sum(np.asarray(H_mp(x, t, Du, m), dtype=float) * Dm, axis=0)
-        )
+        div_term = np.sum(Hpp * D2u, axis=(0, 1))
+        if spec.H_xp_div is not None:
+            div_term = np.asarray(spec.H_xp_div(x, t, Du, m), dtype=float) + div_term
+        if spec.H_mp is not None:
+            div_term = div_term + np.sum(
+                np.asarray(spec.H_mp(x, t, Du, m), dtype=float) * Dm, axis=0
+            )
         out = out - m * div_term
-        if A_is_callable:
-            out = out - 2.0 * np.sum(np.asarray(A_div1(x, t), dtype=float) * Dm, axis=0)
-            out = out - np.asarray(A_div2(x, t), dtype=float) * m
+        if spec.A_div1 is not None:
+            out = out - 2.0 * np.sum(np.asarray(spec.A_div1(x, t), dtype=float) * Dm, axis=0)
+            out = out - np.asarray(spec.A_div2(x, t), dtype=float) * m
         return out
 
     def drift(u, m, Du, Dm, x, t):

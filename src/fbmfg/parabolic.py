@@ -55,7 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .torus_grid import Field, SpaceTimeField, TorusGrid, hessian_values
+from .torus_grid import Field, SpaceTimeField, TorusGrid, hessian_values, second_differences
 
 __all__ = [
     "SolverError",
@@ -329,7 +329,8 @@ def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
 
     Step ``j`` must satisfy ``(I + dt L_j) v_j = v_{j-1} - dt g_j`` (with the
     mixed term on ``v_{j-1}`` under ``positivity``) to a relative residual
-    below ``RESIDUAL_TOL``; ``L`` is applied through the grid's own stencils.
+    below ``RESIDUAL_TOL``; ``L`` is applied through the grid's own stencils,
+    the cross stencil only where the mixed coefficient is nonzero.
     """
     g = problem.grid
     if not np.all(np.isfinite(v)):
@@ -337,12 +338,17 @@ def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
     c = problem.coefficients()
     if problem.time_dependent:
         c = c[:, :, 1:]
-    hess = hessian_values(v, g.h, g.dim)
+    mixed = g.dim == 2 and bool(np.any(c[0, 1] != 0.0))
+    if mixed:
+        hess = hessian_values(v, g.h, g.dim)
+        second = [hess[i, i, 1:] for i in range(g.dim)]
+    else:
+        second = second_differences(v[1:], g.h, g.dim)
     rhs = v[:-1] - g.dt * problem.source[1:]
     res = v[1:] - rhs
     for i in range(g.dim):
-        res -= (g.dt * c[i, i]) * hess[i, i, 1:]
-    if g.dim == 2:
+        res -= (g.dt * c[i, i]) * second[i]
+    if mixed:
         if problem.positivity:
             explicit = (2.0 * g.dt * c[0, 1]) * hess[0, 1, :-1]
             rhs += explicit

@@ -19,13 +19,19 @@ axis ``[0, T]``.  This module owns
     ``D^2 f`` and the forward-difference ``∂_t f`` under an ``L^p``
     quadrature over the space-time cylinder (:func:`norm_W21p`).
 
-Periodicity is enforced purely through index arithmetic (``np.roll``), so
-``h * n == 1`` holds exactly at the level of stencil bookkeeping; no
-floating-point coordinate wrapping is involved.
+Periodicity is enforced purely through indexing: each stencil call copies
+its input once into an array with one periodic ghost layer on every side
+of the spatial axes, and reads every shifted neighbour as a slice of that
+array.  So ``h * n == 1`` holds exactly at the level of stencil
+bookkeeping; no floating-point coordinate wrapping is involved.
 
 All operators here are linear and act on plain ``numpy`` arrays under the
 hood; the ``*_values`` variants are the array-level work functions and are
-reused by the solver modules on stacked slices.
+reused by the solver modules on stacked slices.  The norms are split the
+same way: :func:`norm_C10_values` and :func:`norm_W21p_values` take the
+pointwise magnitudes (:func:`gradient_magnitude`,
+:func:`hessian_magnitude`) of derivatives a caller already holds, so a
+solver that needs several norms of one iterate evaluates each stencil once.
 """
 
 from __future__ import annotations
@@ -43,9 +49,14 @@ __all__ = [
     "gradient_values",
     "hessian",
     "hessian_values",
+    "second_differences",
     "time_derivative",
+    "gradient_magnitude",
+    "hessian_magnitude",
     "norm_C10",
+    "norm_C10_values",
     "norm_W21p",
+    "norm_W21p_values",
     "norm_C1",
     "norm_C2",
 ]
@@ -217,8 +228,52 @@ class SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 
-def _spatial_axes(values: np.ndarray, dim: int) -> tuple[int, ...]:
-    return tuple(range(values.ndim - dim, values.ndim))
+def _periodic_ghost(values: np.ndarray, dim: int) -> np.ndarray:
+    """``values`` with one periodic ghost layer on each side of the trailing
+    ``dim`` axes (what ``np.pad(..., mode="wrap")`` gives, corners included).
+    """
+    nd = values.ndim
+    ghost = np.empty(values.shape[: nd - dim] + tuple(s + 2 for s in values.shape[nd - dim:]))
+    ghost[(Ellipsis,) + (slice(1, -1),) * dim] = values
+    # Axis by axis; a later axis copies the ghosts of the earlier ones, which
+    # fills the corners.
+    for k in range(dim):
+        done = (slice(None),) * k
+        rest = (slice(1, -1),) * (dim - k - 1)
+        ghost[(Ellipsis, *done, 0, *rest)] = ghost[(Ellipsis, *done, -2, *rest)]
+        ghost[(Ellipsis, *done, -1, *rest)] = ghost[(Ellipsis, *done, 1, *rest)]
+    return ghost
+
+
+def _shifted(ghost: np.ndarray, dim: int, offsets: dict[int, int]) -> np.ndarray:
+    """View of ``f(x + offsets)`` on the interior of a ghosted array.
+
+    ``offsets`` maps a spatial axis index ``0 .. dim-1`` to a shift of ±1
+    (omitted axes are not shifted), as ``np.roll(f, -offset, axis)`` would.
+    """
+    lead = (slice(None),) * (ghost.ndim - dim)
+    return ghost[lead + tuple(
+        slice(1 + offsets.get(k, 0), ghost.shape[ghost.ndim - dim + k] - 1 + offsets.get(k, 0))
+        for k in range(dim)
+    )]
+
+
+def _second_difference(ghost: np.ndarray, values: np.ndarray, h2: float, dim: int,
+                       i: int, out: np.ndarray) -> None:
+    """``out = (f(x + h e_i) - 2 f(x) + f(x - h e_i)) / h^2``."""
+    np.multiply(values, 2.0, out=out)
+    np.subtract(_shifted(ghost, dim, {i: 1}), out, out=out)
+    out += _shifted(ghost, dim, {i: -1})
+    out /= h2
+
+
+def _cross_difference(ghost: np.ndarray, h2: float, dim: int, i: int, j: int,
+                      out: np.ndarray) -> None:
+    """``out`` = the 4-point cross stencil of ``d_i d_j f``."""
+    np.add(_shifted(ghost, dim, {i: 1, j: 1}), _shifted(ghost, dim, {i: -1, j: -1}), out=out)
+    out -= _shifted(ghost, dim, {i: 1, j: -1})
+    out -= _shifted(ghost, dim, {i: -1, j: 1})
+    out /= 4.0 * h2
 
 
 def gradient_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
@@ -227,10 +282,24 @@ def gradient_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     Returns an array of shape ``(dim,) + values.shape``; component ``i`` is
     ``(f(x + h e_i) - f(x - h e_i)) / (2h)`` with periodic wrap.
     """
-    axes = _spatial_axes(values, dim)
+    ghost = _periodic_ghost(values, dim)
     out = np.empty((dim, *values.shape))
-    for i, ax in enumerate(axes):
-        out[i] = (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * h)
+    for i in range(dim):
+        np.subtract(_shifted(ghost, dim, {i: 1}), _shifted(ghost, dim, {i: -1}), out=out[i])
+        out[i] /= 2.0 * h
+    return out
+
+
+def second_differences(values: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """The diagonal of :func:`hessian_values`, without the cross stencil.
+
+    Returns an array of shape ``(dim,) + values.shape``; component ``i`` is
+    bitwise equal to ``hessian_values(values, h, dim)[i, i]``.
+    """
+    ghost = _periodic_ghost(values, dim)
+    out = np.empty((dim, *values.shape))
+    for i in range(dim):
+        _second_difference(ghost, values, h * h, dim, i, out[i])
     return out
 
 
@@ -241,24 +310,15 @@ def hessian_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     4-point cross stencil; the result has shape ``(dim, dim) + values.shape``
     and is exactly symmetric (the mixed entry is computed once and mirrored).
     """
-    axes = _spatial_axes(values, dim)
+    ghost = _periodic_ghost(values, dim)
     out = np.empty((dim, dim, *values.shape))
     h2 = h * h
-    for i, ax in enumerate(axes):
-        out[i, i] = (
-            np.roll(values, -1, axis=ax) - 2.0 * values + np.roll(values, 1, axis=ax)
-        ) / h2
+    for i in range(dim):
+        _second_difference(ghost, values, h2, dim, i, out[i, i])
     for i in range(dim):
         for j in range(i + 1, dim):
-            ai, aj = axes[i], axes[j]
-            cross = (
-                np.roll(values, (-1, -1), axis=(ai, aj))
-                + np.roll(values, (1, 1), axis=(ai, aj))
-                - np.roll(values, (-1, 1), axis=(ai, aj))
-                - np.roll(values, (1, -1), axis=(ai, aj))
-            ) / (4.0 * h2)
-            out[i, j] = cross
-            out[j, i] = cross
+            _cross_difference(ghost, h2, dim, i, j, out[i, j])
+            out[j, i] = out[i, j]
     return out
 
 
@@ -291,30 +351,74 @@ def time_derivative(f: SpaceTimeField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _grad_magnitude(values: np.ndarray, h: float, dim: int) -> np.ndarray:
-    g = gradient_values(values, h, dim)
-    return np.sqrt(np.sum(g * g, axis=0))
+def gradient_magnitude(grad: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean magnitude of a :func:`gradient_values` output.
+
+    The components are summed in order, which is bitwise what
+    ``np.sqrt(np.sum(grad * grad, axis=0))`` gives.
+    """
+    total = grad[0] * grad[0]
+    for component in grad[1:]:
+        total += component * component
+    return np.sqrt(total, out=total)
+
+
+def hessian_magnitude(hess: np.ndarray) -> np.ndarray:
+    """Pointwise Frobenius magnitude of a :func:`hessian_values` output.
+
+    Entries are summed row by row, which is bitwise what
+    ``np.sqrt(np.sum(hess * hess, axis=(0, 1)))`` gives.
+    """
+    dim = hess.shape[0]
+    total = hess[0, 0] * hess[0, 0]
+    for i in range(dim):
+        for j in range(dim):
+            if i or j:
+                total += hess[i, j] * hess[i, j]
+    return np.sqrt(total, out=total)
+
+
+def norm_C10_values(values: np.ndarray, grad_mag: np.ndarray) -> float:
+    """``max|f| + max|Df|`` from the samples and their gradient magnitude."""
+    return float(np.max(np.abs(values)) + np.max(grad_mag))
 
 
 def norm_C10(f: SpaceTimeField) -> float:
     """Sup norm of ``f`` plus sup norm of its spatial gradient over all slices."""
     g = f.grid
-    return float(
-        np.max(np.abs(f.values)) + np.max(_grad_magnitude(f.values, g.h, g.dim))
-    )
+    return norm_C10_values(f.values, gradient_magnitude(gradient_values(f.values, g.h, g.dim)))
 
 
 def norm_C1(f: Field) -> float:
     """Single-slice analogue of :func:`norm_C10`."""
-    return float(np.max(np.abs(f.values)) + np.max(_grad_magnitude(f.values, f.grid.h, f.grid.dim)))
+    g = f.grid
+    return norm_C10_values(f.values, gradient_magnitude(gradient_values(f.values, g.h, g.dim)))
 
 
 def norm_C2(f: Field) -> float:
     """``max|f| + max|Df| + max|D^2 f|`` on one slice (Frobenius norm for the Hessian)."""
     g = f.grid
     hess = hessian_values(f.values, g.h, g.dim)
-    hess_mag = np.sqrt(np.sum(hess * hess, axis=(0, 1)))
-    return norm_C1(f) + float(np.max(hess_mag))
+    return norm_C1(f) + float(np.max(hessian_magnitude(hess)))
+
+
+def norm_W21p_values(
+    values: np.ndarray, grad_mag: np.ndarray, hess_mag: np.ndarray, grid: TorusGrid, p: float
+) -> float:
+    """:func:`norm_W21p` of the ``(nt + 1,) + shape`` stack ``values``.
+
+    ``grad_mag`` and ``hess_mag`` are the gradient and Hessian magnitudes of
+    slices ``0 .. nt-1`` (the slices the quadrature samples).
+    """
+    if not p >= 2:
+        raise ValueError(f"exponent p must be >= 2, got {p}")
+    vals = values[:-1]
+    ft = (values[1:] - vals) / grid.dt
+    integrand = (
+        np.abs(vals) ** p + grad_mag**p + hess_mag**p + np.abs(ft) ** p
+    )
+    total = float(np.sum(integrand)) * grid.dt * grid.h**grid.dim
+    return total ** (1.0 / p)
 
 
 def norm_W21p(f: SpaceTimeField, p: float) -> float:
@@ -330,17 +434,11 @@ def norm_W21p(f: SpaceTimeField, p: float) -> float:
     ``∂_t f`` the forward difference — exactly the slices the left-endpoint
     rule samples.
     """
-    if not p >= 2:
-        raise ValueError(f"exponent p must be >= 2, got {p}")
     g = f.grid
     vals = f.values[:-1]
-    grad = gradient_values(vals, g.h, g.dim)
-    grad_mag = np.sqrt(np.sum(grad * grad, axis=0))
-    hess = hessian_values(vals, g.h, g.dim)
-    hess_mag = np.sqrt(np.sum(hess * hess, axis=(0, 1)))
-    ft = (f.values[1:] - f.values[:-1]) / g.dt
-    integrand = (
-        np.abs(vals) ** p + grad_mag**p + hess_mag**p + np.abs(ft) ** p
+    return norm_W21p_values(
+        f.values,
+        gradient_magnitude(gradient_values(vals, g.h, g.dim)),
+        hessian_magnitude(hessian_values(vals, g.h, g.dim)),
+        g, p,
     )
-    total = float(np.sum(integrand)) * g.dt * g.h**g.dim
-    return total ** (1.0 / p)

@@ -151,9 +151,26 @@ class TestRunCommand:
                     "resolved.C0 = ", "resolved.detrunc_ok = true",
                     "files.series.csv = sha256:", "files.fields_tT.csv = sha256:"):
             assert key in manifest
+        # Finite residuals carry no reason line.
+        assert "resolved.residual_reason" not in manifest
         import hashlib
         digest = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
         assert f"files.series.csv = sha256:{digest}" in manifest
+
+    def test_manifest_names_why_residuals_are_nan(self, tmp_path, monkeypatch):
+        from fbmfg import cli
+
+        solve = cli.picard_solve
+        reason = "ValueError: density must be positive"
+        monkeypatch.setattr(cli, "picard_solve", lambda *a, **k: dataclasses.replace(
+            solve(*a, **k), residuals={"u": math.nan, "m": math.nan, "reason": reason},
+        ))
+        cfg_path = write(tmp_path / "run.cfg", DECOUPLED)
+        out = tmp_path / "nan"
+        main(["run", cfg_path, "--out", str(out)])
+        manifest = (out / "manifest.txt").read_text()
+        assert "resolved.residual_u = nan" in manifest
+        assert f"resolved.residual_reason = {reason}\n" in manifest
 
     def test_write_fields_flag_suppresses_field_files(self, tmp_path):
         cfg_path = write(

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from fbmfg import torus_grid
 from fbmfg.fixed_point import (
     IterateState,
+    _pde_residuals,
     apply_T,
     horizon_sweep,
     initial_state,
@@ -35,6 +37,8 @@ from fbmfg.torus_grid import (
     TorusGrid,
     gradient_values,
     hessian_values,
+    norm_C10,
+    norm_W21p,
 )
 from fbmfg.truncation import select_K, wrap_model
 
@@ -300,6 +304,89 @@ class TestPicardBasics:
         assert d_ab > 0.0
         assert d_ab == pytest.approx(iterate_distance(b, a, 4.0), rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_iterate_distance_equals_the_public_norms_exactly(self, dim):
+        grid = TorusGrid(dim=dim, n=16, nt=8, T=0.01)
+        rng = np.random.default_rng(9)
+        shape = (grid.nt + 1, *grid.shape)
+        # Nearby iterates, as in a converging run: the difference of the
+        # iterates' derivatives would round differently.
+        u, m = 10.0 * rng.standard_normal(shape), 10.0 * rng.standard_normal(shape)
+        a, b = (
+            IterateState(
+                SpaceTimeField(grid, u + 1e-7 * rng.standard_normal(shape)),
+                SpaceTimeField(grid, m + 1e-7 * rng.standard_normal(shape)),
+            )
+            for _ in range(2)
+        )
+        du = SpaceTimeField(grid, a.u.values - b.u.values)
+        dm = SpaceTimeField(grid, a.m.values - b.m.values)
+        p = dim + 3.0
+        assert iterate_distance(a, b, p) == norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_last_row_norms_equal_the_public_norms(self, dim):
+        grid = TorusGrid(dim=dim, n=16, nt=8, T=0.01)
+        m0 = Field.from_function(
+            grid, lambda *x: 1.0 + 0.2 * np.prod([np.cos(2.0 * np.pi * xi) for xi in x], axis=0)
+        )
+        report = picard_solve(
+            quadratic_mfg_model(dim), final_cost_convolution(grid), m0, grid, tol=1e-10,
+        )
+        assert report.status == "converged"
+        state, row = report.final_state, report.rows[-1]
+        # The report does not keep the derivative cache of its final pair.
+        assert set(vars(state)) == {"u", "m"}
+        assert row.norm_u_w21p == norm_W21p(state.u, report.p)
+        assert row.norm_u_c10 == norm_C10(state.u)
+        assert row.norm_m_c10 == norm_C10(state.m)
+        assert row.min_m == float(np.min(state.m.values))
+        Du = gradient_values(state.u.values, grid.h, grid.dim)
+        assert row.max_Du == float(np.max(np.sqrt(np.sum(Du * Du, axis=0))))
+        assert report.bounds["max_Du"] == row.max_Du
+
+
+class TestStencilCount:
+    """Stencil evaluations, counted where every stencil builds its ghost layer."""
+
+    @staticmethod
+    def count_stencils(monkeypatch) -> dict:
+        counts = {"stencils": 0, "cross": 0}
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(
+            torus_grid, "_periodic_ghost", counted("stencils", torus_grid._periodic_ghost)
+        )
+        monkeypatch.setattr(
+            torus_grid, "_cross_difference", counted("cross", torus_grid._cross_difference)
+        )
+        return counts
+
+    def test_one_2d_sweep_evaluates_at_most_eight_stencils(self, monkeypatch):
+        grid = TorusGrid(dim=2, n=16, nt=8, T=0.01)
+        m0 = Field.from_function(
+            grid, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+        )
+        model, cost = quadratic_mfg_model(2), final_cost_convolution(grid)
+        counts = self.count_stencils(monkeypatch)
+        per_solve = []
+        for sweeps in (2, 3):
+            before = dict(counts)
+            report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=sweeps)
+            assert report.iterations == sweeps
+            per_solve.append({key: counts[key] - before[key] for key in counts})
+        # The extra sweep of the second solve, net of set-up and final checks.
+        sweep = {key: per_solve[1][key] - per_solve[0][key] for key in counts}
+        assert sweep["stencils"] <= 8
+        # Only the new iterate's Hessian and the Hessian of du build the cross
+        # stencil; the march checks do not, as the mixed coefficient is zero.
+        assert sweep["cross"] == 2
+
 
 class TestAgainstClosedForm:
     """The linear pair admits an exact eigenfunction solution; the iteration
@@ -493,6 +580,41 @@ class TestResiduals:
         assert report.detrunc_ok
         assert report.residuals["u"] < 1e-9
         assert report.residuals["m"] < 1e-9
+
+
+class TestResidualFailures:
+    @staticmethod
+    def state_with_density(grid: TorusGrid, m: np.ndarray) -> IterateState:
+        u = np.zeros((grid.nt + 1, *grid.shape))
+        return IterateState(SpaceTimeField(grid, u), SpaceTimeField(grid, m))
+
+    def test_nonpositive_density_gives_nan_and_a_reason(self):
+        grid = TorusGrid(dim=2, n=8, nt=4, T=0.01)
+        m = np.ones((grid.nt + 1, *grid.shape))
+        m[-1, 0, 0] = -0.5
+        residuals = _pde_residuals(
+            congestion_model(dim=2, alpha=1.0), self.state_with_density(grid, m)
+        )
+        assert math.isnan(residuals["u"]) and math.isnan(residuals["m"])
+        assert residuals["reason"].startswith("ValueError")
+
+    def test_a_finite_pair_has_no_reason(self):
+        grid = TorusGrid(dim=2, n=8, nt=4, T=0.01)
+        residuals = _pde_residuals(
+            congestion_model(dim=2, alpha=1.0),
+            self.state_with_density(grid, np.ones((grid.nt + 1, *grid.shape))),
+        )
+        assert set(residuals) == {"u", "m"}
+        assert math.isfinite(residuals["u"]) and math.isfinite(residuals["m"])
+
+    def test_other_model_errors_propagate(self):
+        def G(u, m, Du, Dm, D2u, x, t):
+            raise TypeError("G takes no stacked arguments")
+
+        grid = TorusGrid(dim=1, n=8, nt=4, T=0.01)
+        state = self.state_with_density(grid, np.ones((grid.nt + 1, grid.n)))
+        with pytest.raises(TypeError, match="stacked"):
+            _pde_residuals(model_with_sources(G=G), state)
 
 
 class TestHorizonSweep:

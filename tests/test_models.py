@@ -56,6 +56,63 @@ class TestQuadraticModel:
             expected = -np.sum(Du * Dm, axis=0) - m * lap
             assert np.allclose(G, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_undeclared_terms_are_skipped_exactly(self, dim):
+        # The formula with the undeclared H_xp_div and H_mp evaluated as zero
+        # stacks, on (nt+1,) + spatial stacks.
+        rng = np.random.default_rng(12)
+        shape = (5,) + (8,) * dim
+        u, m = rng.normal(size=shape), rng.uniform(0.5, 2.0, shape)
+        Du, Dm = rng.normal(size=(dim, *shape)), rng.normal(size=(dim, *shape))
+        D2u = rng.normal(size=(dim, dim, *shape))
+        x = tuple(rng.uniform(0.0, 1.0, shape) for _ in range(dim))
+        t = rng.uniform(0.0, 1.0, shape)
+        Hpp = np.broadcast_to(
+            np.eye(dim).reshape((dim, dim) + (1,) * len(shape)), (dim, dim, *shape)
+        )
+        div_term = (
+            np.zeros(shape)
+            + np.sum(Hpp * D2u, axis=(0, 1))
+            + np.sum(np.zeros((dim, *shape)) * Dm, axis=0)
+        )
+        expected = -np.sum(Du * Dm, axis=0) - m * div_term
+        G = quadratic_mfg_model(dim).G(u, m, Du, Dm, D2u, x, t)
+        assert np.array_equal(G, expected)
+
+    def test_declared_mixed_terms_enter_G(self):
+        # H = |p|^2/2 - m + m b.p + sin(2 pi x) p_0: H_mp = b and
+        # H_xp_div = 2 pi cos(2 pi x).
+        b = np.array([0.3, -0.2])
+        tau = 2.0 * np.pi
+
+        def H_p(x, t, p, m):
+            shift = np.stack([np.sin(tau * x[0]), np.zeros_like(x[0])])
+            return p + m * b.reshape((2,) + (1,) * np.ndim(m)) + shift
+
+        spec = HamiltonianSpec(
+            H=lambda x, t, p, m: (
+                0.5 * np.sum(p * p, axis=0) - m + m * (b[0] * p[0] + b[1] * p[1])
+                + np.sin(tau * x[0]) * p[0]
+            ),
+            H_p=H_p,
+            H_pp=lambda x, t, p, m: np.broadcast_to(
+                np.eye(2).reshape((2, 2) + (1,) * (p.ndim - 1)), (2, 2) + p.shape[1:]
+            ),
+            H_mp=lambda x, t, p, m: np.broadcast_to(
+                b.reshape((2,) + (1,) * np.ndim(m)), (2,) + np.shape(m)
+            ),
+            H_xp_div=lambda x, t, p, m: tau * np.cos(tau * x[0]) + 0.0 * m,
+        )
+        model = build_mfg_coupling(spec, dim=2, L_F=lambda M: M**2, L_G=lambda M: M**2)
+        u, m, Du, Dm, D2u, x = random_batch(np.random.default_rng(13), 2, 30)
+        G = model.G(u, m, Du, Dm, D2u, x, 0.0)
+        div_term = (
+            tau * np.cos(tau * x[0]) + np.trace(D2u, axis1=0, axis2=1)
+            + b[0] * Dm[0] + b[1] * Dm[1]
+        )
+        expected = -np.sum(H_p(x, 0.0, Du, m) * Dm, axis=0) - m * div_term
+        assert np.allclose(G, expected, rtol=0, atol=1e-12)
+
     def test_diffusion_and_drift(self):
         model = quadratic_mfg_model(2)
         grid = TorusGrid(dim=2, n=8, nt=2, T=0.1)

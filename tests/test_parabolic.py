@@ -11,6 +11,7 @@ from fbmfg.parabolic import (
     solve_forward,
     solve_fp_conservative,
 )
+from fbmfg import torus_grid
 from fbmfg.torus_grid import Field, SpaceTimeField, TorusGrid
 
 TWO_PI = 2.0 * np.pi
@@ -181,6 +182,33 @@ class TestTwoDimensional:
             ParabolicProblem(grid=g, diffusion=C, initial=Field.full(g, 3.0))
         )
         assert np.allclose(const.values, 3.0, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "C, positivity, crosses",
+        [
+            ([[1.0, 0.0], [0.0, 0.6]], False, 0),
+            ([[1.0, 0.0], [0.0, 0.6]], True, 0),
+            ([[1.0, 0.25], [0.25, 1.0]], False, 1),
+            ([[1.0, 0.01], [0.01, 1.0]], True, 1),
+        ],
+    )
+    def test_march_check_builds_the_cross_stencil_only_when_needed(
+        self, monkeypatch, C, positivity, crosses
+    ):
+        calls = []
+        cross = torus_grid._cross_difference
+
+        def counted(*args):
+            calls.append(args)
+            return cross(*args)
+
+        monkeypatch.setattr(torus_grid, "_cross_difference", counted)
+        g = TorusGrid(dim=2, n=16, nt=8, T=0.001)
+        v0 = np.random.default_rng(29).normal(size=g.shape)
+        solve_forward(ParabolicProblem(
+            grid=g, diffusion=np.array(C), initial=Field(g, v0), positivity=positivity,
+        ))
+        assert len(calls) == crosses
 
     def test_positivity_time_step_restriction(self):
         C = np.array([[1.0, 0.4], [0.4, 1.0]])

@@ -8,11 +8,18 @@ from fbmfg.torus_grid import (
     SpaceTimeField,
     TorusGrid,
     gradient,
+    gradient_magnitude,
+    gradient_values,
     hessian,
+    hessian_magnitude,
+    hessian_values,
     norm_C1,
     norm_C10,
+    norm_C10_values,
     norm_C2,
     norm_W21p,
+    norm_W21p_values,
+    second_differences,
     time_derivative,
 )
 
@@ -143,6 +150,87 @@ class TestHessian:
             fine = max_err(2 * n)
             assert coarse[0] / fine[0] >= 3.5
             assert coarse[1] / fine[1] >= 3.5
+
+
+def roll_gradient(values, h, dim):
+    """Reference gradient from one ``np.roll`` copy per shift."""
+    axes = range(values.ndim - dim, values.ndim)
+    out = np.empty((dim, *values.shape))
+    for i, ax in enumerate(axes):
+        out[i] = (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * h)
+    return out
+
+
+def roll_hessian(values, h, dim):
+    """Reference Hessian from one ``np.roll`` copy per shift."""
+    axes = tuple(range(values.ndim - dim, values.ndim))
+    out = np.empty((dim, dim, *values.shape))
+    h2 = h * h
+    for i, ax in enumerate(axes):
+        out[i, i] = (
+            np.roll(values, -1, axis=ax) - 2.0 * values + np.roll(values, 1, axis=ax)
+        ) / h2
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ai, aj = axes[i], axes[j]
+            cross = (
+                np.roll(values, (-1, -1), axis=(ai, aj))
+                + np.roll(values, (1, 1), axis=(ai, aj))
+                - np.roll(values, (-1, 1), axis=(ai, aj))
+                - np.roll(values, (1, -1), axis=(ai, aj))
+            ) / (4.0 * h2)
+            out[i, j] = cross
+            out[j, i] = cross
+    return out
+
+
+class TestGhostLayerStencils:
+    """The ghost-layer stencils are bitwise equal to shifted copies."""
+
+    SHAPES = {
+        "1d-slice": (1, (16,)),
+        "1d-stack": (1, (9, 16)),
+        "1d-leading-3x5": (1, (3, 5, 12)),
+        "2d-slice": (2, (16, 16)),
+        "2d-stack": (2, (9, 16, 16)),
+        "2d-leading-3x5-nonsquare": (2, (3, 5, 12, 10)),
+    }
+
+    @pytest.mark.parametrize("case", list(SHAPES))
+    def test_equal_to_np_roll(self, case):
+        dim, shape = self.SHAPES[case]
+        rng = np.random.default_rng(5)
+        # Magnitudes spread over many decades, so a reordered sum would show.
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        h = 1.0 / shape[-1]
+        grad = gradient_values(values, h, dim)
+        hess = hessian_values(values, h, dim)
+        assert grad.shape == (dim, *shape) and hess.shape == (dim, dim, *shape)
+        assert np.array_equal(grad, roll_gradient(values, h, dim))
+        assert np.array_equal(hess, roll_hessian(values, h, dim))
+        diag = second_differences(values, h, dim)
+        assert all(np.array_equal(diag[i], hess[i, i]) for i in range(dim))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_magnitudes_equal_numpy_sums(self, dim):
+        rng = np.random.default_rng(6)
+        shape = (7,) + (12,) * dim
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        grad = gradient_values(values, 0.1, dim)
+        hess = hessian_values(values, 0.1, dim)
+        assert np.array_equal(gradient_magnitude(grad), np.sqrt(np.sum(grad * grad, axis=0)))
+        assert np.array_equal(
+            hessian_magnitude(hess), np.sqrt(np.sum(hess * hess, axis=(0, 1)))
+        )
+
+    def test_norms_from_magnitudes_equal_the_field_norms(self):
+        g = grid2d(n=16, nt=6, T=0.3)
+        values = np.random.default_rng(8).normal(size=(g.nt + 1, *g.shape))
+        f = SpaceTimeField(g, values)
+        grad_mag = gradient_magnitude(gradient_values(values, g.h, g.dim))
+        hess_mag = hessian_magnitude(hessian_values(values, g.h, g.dim))
+        assert norm_C10_values(values, grad_mag) == norm_C10(f)
+        assert norm_W21p_values(values, grad_mag[:-1], hess_mag[:-1], g, 5.0) == norm_W21p(f, 5.0)
 
 
 class TestNorms:
