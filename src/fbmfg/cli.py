@@ -21,9 +21,10 @@ byte-identical.  Wall-clock times appear only in manifests, with one
 exception: the ``runtime`` column of ``sweep.csv``.
 
 Exit codes for ``run``: 0 the iteration converged and the converged pair
-sits strictly inside the truncation clamps; 2 it diverged or ran out of
-budget; 3 it converged but the de-truncation check failed; 1 the
-configuration or an output path is bad.  ``sweep`` uses only 0 and 1:
+sits strictly inside the truncation clamps; 2 it diverged, ran out of
+budget, or a sweep failed (the series up to that sweep is written); 3 it
+converged but the de-truncation check failed; 1 the configuration or an
+output path is bad.  ``sweep`` uses only 0 and 1:
 per-horizon failures are captured in their rows.
 """
 
@@ -52,7 +53,6 @@ from .models import (
     linear_counterexample_model,
     quadratic_mfg_model,
 )
-from .parabolic import SolverError
 from .spectral import basis_function, critical_times, mode_eigenvalue
 from .torus_grid import Field, TorusGrid
 
@@ -516,7 +516,6 @@ def _manifest_text(
     report=None,
     sweep_rows=None,
     workers: Optional[int] = None,
-    error_text: str = "",
     files: Sequence[tuple[str, str]] = (),
 ) -> str:
     lines = [
@@ -525,8 +524,8 @@ def _manifest_text(
         f"exit_code = {exit_code}",
         f"wallclock_seconds = {wallclock!r}",
     ]
-    if error_text:
-        lines.append(f"error.message = {error_text}")
+    if report is not None and report.error:
+        lines.append(f"error.message = {report.error}")
     if workers is not None:
         lines.append(f"workers = {workers}")
     if report is not None:
@@ -596,24 +595,18 @@ def execute_run(cfg: RunConfig) -> int:
     except Exception as exc:  # noqa: BLE001 - surfaced as a config problem
         raise ConfigError(str(exc)) from exc
 
-    report = None
-    error_text = ""
     try:
         report = picard_solve(
             model, cost, m0, grid,
             tol=cfg.tol, max_iter=cfg.max_iter, delta=cfg.delta, K=cfg.K,
             p=cfg.p, relaxation=cfg.relaxation,
         )
-        status = report.status
-    except SolverError as exc:
-        status = "error"
-        error_text = f"{type(exc).__name__}: {exc}"
     except ValueError as exc:
         # Parameter admissibility is checked before the first sweep, so a
         # ValueError here is a configuration problem wearing solver clothes.
         raise ConfigError(str(exc)) from exc
 
-    if status == "converged":
+    if report.status == "converged":
         exit_code = 0 if report.detrunc_ok else 3
     else:
         exit_code = 2
@@ -621,9 +614,9 @@ def execute_run(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     files: list[tuple[str, str]] = []
     series_path = os.path.join(cfg.out_dir, "series.csv")
-    _write_text(series_path, _series_text(report.rows if report else ()))
+    _write_text(series_path, _series_text(report.rows))
     files.append(("series.csv", series_path))
-    if report is not None and cfg.write_fields:
+    if cfg.write_fields:
         slices = (("fields_t0.csv", 0), ("fields_tmid.csv", grid.nt // 2),
                   ("fields_tT.csv", grid.nt))
         for name, j in slices:
@@ -632,9 +625,8 @@ def execute_run(cfg: RunConfig) -> int:
             files.append((name, path))
 
     manifest = _manifest_text(
-        cfg, kind="run", status=status, exit_code=exit_code,
-        wallclock=time.perf_counter() - start, report=report,
-        error_text=error_text, files=files,
+        cfg, kind="run", status=report.status, exit_code=exit_code,
+        wallclock=time.perf_counter() - start, report=report, files=files,
     )
     _write_text(os.path.join(cfg.out_dir, "manifest.txt"), manifest)
     return exit_code

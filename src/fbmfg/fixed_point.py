@@ -34,7 +34,9 @@ differences themselves, once each.  Divergence is declared after five
 consecutive increases of ``d`` (or any non-finite value); exhausting the
 iteration budget without meeting the tolerance is reported as its own
 status, since near a critical horizon the factors hover just below one and
-the iteration stalls rather than blows up.
+the iteration stalls rather than blows up.  A sweep that fails (a final
+cost leaving its domain, a non-finite march) ends the run with status
+``"error"``; the rows so far and the last good pair are kept.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .models import CouplingModel, FinalCost
-from .parabolic import ParabolicProblem, solve_backward, solve_forward
+from .parabolic import ParabolicProblem, SolverError, solve_backward, solve_forward
 
 # norm_C10 and norm_W21p are not called here; they stay imported because
 # benchmark/tracing.py wraps the torus_grid names it finds in this module.
@@ -226,12 +228,15 @@ class IterationReport:
 
     ``status`` is one of ``"converged"`` (distance fell below tolerance),
     ``"diverged"`` (five consecutive increases or a non-finite distance),
-    or ``"max_iter"`` (budget exhausted first).  The contraction evidence
-    is ``gamma_history``; the clamp evidence is ``detrunc_ok`` together
-    with ``detrunc_failures`` naming any violated bound.  ``m1_violations``
-    lists sweeps whose iterate left the a-priori ball of radius ``M1``
-    (monitoring only — the truncation, not this ball, is what keeps the
-    iteration defined).
+    ``"max_iter"`` (budget exhausted first) or ``"error"`` (a sweep raised
+    ``ValueError``, ``ArithmeticError`` or :class:`SolverError`; ``error``
+    names the sweep and the message, ``rows`` end before it and
+    ``final_state`` is the pair it started from).  The contraction
+    evidence is ``gamma_history``; the clamp evidence is ``detrunc_ok``
+    together with ``detrunc_failures`` naming any violated bound.
+    ``m1_violations`` lists sweeps whose iterate left the a-priori ball of
+    radius ``M1`` (monitoring only — the truncation, not this ball, is
+    what keeps the iteration defined).
     """
 
     status: str
@@ -252,6 +257,7 @@ class IterationReport:
     bounds: dict
     residuals: dict
     regularizing_final_cost: bool
+    error: str = ""
 
     @property
     def converged(self) -> bool:
@@ -352,7 +358,9 @@ def picard_solve(
     and the final cost's constants unless given explicitly.  Each sweep
     appends one :class:`IterationRow`; the loop stops on convergence
     (``d <= tol``), on divergence (five consecutive increases of ``d`` or a
-    non-finite value), or when ``max_iter`` sweeps are exhausted.
+    non-finite value), on a failed sweep (status ``"error"``), or when
+    ``max_iter`` sweeps are exhausted.  Inadmissible inputs raise
+    ``ValueError`` before the first sweep.
 
     ``relaxation`` blends each sweep with the previous iterate
     (``new = old + w (sweep - old)``); the default ``w = 1`` is the plain
@@ -380,7 +388,7 @@ def picard_solve(
             K=float(K), delta=float(delta), L_h=final_cost.L_h, C0=final_cost.C0,
             m0_norm_C1=norm_C1(m0),
         )
-    M1 = 3.0 * ((final_cost.L_h + 1.0) * norm_C1(m0) + final_cost.C0)
+    M1 = 3.0 * ((final_cost.L_h + 1.0) * trunc.m0_norm_C1 + final_cost.C0)
 
     state = initial_state(grid, m0)
     distances: list[float] = []
@@ -388,9 +396,15 @@ def picard_solve(
     rows: list[IterationRow] = []
     m1_violations: list[int] = []
     status = "max_iter"
+    error = ""
     increases = 0
     for k in range(1, max_iter + 1):
-        candidate = apply_T(model, final_cost, m0, state, trunc)
+        try:
+            candidate = apply_T(model, final_cost, m0, state, trunc)
+        except (ValueError, ArithmeticError, SolverError) as exc:
+            status = "error"
+            error = f"sweep {k}: {type(exc).__name__}: {exc}"
+            break
         # Only the sweep reads the old pair's derivatives; release them.
         state = IterateState(u=state.u, m=state.m)
         if relaxation != 1.0:
@@ -456,6 +470,7 @@ def picard_solve(
         bounds=bounds,
         residuals=residuals,
         regularizing_final_cost=final_cost.regularizing,
+        error=error,
     )
 
 
@@ -536,6 +551,7 @@ def horizon_sweep(
             max_gamma=report.max_gamma,
             min_m=report.bounds["min_m"],
             detrunc_ok=report.detrunc_ok,
+            error=report.error,
             runtime=time.perf_counter() - start,
         )
 

@@ -44,7 +44,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .parabolic import constant_diffusion
-from .torus_grid import Field, TorusGrid, hessian_values, norm_C1, norm_C2
+from .torus_grid import (
+    Field,
+    TorusGrid,
+    gradient_magnitude,
+    hessian_magnitude,
+    hessian_values,
+    norm_C1,
+    norm_C2,
+)
+from .truncation import clamp_vector
 
 __all__ = [
     "CouplingModel",
@@ -197,12 +206,11 @@ def _fd_validate_hamiltonian(
     H_mp: Callable,
     H_xp_div: Callable,
     dim: int,
-    seed: int,
     step: float = 1e-3,
     tol: float = 1e-4,
 ) -> None:
     """Probe every declared derivative against central differences."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     S = 24
     x = tuple(rng.uniform(0.0, 1.0, S) for _ in range(dim))
     p = rng.uniform(-2.0, 2.0, (dim, S))
@@ -240,11 +248,10 @@ def _fd_validate_diffusion(
     A_div1: Callable,
     A_div2: Callable,
     dim: int,
-    seed: int,
     step: float = 1e-3,
     tol: float = 1e-4,
 ) -> None:
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(1)
     S = 24
     x = tuple(rng.uniform(0.0, 1.0, S) for _ in range(dim))
     for t in (0.0, 0.37):
@@ -284,8 +291,6 @@ def build_mfg_coupling(
     L_F: Callable[[float], float],
     L_G: Callable[[float], float],
     name: str = "mfg-coupling",
-    validate: bool = True,
-    seed: int = 0,
 ) -> CouplingModel:
     """Assemble the coupled sources from a Hamiltonian.
 
@@ -296,9 +301,9 @@ def build_mfg_coupling(
 
     which is exactly ``c_ij m_ij - d_ij(A_ij m) - div(m H_p)``, so the
     forward equation transports the density along ``H_p``.  Both equations
-    use ``A`` as diffusion.  With ``validate=True`` (the default) every
-    declared derivative is probed against central differences on seeded
-    sample points and the build fails loudly on disagreement.
+    use ``A`` as diffusion.  Every declared derivative is probed against
+    central differences on fixed sample points, and the build fails loudly
+    on disagreement.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -312,10 +317,9 @@ def build_mfg_coupling(
     A_div1 = spec.A_div1 or (lambda x, t: np.zeros((dim,) + np.shape(x[0])))
     A_div2 = spec.A_div2 or (lambda x, t: np.zeros(np.shape(x[0])))
 
-    if validate:
-        _fd_validate_hamiltonian(spec, H_mp, H_xp_div, dim, seed)
-        if A_is_callable:
-            _fd_validate_diffusion(spec.A, A_div1, A_div2, dim, seed)
+    _fd_validate_hamiltonian(spec, H_mp, H_xp_div, dim)
+    if A_is_callable:
+        _fd_validate_diffusion(spec.A, A_div1, A_div2, dim)
 
     def F(u, m, Du, Dm, x, t):
         return np.asarray(spec.H(x, t, Du, m), dtype=float)
@@ -373,8 +377,6 @@ def build_congestion_coupling(
     L_F: Optional[Callable[[float], float]] = None,
     L_G: Optional[Callable[[float], float]] = None,
     name: str = "congestion",
-    validate: bool = True,
-    seed: int = 0,
 ) -> CouplingModel:
     """Congestion coupling ``F = m^alpha H1(Du / m^alpha) - f(x, t, m)``.
 
@@ -393,7 +395,7 @@ def build_congestion_coupling(
     the density itself; the sources raise on any nonpositive density, since
     ``m^alpha`` leaves its domain there.  Custom ``H1`` requires all of
     ``H1_p``/``H1_pp`` plus declared ``L_F``/``L_G``; the derivative pair is
-    probed against central differences unless ``validate=False``.  A is a
+    probed against central differences on fixed sample points.  A is a
     constant matrix (scalar or ``(dim, dim)``).
     """
     if dim not in (1, 2):
@@ -425,8 +427,8 @@ def build_congestion_coupling(
             + 1.0
         )
 
-    if validate and custom_H1:
-        rng = np.random.default_rng(seed)
+    if custom_H1:
+        rng = np.random.default_rng(0)
         q = rng.uniform(-2.0, 2.0, (dim, 24))
         step, tol = 1e-3, 1e-4
         num_p = np.empty_like(q)
@@ -550,21 +552,18 @@ class FinalCost:
     L_h: float
     C0: float
     regularizing: bool
-    label: str
     kernel: Optional[np.ndarray] = None
 
     def __call__(self, m: Field) -> Field:
         return self.fn(m)
 
 
-def periodic_gaussian_kernel(
-    grid: TorusGrid, sigma: Optional[float] = None, support_radius: int = 3
-) -> np.ndarray:
+def periodic_gaussian_kernel(grid: TorusGrid, sigma: Optional[float] = None) -> np.ndarray:
     """Periodized Gaussian on the grid, normalized to exact unit mass.
 
-    The periodization sums integer translates with ``|r| <= support_radius``
-    (ample for any sigma a few grid cells wide); the discrete normalization
-    makes ``sum psi h^dim = 1`` hold exactly, so convolution against the
+    The periodization sums integer translates with ``|r| <= 3`` (ample for
+    any sigma a few grid cells wide); the discrete normalization makes
+    ``sum psi h^dim = 1`` hold exactly, so convolution against the
     kernel preserves constants and total mass to rounding.  ``sigma`` is
     the Gaussian width in torus units and defaults to four grid cells;
     ``sigma = 0`` degenerates to the discrete delta (no smoothing).
@@ -579,7 +578,7 @@ def periodic_gaussian_kernel(
         return kern
     x = np.arange(grid.n) * grid.h
     profile = np.zeros(grid.n)
-    for r in range(-support_radius, support_radius + 1):
+    for r in range(-3, 4):
         profile += np.exp(-0.5 * ((x + r) / sigma) ** 2)
     kern = profile if grid.dim == 1 else np.outer(profile, profile)
     kern = kern / (kern.sum() * grid.h**grid.dim)
@@ -595,9 +594,7 @@ def final_cost_convolution(
     derivative_bounds: Optional[tuple[float, float, float]] = None,
     input_range: Optional[float] = None,
     sigma: Optional[float] = None,
-    support_radius: int = 3,
     allow_degenerate: bool = False,
-    label: str = "convolution",
 ) -> FinalCost:
     """Smoothing final condition ``h[m] = h0(m * psi)``.
 
@@ -639,7 +636,7 @@ def final_cost_convolution(
     be requested with ``allow_degenerate=True`` and is marked
     non-regularizing.
     """
-    kernel = periodic_gaussian_kernel(grid, sigma=sigma, support_radius=support_radius)
+    kernel = periodic_gaussian_kernel(grid, sigma=sigma)
     degenerate = sigma == 0.0
     if degenerate and not allow_degenerate:
         raise ValueError(
@@ -694,7 +691,7 @@ def final_cost_convolution(
     C0 = norm_C2(fn(Field.zeros(grid)))
     return FinalCost(
         fn=fn, L_h=float(L_h), C0=float(C0),
-        regularizing=not degenerate, label=label, kernel=kernel,
+        regularizing=not degenerate, kernel=kernel,
     )
 
 
@@ -709,9 +706,7 @@ def final_cost_constant(u_T: Field) -> FinalCost:
             )
         return Field(m.grid, values.copy())
 
-    return FinalCost(
-        fn=fn, L_h=0.0, C0=norm_C2(u_T), regularizing=True, label="constant",
-    )
+    return FinalCost(fn=fn, L_h=0.0, C0=norm_C2(u_T), regularizing=True)
 
 
 def final_cost_scaled_identity(scale: float) -> FinalCost:
@@ -730,9 +725,7 @@ def final_cost_scaled_identity(scale: float) -> FinalCost:
     def fn(m: Field) -> Field:
         return Field(m.grid, scale * m.values)
 
-    return FinalCost(
-        fn=fn, L_h=abs(scale), C0=0.0, regularizing=False, label="scaled-identity",
-    )
+    return FinalCost(fn=fn, L_h=abs(scale), C0=0.0, regularizing=False)
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +813,8 @@ def validate_assumptions(
     def draw_args():
         u = rng.uniform(-M, M, S)
         m = rng.uniform(1.0 / M, M, S)
-        Du = _clip_magnitude(rng.uniform(-M, M, (dim, S)), M)
-        Dm = _clip_magnitude(rng.uniform(-M, M, (dim, S)), M)
+        Du = clamp_vector(rng.uniform(-M, M, (dim, S)), M)
+        Dm = clamp_vector(rng.uniform(-M, M, (dim, S)), M)
         return u, m, Du, Dm
 
     def draw_hessian():
@@ -840,7 +833,7 @@ def validate_assumptions(
         bound_F = max(bound_F, _ratio(float(np.max(np.abs(F1))), LF))
         dw = (
             np.abs(u1 - u2) + np.abs(m1 - m2)
-            + _magnitude(Du1 - Du2) + _magnitude(Dm1 - Dm2)
+            + gradient_magnitude(Du1 - Du2) + gradient_magnitude(Dm1 - Dm2)
         )
         mask = dw > 1e-12
         if np.any(mask):
@@ -850,11 +843,14 @@ def validate_assumptions(
 
         G11 = np.asarray(model.G(u1, m1, Du1, Dm1, P1, x, t), dtype=float)
         G22 = np.asarray(model.G(u2, m2, Du2, Dm2, P2, x, t), dtype=float)
-        P1_norm = _frobenius(P1)
+        P1_norm = hessian_magnitude(P1)
         bound_G = max(
             bound_G, _ratio(float(np.max(np.abs(G11) / (1.0 + P1_norm))), LG)
         )
-        denom = (1.0 + np.maximum(P1_norm, _frobenius(P2))) * dw + _frobenius(P1 - P2)
+        denom = (
+            (1.0 + np.maximum(P1_norm, hessian_magnitude(P2))) * dw
+            + hessian_magnitude(P1 - P2)
+        )
         mask = denom > 1e-12
         if np.any(mask):
             lip_G = max(
@@ -884,19 +880,3 @@ def validate_assumptions(
         bound_G_ratio=bound_G, lipschitz_G_ratio=lip_G,
         affine_defect=affine, flags=tuple(flags),
     )
-
-
-def _magnitude(p: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(p * p, axis=0))
-
-
-def _frobenius(P: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(P * P, axis=(0, 1)))
-
-
-def _clip_magnitude(p: np.ndarray, M: float) -> np.ndarray:
-    mag = _magnitude(p)
-    factor = np.ones_like(mag)
-    over = mag > M
-    factor[over] = M / mag[over]
-    return p * factor

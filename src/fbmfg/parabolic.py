@@ -30,8 +30,9 @@ shape of the diffusion:
   periodic shift operators and solve each step by a direct ``splu``
   factorization (refactored only when the coefficients change in time).
 
-Either way the finished march is checked against its discrete equation:
-the relative residual of every step must stay below ``RESIDUAL_TOL``.
+Both paths treat the mixed term implicitly.  Either way the finished
+march is checked against its discrete equation: the relative residual of
+every step must stay below ``RESIDUAL_TOL``.
 
 :func:`solve_fp_conservative` is the positivity/mass-preserving variant for
 transport-diffusion of a density,
@@ -43,7 +44,8 @@ transport velocity ``-b``.  Its implicit system matrix is an M-matrix with
 unit column sums, so densities stay nonnegative and the discrete total mass
 is conserved exactly (up to the linear-solver residual); this path uses a
 direct factorization in both dimensions because its purpose is the
-mass-conservation audit.
+mass-conservation audit.  It is the one path with an explicit mixed term,
+so a nonzero mixed coefficient there needs ``dt <= h^2 / (8 max|c_01|)``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+# Lower bound every diffusion's smallest eigenvalue must reach.
+ELLIPTICITY_FLOOR = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -152,28 +156,22 @@ class ParabolicProblem:
         Second-order coefficients ``c_ij``.  Accepted shapes:
         ``(dim, dim)`` (constant), ``(dim, dim) + spatial`` (x-dependent),
         or with a leading ``nt + 1`` axis for time dependence.  Only the
-        constant shape takes the Fourier march.
-    source : SpaceTimeField or ndarray, optional
+        constant shape takes the Fourier march.  The smallest eigenvalue
+        of ``(c_ij)`` must reach ``ELLIPTICITY_FLOOR`` (validated at
+        construction).
+    source : ndarray, optional
         The inhomogeneity ``g`` with our sign convention
-        ``v_t - c_ij v_ij + g = 0``; zero when omitted.
+        ``v_t - c_ij v_ij + g = 0``, shape ``(nt + 1,) + spatial``; zero
+        when omitted.
     initial, final : Field, optional
         Data for the forward / backward march (whichever applies).
-    positivity : bool
-        Request the M-matrix-preserving treatment: mixed second-derivative
-        terms move to the explicit side, subject to the time-step
-        restriction ``dt <= h^2 / (8 max|c_offdiag|)``.
-    ellipticity : float
-        Declared lower bound for the smallest eigenvalue of ``(c_ij)``;
-        validated at construction.
     """
 
     grid: TorusGrid
     diffusion: np.ndarray
-    source: Optional[Union[SpaceTimeField, np.ndarray]] = None
+    source: Optional[np.ndarray] = None
     initial: Optional[Field] = None
     final: Optional[Field] = None
-    positivity: bool = False
-    ellipticity: float = 1e-10
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -185,8 +183,6 @@ class ParabolicProblem:
                 f"coefficient shape {self.diffusion.shape} not understood "
                 f"(expected one of {sorted(ok_shapes)})"
             )
-        if isinstance(self.source, SpaceTimeField):
-            self.source = self.source.values
         if self.source is None:
             self.source = np.zeros((g.nt + 1, *g.shape))
         self.source = np.asarray(self.source, float)
@@ -224,8 +220,6 @@ class ParabolicProblem:
     # -- validation --------------------------------------------------------
 
     def _validate_coefficients(self) -> None:
-        if not self.ellipticity > 0:
-            raise ValueError("ellipticity floor must be positive")
         if not np.all(np.isfinite(self.diffusion)):
             raise ValueError("coefficients must be finite")
         c = self.coefficients()
@@ -234,22 +228,11 @@ class ParabolicProblem:
         else:
             a, d, b = c[0, 0], c[1, 1], c[0, 1]
             min_eig = np.min(0.5 * ((a + d) - np.sqrt((a - d) ** 2 + 4.0 * b * b)))
-        if min_eig < self.ellipticity:
+        if min_eig < ELLIPTICITY_FLOOR:
             raise ValueError(
-                f"diffusion is not uniformly elliptic: min eigenvalue {min_eig} < {self.ellipticity}"
+                f"diffusion is not uniformly elliptic: "
+                f"min eigenvalue {min_eig} < {ELLIPTICITY_FLOOR}"
             )
-
-    def check_positivity_restriction(self) -> None:
-        """Enforce the explicit-mixed-term step restriction when requested."""
-        if not self.positivity or self.grid.dim == 1:
-            return
-        off = float(np.max(np.abs(self.coefficients()[0, 1])))
-        if off > 0.0:
-            limit = self.grid.h**2 / (8.0 * off)
-            if self.grid.dt > limit:
-                raise ValueError(
-                    f"positivity-preserving treatment needs dt <= {limit:.3e}, got {self.grid.dt:.3e}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -257,50 +240,42 @@ class ParabolicProblem:
 # ---------------------------------------------------------------------------
 
 
-def _fourier_symbols(problem: ParabolicProblem) -> tuple[np.ndarray, Union[float, np.ndarray]]:
-    """Symbols of the implicit and explicit parts of ``L`` on the ``rfftn`` modes.
+def _fourier_symbol(problem: ParabolicProblem) -> np.ndarray:
+    """Symbol of ``L`` on the ``rfftn`` modes.
 
     ``-c_ii`` times the 3-point stencil has symbol ``c_ii 4 sin^2(θ_i/2) / h^2``;
     ``-2 c_01`` times the 4-point cross stencil has ``2 c_01 sin θ_0 sin θ_1 / h^2``.
-    The mixed part is explicit under ``positivity`` and implicit otherwise.
     """
     g = problem.grid
     c = problem.diffusion
     freqs = [np.fft.fftfreq(g.n)] * (g.dim - 1) + [np.fft.rfftfreq(g.n)]
     theta = np.meshgrid(*(2.0 * np.pi * f for f in freqs), indexing="ij", sparse=True)
-    implicit = sum(c[i, i] * 4.0 * np.sin(0.5 * theta[i]) ** 2 for i in range(g.dim)) / g.h**2
-    explicit = 0.0
+    symbol = sum(c[i, i] * 4.0 * np.sin(0.5 * theta[i]) ** 2 for i in range(g.dim)) / g.h**2
     if g.dim == 2:
-        mixed = 2.0 * c[0, 1] * np.sin(theta[0]) * np.sin(theta[1]) / g.h**2
-        if problem.positivity:
-            explicit = mixed
-        else:
-            implicit = implicit + mixed
-    return implicit, explicit
+        symbol = symbol + 2.0 * c[0, 1] * np.sin(theta[0]) * np.sin(theta[1]) / g.h**2
+    return symbol
 
 
 def _fourier_march(problem: ParabolicProblem, out: np.ndarray) -> None:
     """Fill slices ``1..nt`` of ``out`` by the per-mode backward-Euler recursion."""
     g = problem.grid
     axes = tuple(range(1, g.dim + 1))
-    implicit, explicit = _fourier_symbols(problem)
-    keep = 1.0 - g.dt * explicit
-    denom = 1.0 + g.dt * implicit
+    denom = 1.0 + g.dt * _fourier_symbol(problem)
     # One complex stack: source modes, overwritten in place by solution modes.
     hat = np.fft.rfftn(problem.source, axes=axes)
     hat[0] = np.fft.rfftn(out[0])
     for j in range(1, g.nt + 1):
-        hat[j] = (keep * hat[j - 1] - g.dt * hat[j]) / denom
+        hat[j] = (hat[j - 1] - g.dt * hat[j]) / denom
     out[1:] = np.fft.irfftn(hat[1:], s=g.shape, axes=axes)
 
 
-def _spatial_operator(grid: TorusGrid, c: np.ndarray, include_mixed: bool) -> sp.csr_matrix:
+def _spatial_operator(grid: TorusGrid, c: np.ndarray) -> sp.csr_matrix:
     """Assemble ``L v = -c_ij v_ij`` for one slice of coefficients ``c``."""
     n, dim, h = grid.n, grid.dim, grid.h
     L = sp.csr_matrix((grid.num_points, grid.num_points))
     for i in range(dim):
         L = L - _diag(c[i, i]) @ _second_diff(n, dim, i, h)
-    if dim == 2 and include_mixed and np.any(c[0, 1] != 0.0):
+    if dim == 2 and np.any(c[0, 1] != 0.0):
         L = L - 2.0 * _diag(c[0, 1]) @ _cross_diff(n, h)
     return L.tocsr()
 
@@ -309,27 +284,20 @@ def _splu_march(problem: ParabolicProblem, out: np.ndarray) -> None:
     """Fill slices ``1..nt`` of ``out`` by sparse direct solves, one per step."""
     g = problem.grid
     eye = sp.identity(g.num_points, format="csr")
-    explicit_mixed = problem.positivity and g.dim == 2
     lu = None
     for j in range(1, g.nt + 1):
-        c = problem.diffusion_slice(j)
         if lu is None or problem.time_dependent:
-            L = _spatial_operator(g, c, include_mixed=not problem.positivity)
+            L = _spatial_operator(g, problem.diffusion_slice(j))
             lu = spla.splu((eye + g.dt * L).tocsc())
-        v = np.ravel(out[j - 1])
-        rhs = v.copy()
-        if explicit_mixed:
-            rhs += g.dt * (2.0 * np.ravel(c[0, 1]) * (_cross_diff(g.n, g.h) @ v))
-        rhs -= g.dt * np.ravel(problem.source[j])
+        rhs = np.ravel(out[j - 1]) - g.dt * np.ravel(problem.source[j])
         out[j] = lu.solve(rhs).reshape(g.shape)
 
 
 def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
     """Verify a finished march against the discrete equation of every step.
 
-    Step ``j`` must satisfy ``(I + dt L_j) v_j = v_{j-1} - dt g_j`` (with the
-    mixed term on ``v_{j-1}`` under ``positivity``) to a relative residual
-    below ``RESIDUAL_TOL``; ``L`` is applied through the grid's own stencils,
+    Step ``j`` must satisfy ``(I + dt L_j) v_j = v_{j-1} - dt g_j`` to a
+    relative residual below ``RESIDUAL_TOL``; ``L`` is applied through the grid's own stencils,
     the cross stencil only where the mixed coefficient is nonzero.
     """
     g = problem.grid
@@ -349,12 +317,7 @@ def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
     for i in range(g.dim):
         res -= (g.dt * c[i, i]) * second[i]
     if mixed:
-        if problem.positivity:
-            explicit = (2.0 * g.dt * c[0, 1]) * hess[0, 1, :-1]
-            rhs += explicit
-            res -= explicit
-        else:
-            res -= (2.0 * g.dt * c[0, 1]) * hess[0, 1, 1:]
+        res -= (2.0 * g.dt * c[0, 1]) * hess[0, 1, 1:]
     scale = np.maximum(np.linalg.norm(rhs.reshape(g.nt, -1), axis=1), 1e-300)
     rel = np.linalg.norm(res.reshape(g.nt, -1), axis=1) / scale
     worst = int(np.argmax(rel))
@@ -371,7 +334,6 @@ def solve_forward(problem: ParabolicProblem) -> SpaceTimeField:
         raise ValueError("solve_forward needs an initial slice")
     if not problem.initial.is_finite():
         raise ValueError("initial slice contains non-finite values")
-    problem.check_positivity_restriction()
     out = np.empty((g.nt + 1, *g.shape))
     out[0] = problem.initial.values
     if problem.diffusion.shape == (g.dim, g.dim):
@@ -477,8 +439,9 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
         (the transport velocity of the density is ``-b``).
 
     Mixed diffusion entries are treated explicitly (they are the only terms
-    that could break the M-matrix structure); when ``positivity`` is set the
-    corresponding time-step restriction is enforced.
+    that could break the M-matrix structure), so a nonzero mixed
+    coefficient needs ``dt <= h^2 / (8 max|c_01|)``; a larger step raises
+    ``ValueError``.
     """
     g = problem.grid
     if problem.initial is None:
@@ -490,7 +453,11 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
         )
     if not np.all(np.isfinite(drift)):
         raise ValueError("drift contains non-finite values")
-    problem.check_positivity_restriction()
+    off = float(np.max(np.abs(problem.coefficients()[0, 1]))) if g.dim == 2 else 0.0
+    if off > 0.0:
+        limit = g.h**2 / (8.0 * off)
+        if g.dt > limit:
+            raise ValueError(f"the explicit mixed term needs dt <= {limit:.3e}, got {g.dt:.3e}")
 
     out = np.empty((g.nt + 1, *g.shape))
     out[0] = problem.initial.values

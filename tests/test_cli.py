@@ -20,7 +20,7 @@ from fbmfg.cli import (
     main,
     parse_config,
 )
-from fbmfg.models import decoupled_heat_model, final_cost_constant
+from fbmfg.models import decoupled_heat_model, final_cost_constant, final_cost_convolution
 from fbmfg.torus_grid import Field
 
 T_CRIT = math.log(3.0) / (8.0 * math.pi**2)
@@ -31,6 +31,16 @@ def toy_factory(grid, params):
     level = float(params.get("level", "1.0"))
     g = Field.from_function(grid, lambda x: 0.1 * np.sin(2.0 * np.pi * x))
     return decoupled_heat_model(dim=grid.dim), final_cost_constant(g), Field.full(grid, level)
+
+
+def failing_factory(grid, params):
+    """Factory whose density source turns NaN at sweep 2, once u has moved."""
+    def G(u, m, Du, Dm, D2u, x, t):
+        return np.full(np.shape(u), np.nan if np.any(u != 0.0) else 0.0)
+
+    model = dataclasses.replace(decoupled_heat_model(dim=grid.dim), G=G)
+    m0 = Field.from_function(grid, lambda x: 1.0 + 0.25 * np.cos(2.0 * np.pi * x))
+    return model, final_cost_convolution(grid), m0
 
 
 def write(path, text):
@@ -278,6 +288,30 @@ class TestRunCommand:
         # The factory builds a uniform density at the requested level, and
         # the positivity floor defaults to its minimum.
         assert "resolved.delta = 2.5" in manifest
+
+    def test_failed_sweep_keeps_the_series_and_exits_2(self, tmp_path):
+        cfg_path = write(
+            tmp_path / "run.cfg",
+            """\
+            model = custom
+            grid.dim = 1
+            grid.n = 16
+            grid.nt = 8
+            grid.T = 0.01
+            params.factory = test_cli:failing_factory
+            """,
+        )
+        out = tmp_path / "failed"
+        assert main(["run", cfg_path, "--out", str(out)]) == 2
+        series = (out / "series.csv").read_text().splitlines()
+        assert len(series) == 2 and series[1].startswith("1,")
+        manifest = (out / "manifest.txt").read_text()
+        assert "status = error\n" in manifest
+        assert "iterations = 1\n" in manifest
+        assert (
+            "error.message = sweep 2: SolverError: non-finite values produced by the march\n"
+            in manifest
+        )
 
     def test_console_entry_point_runs_in_a_subprocess(self, tmp_path):
         cfg_path = write(tmp_path / "run.cfg", DECOUPLED)

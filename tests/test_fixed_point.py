@@ -37,6 +37,7 @@ from fbmfg.torus_grid import (
     TorusGrid,
     gradient_values,
     hessian_values,
+    norm_C1,
     norm_C10,
     norm_W21p,
 )
@@ -387,6 +388,18 @@ class TestStencilCount:
         # stencil; the march checks do not, as the mixed coefficient is zero.
         assert sweep["cross"] == 2
 
+    def test_one_sweep_2d_solve_takes_the_gradient_of_m0_once(self, monkeypatch):
+        # select_K's norm_C1(m0) is the one gradient of the datum; M1 reuses it.
+        grid = TorusGrid(dim=2, n=16, nt=8, T=0.01)
+        m0 = Field.from_function(
+            grid, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+        )
+        model, cost = quadratic_mfg_model(2), final_cost_convolution(grid)
+        counts = self.count_stencils(monkeypatch)
+        report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=1)
+        assert report.iterations == 1
+        assert counts["stencils"] == 13
+
 
 class TestAgainstClosedForm:
     """The linear pair admits an exact eigenfunction solution; the iteration
@@ -615,6 +628,53 @@ class TestResidualFailures:
         state = self.state_with_density(grid, np.ones((grid.nt + 1, grid.n)))
         with pytest.raises(TypeError, match="stacked"):
             _pde_residuals(model_with_sources(G=G), state)
+
+
+def nan_once_u_moves(u, m, Du, Dm, D2u, x, t):
+    """Density source that is zero on the starting pair (u = 0), NaN after."""
+    return np.full(np.shape(u), np.nan if np.any(u != 0.0) else 0.0)
+
+
+class TestSweepFailures:
+    """A sweep that raises ends the run in status "error", history kept."""
+
+    @staticmethod
+    def assert_history_of_one_sweep(report, model, cost, m0, grid):
+        first = picard_solve(model, cost, m0, grid, max_iter=1)
+        assert report.status == "error"
+        assert report.iterations == 1
+        assert report.rows == first.rows
+        assert report.distance_history == first.distance_history
+        assert np.array_equal(report.final_state.u.values, first.final_state.u.values)
+        assert np.array_equal(report.final_state.m.values, first.final_state.m.values)
+        assert report.bounds == first.bounds
+
+    def test_final_cost_leaving_its_domain(self):
+        grid = TorusGrid(dim=1, n=32, nt=16, T=0.05)
+        m0 = Field.from_function(grid, lambda x: 1.0 + 0.3 * np.cos(2.0 * np.pi * x))
+        R, a = norm_C1(m0), 5.0
+        # h0(s) = -a s^2 has certified bounds only on the C1 ball of m0.
+        cost = final_cost_convolution(
+            grid, h0=lambda s: -a * s * s,
+            derivative_bounds=(2.0 * a * R, 2.0 * a, 0.0), input_range=R,
+        )
+        model = quadratic_mfg_model(1)
+        report = picard_solve(model, cost, m0, grid, max_iter=20)
+        assert report.error.startswith("sweep 2: ValueError: density has C1 norm")
+        self.assert_history_of_one_sweep(report, model, cost, m0, grid)
+
+    def test_nonfinite_source_is_a_solver_error(self):
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        m0 = cosine_density(grid, 0.25)
+        model = model_with_sources(G=nan_once_u_moves)
+        cost = final_cost_convolution(grid)
+        report = picard_solve(model, cost, m0, grid, max_iter=20)
+        assert report.error == (
+            "sweep 2: SolverError: non-finite values produced by the march"
+        )
+        self.assert_history_of_one_sweep(report, model, cost, m0, grid)
+        row, = horizon_sweep(model, cost, m0, [grid.T], dt=grid.dt, max_iter=20)
+        assert (row.status, row.iterations, row.error) == ("error", 1, report.error)
 
 
 class TestHorizonSweep:
