@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -118,12 +118,17 @@ class IterateState:
         return gradient_values(self.m.values, self.grid.h, self.grid.dim)
 
 
-def initial_state(grid: TorusGrid, m0: Field) -> IterateState:
-    """Starting pair: zero value function, density frozen at its datum."""
-    return IterateState(
-        u=SpaceTimeField.zeros(grid),
-        m=SpaceTimeField.constant_in_time(m0, grid=grid),
-    )
+def initial_state(grid: TorusGrid, m0: Field, Dm0: Optional[np.ndarray] = None) -> IterateState:
+    """Starting pair: zero value function, density frozen at its datum.
+
+    Its derivatives take no stencil: ``Du``, ``D2u`` are zero and ``Dm``
+    repeats the gradient ``Dm0`` of ``m0`` (taken here unless given)."""
+    state = IterateState(u=SpaceTimeField.zeros(grid), m=SpaceTimeField.constant_in_time(m0, grid))
+    if Dm0 is None:
+        Dm0 = gradient_values(m0.values, grid.h, grid.dim)
+    Dm = np.repeat(Dm0[:, np.newaxis], grid.nt + 1, axis=1)
+    vars(state).update(Du=np.zeros_like(Dm), D2u=np.zeros((grid.dim,) + Dm.shape), Dm=Dm)
+    return state
 
 
 def iterate_distance(a: IterateState, b: IterateState, p: float) -> float:
@@ -389,8 +394,11 @@ def picard_solve(
             m0_norm_C1=norm_C1(m0),
         )
     M1 = 3.0 * ((final_cost.L_h + 1.0) * trunc.m0_norm_C1 + final_cost.C0)
+    # A callable diffusion depends only on the grid: evaluate it once here.
+    model = replace(model, diffusion_u=model.diffusion_values(grid, "u"),
+                    diffusion_m=model.diffusion_values(grid, "m"))
 
-    state = initial_state(grid, m0)
+    state = initial_state(grid, m0, trunc.m0_gradient)
     distances: list[float] = []
     gammas: list[float] = []
     rows: list[IterationRow] = []

@@ -101,8 +101,9 @@ class CouplingModel:
         G must be affine in ``D2u`` for the splitting used by the audits
         and the solver.
     diffusion_u, diffusion_m : ndarray or callable
-        Either a constant ``(dim, dim)`` matrix or a callable mapping a
-        :class:`TorusGrid` to a coefficient array accepted by the stepper.
+        A coefficient array accepted by the stepper (a constant ``(dim,
+        dim)`` matrix, say) or a callable mapping a :class:`TorusGrid` to
+        one; ``picard_solve`` evaluates a callable once per solve.
     L_F, L_G : callable
         Declared growth bounds: for arguments bounded by ``M`` (density in
         ``[1/M, M]``), ``|F| <= L_F(M)`` and ``|G| <= L_G(M) (1 + |D2u|)``,
@@ -128,8 +129,7 @@ class CouplingModel:
         if equation not in ("u", "m"):
             raise ValueError(f"equation must be 'u' or 'm', got {equation!r}")
         src = self.diffusion_u if equation == "u" else self.diffusion_m
-        out = np.asarray(src(grid) if callable(src) else src, dtype=float)
-        return out
+        return np.asarray(src(grid) if callable(src) else src, dtype=float)
 
 
 def _eye_like(dim: int, spatial: tuple[int, ...]) -> np.ndarray:
@@ -413,7 +413,6 @@ def build_congestion_coupling(
     if not custom_H1:
         H1 = lambda q: 0.5 * np.sum(q * q, axis=0)
         H1_p = lambda q: q
-        H1_pp = lambda q: _eye_like(q.shape[0], q.shape[1:])
     if f is None:
         f = lambda x, t, m: m
     if L_F is None:
@@ -457,13 +456,15 @@ def build_congestion_coupling(
         _check_density(m)
         ma = np.power(m, alpha)
         q = Du / ma
-        Hp = np.asarray(H1_p(q), dtype=float)
-        Hpp = np.asarray(H1_pp(q), dtype=float)
-        out = -np.sum(Hp * Dm, axis=0)
-        out = out - np.power(m, 1.0 - alpha) * np.sum(Hpp * D2u, axis=(0, 1))
-        hess_dot_du = np.sum(Hpp * Du[np.newaxis], axis=1)
-        out = out + (alpha / ma) * np.sum(hess_dot_du * Dm, axis=0)
-        return out
+        if custom_H1:
+            Hpp = np.asarray(H1_pp(q), dtype=float)
+            div, hess_dot_du = np.sum(Hpp * D2u, axis=(0, 1)), np.sum(Hpp * Du[np.newaxis], axis=1)
+        else:  # H1_pp is the identity: contract it as a trace
+            div, hess_dot_du = np.trace(D2u), Du
+        if alpha != 1.0:  # else m^(1-alpha) is one
+            div = np.power(m, 1.0 - alpha) * div
+        out = -np.sum(np.asarray(H1_p(q), dtype=float) * Dm, axis=0) - div
+        return out + (alpha / ma) * np.sum(hess_dot_du * Dm, axis=0)
 
     def drift(u, m, Du, Dm, x, t):
         _check_density(m)

@@ -25,12 +25,12 @@ value ``h[m]`` (bounded by ``L_h*|m0|^(1) + C0`` up to a factor 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
-from .torus_grid import Field, norm_C1
+from .torus_grid import Field, gradient_magnitude, gradient_values, norm_C10_values
 
 __all__ = [
     "TruncationParams",
@@ -51,7 +51,8 @@ class TruncationParams:
     """Threshold ``K``, density floor ``delta`` and the final-cost constants.
 
     ``m0_norm_C1`` records the ``|m0|^(1)`` norm the threshold was derived
-    from, so the defining inequality stays checkable on the instance.
+    from, so the defining inequality stays checkable on the instance;
+    ``m0_gradient`` is the gradient of ``m0`` behind it, when known.
     """
 
     K: float
@@ -59,6 +60,7 @@ class TruncationParams:
     L_h: float
     C0: float
     m0_norm_C1: float
+    m0_gradient: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.delta > 0):
@@ -88,9 +90,10 @@ def select_K(m0: Field, L_h: float, C0: float, delta: float) -> TruncationParams
         raise ValueError(
             f"initial density violates its floor: min(m0)={m0_min} < delta={delta}"
         )
-    norm1 = norm_C1(m0)
+    grad = gradient_values(m0.values, m0.grid.h, m0.grid.dim)
+    norm1 = norm_C10_values(m0.values, gradient_magnitude(grad))
     K = _required_K(norm1, L_h, C0, delta)
-    return TruncationParams(K=K, delta=delta, L_h=L_h, C0=C0, m0_norm_C1=norm1)
+    return TruncationParams(K=K, delta=delta, L_h=L_h, C0=C0, m0_norm_C1=norm1, m0_gradient=grad)
 
 
 def clamp_positive(x, K: float):

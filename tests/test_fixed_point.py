@@ -389,7 +389,8 @@ class TestStencilCount:
         assert sweep["cross"] == 2
 
     def test_one_sweep_2d_solve_takes_the_gradient_of_m0_once(self, monkeypatch):
-        # select_K's norm_C1(m0) is the one gradient of the datum; M1 reuses it.
+        # select_K's gradient of m0 is the one gradient of the datum: M1 reuses
+        # its norm and the starting pair its values; the zero u needs no stencil.
         grid = TorusGrid(dim=2, n=16, nt=8, T=0.01)
         m0 = Field.from_function(
             grid, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
@@ -398,7 +399,7 @@ class TestStencilCount:
         counts = self.count_stencils(monkeypatch)
         report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=1)
         assert report.iterations == 1
-        assert counts["stencils"] == 13
+        assert counts["stencils"] == 10
 
 
 class TestAgainstClosedForm:
@@ -547,12 +548,14 @@ class TestResiduals:
         assert report.residuals["u"] < 1e-9
         assert report.residuals["m"] < 1e-9
 
-    def test_x_dependent_hamiltonian_diffusion_2d(self):
-        # A callable A with a mixed entry: its divergences enter G, and A,
-        # A_div1, A_div2 and H all receive the stacked x and t.
+    @staticmethod
+    def x_dependent_hamiltonian_model(A_calls=None) -> CouplingModel:
+        """A callable A with a mixed entry; ``A_calls`` counts its calls."""
         tau = 2.0 * np.pi
 
         def A(x, t):
+            if A_calls is not None:
+                A_calls.append(np.shape(x[0]))
             a = 0.5 + 0.1 * np.sin(tau * x[0]) + 0.05 * np.cos(tau * x[1])
             b = 0.05 * np.sin(tau * (x[0] + x[1]))
             return np.stack([np.stack([a, b]), np.stack([b, a])])
@@ -578,21 +581,45 @@ class TestResiduals:
             ),
             A=A, A_div1=A_div1, A_div2=A_div2,
         )
-        model = build_mfg_coupling(
+        return build_mfg_coupling(
             spec, dim=2, L_F=lambda M: 0.5 * M * M + M + 1.0,
             L_G=lambda M: 8.0 * (M + 1.0) ** 3,
         )
+
+    @staticmethod
+    def hamiltonian_problem():
         grid = TorusGrid(dim=2, n=16, nt=8, T=0.01)
         m0 = Field.from_function(
-            grid, lambda x, y: 1.0 + 0.2 * np.cos(tau * x) * np.cos(tau * y)
+            grid,
+            lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y),
         )
+        return grid, m0, final_cost_convolution(grid)
+
+    def test_x_dependent_hamiltonian_diffusion_2d(self):
+        # Its divergences enter G, and A, A_div1, A_div2 and H all receive
+        # the stacked x and t.
+        grid, m0, cost = self.hamiltonian_problem()
         report = picard_solve(
-            model, final_cost_convolution(grid), m0, grid, tol=1e-12, max_iter=40,
+            self.x_dependent_hamiltonian_model(), cost, m0, grid, tol=1e-12, max_iter=40,
         )
         assert report.status == "converged"
         assert report.detrunc_ok
         assert report.residuals["u"] < 1e-9
         assert report.residuals["m"] < 1e-9
+
+
+    def test_callable_diffusion_is_evaluated_once_per_solve(self):
+        grid, m0, cost = self.hamiltonian_problem()
+        per_solve = []
+        for sweeps in (3, 13):
+            calls = []
+            model = self.x_dependent_hamiltonian_model(calls)
+            calls.clear()  # the build-time derivative probes
+            report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=sweeps)
+            assert report.iterations == sweeps
+            assert all(shape == (grid.nt + 1, *grid.shape) for shape in calls)
+            per_solve.append(len(calls))
+        assert per_solve[0] == per_solve[1] <= 2
 
 
 class TestResidualFailures:

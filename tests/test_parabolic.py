@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from fbmfg import parabolic
 from fbmfg.parabolic import (
     ParabolicProblem,
     SolverError,
@@ -205,6 +209,132 @@ class TestTwoDimensional:
         assert len(calls) == crosses
 
 
+# ---------------------------------------------------------------------------
+# Reference matrices built the old way, from periodic shift matrices with
+# kron/diags: S @ vec(v) == vec(np.roll(v, s, axis)).
+# ---------------------------------------------------------------------------
+
+
+def reference_shift(n, dim, axis, s):
+    rows = np.arange(n)
+    s1 = sp.csr_matrix((np.ones(n), (rows, (rows - s) % n)), shape=(n, n))
+    if dim == 1:
+        return s1
+    eye = sp.identity(n, format="csr")
+    return sp.kron(s1, eye, format="csr") if axis == 0 else sp.kron(eye, s1, format="csr")
+
+
+def reference_second_diff(n, dim, axis, h):
+    plus, minus = reference_shift(n, dim, axis, -1), reference_shift(n, dim, axis, 1)
+    return (plus + minus - 2.0 * sp.identity(n**dim, format="csr")) / (h * h)
+
+
+def reference_first_diff(n, dim, axis, h):
+    return (reference_shift(n, dim, axis, -1) - reference_shift(n, dim, axis, 1)) / (2.0 * h)
+
+
+def reference_spatial_operator(n, dim, h, c):
+    L = sp.csr_matrix((n**dim, n**dim))
+    for i in range(dim):
+        L = L - sp.diags(np.ravel(c[i, i])) @ reference_second_diff(n, dim, i, h)
+    if dim == 2:
+        cross = reference_first_diff(n, 2, 0, h) @ reference_first_diff(n, 2, 1, h)
+        L = L - 2.0 * sp.diags(np.ravel(c[0, 1])) @ cross
+    return L
+
+
+def reference_conservative_matrix(n, dim, h, dt, c, velocity):
+    """``I - dt (D + adv)`` for one step (``c``: ``(dim, dim) + spatial``)."""
+    eye = sp.identity(n**dim, format="csr")
+    D = sum(reference_second_diff(n, dim, i, h) @ sp.diags(np.ravel(c[i, i])) for i in range(dim))
+    adv = sp.csr_matrix((n**dim, n**dim))
+    for ax in range(dim):
+        face = 0.5 * (velocity[ax] + np.roll(velocity[ax], -1, axis=ax))
+        flux = sp.diags(np.ravel(np.maximum(face, 0.0))) + sp.diags(
+            np.ravel(np.minimum(face, 0.0))
+        ) @ reference_shift(n, dim, ax, -1)
+        adv = adv - (1.0 / h) * ((eye - reference_shift(n, dim, ax, 1)) @ flux)
+    return eye - dt * (D + adv)
+
+
+def relative_gap(new, ref):
+    new, ref = new.toarray(), ref.toarray()
+    return np.max(np.abs(new - ref)) / np.max(np.abs(ref))
+
+
+def small_grid(dim, n, dt=1e-3):
+    # TorusGrid asks for n >= 8; the assemblers read only these attributes.
+    return SimpleNamespace(dim=dim, n=n, h=1.0 / n, dt=dt, shape=(n,) * dim)
+
+
+def random_diffusion(rng, dim, n, mixed, lead=()):
+    c = np.zeros((dim, dim) + lead + (n,) * dim)
+    for i in range(dim):
+        c[i, i] = rng.uniform(0.5, 1.5, lead + (n,) * dim)
+    if mixed:
+        c[0, 1] = c[1, 0] = rng.uniform(-0.2, 0.2, lead + (n,) * dim)
+    return c
+
+
+class TestStencilAssembler:
+    """The fixed-pattern matrices against the shift-matrix reference.
+
+    ``n = 2`` puts the ``-e_i`` and ``+e_i`` entries of a line (and all four
+    corners) on one matrix entry, where they must be summed.
+    """
+
+    CASES = [(1, 2, False), (1, 3, False), (1, 8, False),
+             (2, 2, False), (2, 3, False), (2, 8, False),
+             (2, 2, True), (2, 3, True), (2, 8, True)]
+
+    @pytest.mark.parametrize("dim, n, mixed", CASES)
+    def test_spatial_operator_matches_reference(self, dim, n, mixed):
+        rng = np.random.default_rng(100 * dim + n)
+        grid = small_grid(dim, n)
+        c = random_diffusion(rng, dim, n, mixed)
+        new = parabolic._spatial_operator(grid, c)
+        assert new.format == "csr"
+        assert relative_gap(new, reference_spatial_operator(n, dim, grid.h, c)) <= 1e-14
+
+    @pytest.mark.parametrize("dim, n, mixed", CASES)
+    def test_conservative_matrices_match_reference(self, dim, n, mixed):
+        # The audit keeps the mixed term explicit: its matrices ignore c_01.
+        rng = np.random.default_rng(200 * dim + n)
+        grid, steps = small_grid(dim, n), 3
+        c = random_diffusion(rng, dim, n, mixed, lead=(steps,))
+        velocity = rng.normal(size=(steps, dim) + grid.shape)
+        matrices = list(parabolic._conservative_matrices(grid, c, velocity))
+        assert len(matrices) == steps
+        for j, new in enumerate(matrices):
+            assert new.format == "csc"
+            ref = reference_conservative_matrix(
+                n, dim, grid.h, grid.dt, c[:, :, j], velocity[j]
+            )
+            assert relative_gap(new, ref) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_conservative_columns_sum_to_one(self, dim):
+        rng = np.random.default_rng(7 + dim)
+        grid = small_grid(dim, 16, dt=2e-4)
+        c = random_diffusion(rng, dim, 16, False, lead=(1,))
+        velocity = rng.normal(scale=3.0, size=(2, dim) + grid.shape)
+        for A in parabolic._conservative_matrices(grid, c, velocity):
+            dense = A.toarray()
+            assert np.max(np.abs(dense.sum(axis=0) - 1.0)) <= 1e-15
+            off = dense - np.diag(np.diag(dense))
+            # An M-matrix: the generator D + adv moves mass only outwards.
+            assert np.all(off <= 0.0)
+            assert np.all(np.diag(dense) > 0.0)
+
+    def test_pattern_is_fixed_per_grid_and_read_only(self):
+        pattern = parabolic._stencil_pattern(8, 2, False)
+        assert parabolic._stencil_pattern(8, 2, False) is pattern
+        indptr, indices, _, _ = pattern
+        assert indices.size == 5 * 64 and np.all(np.diff(indptr) == 5)
+        with pytest.raises(ValueError):
+            indices[0] = 0
+
+
 class TestFourierAgainstSplu:
     """The splu step loop is the reference for the Fourier march.
 
@@ -353,6 +483,24 @@ class TestConservativeFP:
             solve_fp_conservative(prob, np.zeros((g.nt + 1, 2, g.n, g.n)))
         # The forward march treats the mixed term implicitly: no restriction.
         assert np.allclose(solve_forward(prob).values, 1.0, rtol=0, atol=1e-12)
+
+
+    def test_time_dependent_diagonal_diffusion_conserves_mass(self):
+        g = TorusGrid(dim=2, n=16, nt=12, T=0.01)
+        x, y = g.coordinates()
+        t = g.times().reshape(-1, 1, 1)
+        C = np.zeros((g.nt + 1, 2, 2, *g.shape))
+        C[:, 0, 0] = 1.0 + 0.5 * np.sin(TWO_PI * (x + t))
+        C[:, 1, 1] = 0.7 + 0.3 * np.cos(TWO_PI * y) * (1.0 + t)
+        rng = np.random.default_rng(31)
+        drift = rng.normal(size=(g.nt + 1, 2, *g.shape))
+        prob = ParabolicProblem(
+            grid=g, diffusion=C, initial=Field(g, 1.0 + 0.5 * np.cos(TWO_PI * x))
+        )
+        sol = solve_fp_conservative(prob, drift)
+        mass = np.sum(sol.values, axis=(1, 2)) * g.h**2
+        assert np.all(np.abs(np.diff(mass)) <= 1e-12 * np.abs(mass[0]))
+        assert np.min(sol.values) > 0.0
 
 
 class TestValidation:
