@@ -29,8 +29,11 @@ differences,
 
 with ``p = dim + 3`` by default.  Each iterate's gradients and Hessian are
 evaluated once and shared by the next sweep's sources, the row norms, the
-monitors and the final checks; the distance takes the stencils of the
-differences themselves, once each.  Divergence is declared after five
+monitors and the final checks, and so are the gradient magnitudes: the
+clamps read them instead of recomputing them, and a clamp that cuts
+nothing passes its argument through, so the clamps of a de-truncated run
+copy nothing.  The distance takes the stencils of the differences
+themselves, once each.  Divergence is declared after five
 consecutive increases of ``d`` (or any non-finite value); exhausting the
 iteration budget without meeting the tolerance is reported as its own
 status, since near a critical horizon the factors hover just below one and
@@ -53,8 +56,9 @@ import numpy as np
 from .models import CouplingModel, FinalCost
 from .parabolic import ParabolicProblem, SolverError, solve_backward, solve_forward
 
-# norm_C10 and norm_W21p are not called here; they stay imported because
-# benchmark/tracing.py wraps the torus_grid names it finds in this module.
+# norm_C1, norm_C10 and norm_W21p are not called here; they stay imported
+# because benchmark/tracing.py wraps the torus_grid names it finds in this
+# module.
 from .torus_grid import (
     Field,
     SpaceTimeField,
@@ -89,9 +93,9 @@ __all__ = [
 class IterateState:
     """One iterate pair: value function and density on the same grid.
 
-    The centered derivatives ``Du``, ``D2u`` and ``Dm`` of every slice are
-    evaluated on first use and kept, so the fields must not be modified in
-    place afterwards.
+    The centered derivatives ``Du``, ``D2u`` and ``Dm`` of every slice and
+    the gradient magnitudes ``Du_mag``, ``Dm_mag`` are evaluated on first
+    use and kept, so the fields must not be modified in place afterwards.
     """
 
     u: SpaceTimeField
@@ -116,6 +120,14 @@ class IterateState:
     @cached_property
     def Dm(self) -> np.ndarray:
         return gradient_values(self.m.values, self.grid.h, self.grid.dim)
+
+    @cached_property
+    def Du_mag(self) -> np.ndarray:
+        return gradient_magnitude(self.Du)
+
+    @cached_property
+    def Dm_mag(self) -> np.ndarray:
+        return gradient_magnitude(self.Dm)
 
 
 def initial_state(grid: TorusGrid, m0: Field, Dm0: Optional[np.ndarray] = None) -> IterateState:
@@ -165,8 +177,8 @@ def apply_T(
     condition is built from the new final density).  The datum slices pass
     through the linear solves untouched, so ``m(0) = m0`` and
     ``u(T) = h[m(T)]`` hold exactly on the output.  The incoming pair's
-    derivatives come from its cache; the new density's gradient is handed
-    on to the returned pair.
+    derivatives and gradient magnitudes come from its cache; the new
+    density's gradient and its magnitude are handed on to the returned pair.
     """
     grid = state.grid
     F_hat, G_hat = wrap_model(model.F, model.G, trunc)
@@ -177,19 +189,22 @@ def apply_T(
     m_new = solve_forward(ParabolicProblem(
         grid,
         diffusion=model.diffusion_values(grid, "m"),
-        source=G_hat(u_old, m_old, state.Du, state.Dm, state.D2u, x, t),
+        source=G_hat(u_old, m_old, state.Du, state.Dm, state.D2u, x, t,
+                     Du_mag=state.Du_mag, Dm_mag=state.Dm_mag),
         initial=m0,
     ))
 
     Dm_new = gradient_values(m_new.values, grid.h, grid.dim)
+    Dm_new_mag = gradient_magnitude(Dm_new)
     u_new = solve_backward(ParabolicProblem(
         grid,
         diffusion=model.diffusion_values(grid, "u"),
-        source=F_hat(u_old, m_new.values, state.Du, Dm_new, x, t),
+        source=F_hat(u_old, m_new.values, state.Du, Dm_new, x, t,
+                     Du_mag=state.Du_mag, Dm_mag=Dm_new_mag),
         final=final_cost(m_new.slice_field(grid.nt)),
     ))
     new_state = IterateState(u=u_new, m=m_new)
-    vars(new_state)["Dm"] = Dm_new  # pre-fill the cached property
+    vars(new_state).update(Dm=Dm_new, Dm_mag=Dm_new_mag)  # pre-fill the cache
     return new_state
 
 
@@ -212,7 +227,7 @@ def _iteration_row(
 ) -> IterationRow:
     """The row of sweep ``k``; the norms read the new pair's cached derivatives."""
     u, m = state.u.values, state.m.values
-    Du_mag = gradient_magnitude(state.Du)
+    Du_mag = state.Du_mag
     return IterationRow(
         iteration=k,
         distance=d,
@@ -221,7 +236,7 @@ def _iteration_row(
             u, Du_mag[:-1], hessian_magnitude(state.D2u[:, :, :-1]), state.grid, p
         ),
         norm_u_c10=norm_C10_values(u, Du_mag),
-        norm_m_c10=norm_C10_values(m, gradient_magnitude(state.Dm)),
+        norm_m_c10=norm_C10_values(m, state.Dm_mag),
         min_m=float(np.min(m)),
         max_Du=float(np.max(Du_mag)),
     )
@@ -288,8 +303,8 @@ def _detrunc_check(state: IterateState, K: float) -> tuple[bool, tuple[str, ...]
         "max_abs_u": float(np.max(np.abs(u))),
         "min_m": float(np.min(m)),
         "max_m": float(np.max(m)),
-        "max_Du": float(np.max(gradient_magnitude(state.Du))),
-        "max_Dm": float(np.max(gradient_magnitude(state.Dm))),
+        "max_Du": float(np.max(state.Du_mag)),
+        "max_Dm": float(np.max(state.Dm_mag)),
     }
     failures = []
     if not bounds["min_m"] >= 1.0 / K:
@@ -389,9 +404,11 @@ def picard_solve(
     if K is None:
         trunc = select_K(m0, final_cost.L_h, final_cost.C0, delta)
     else:
+        Dm0 = gradient_values(m0.values, grid.h, grid.dim)
         trunc = TruncationParams(
             K=float(K), delta=float(delta), L_h=final_cost.L_h, C0=final_cost.C0,
-            m0_norm_C1=norm_C1(m0),
+            m0_norm_C1=norm_C10_values(m0.values, gradient_magnitude(Dm0)),
+            m0_gradient=Dm0,
         )
     M1 = 3.0 * ((final_cost.L_h + 1.0) * trunc.m0_norm_C1 + final_cost.C0)
     # A callable diffusion depends only on the grid: evaluate it once here.

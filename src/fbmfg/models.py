@@ -94,12 +94,15 @@ class CouplingModel:
         solver passes whole space-time stacks, ``shape = (nt + 1,) +
         spatial``, with ``t`` an array of slice times; the audits pass
         sample points and a float ``t``.  F must be pointwise, returning
-        an array of that shape.
+        an array of that shape.  F must not write into its arguments: the
+        solver hands on an iterate's own arrays, as read-only views
+        wherever a clamp cuts nothing, so such a write raises
+        ``ValueError`` there.
     G : callable
         Source of the forward equation, ``G(u, m, Du, Dm, D2u, x, t)`` with
         ``D2u`` of shape ``(dim, dim) + shape`` and the same conventions.
         G must be affine in ``D2u`` for the splitting used by the audits
-        and the solver.
+        and the solver, and must not write into its arguments either.
     diffusion_u, diffusion_m : ndarray or callable
         A coefficient array accepted by the stepper (a constant ``(dim,
         dim)`` matrix, say) or a callable mapping a :class:`TorusGrid` to
@@ -164,7 +167,10 @@ class HamiltonianSpec:
     spatially varying A the divergence callables ``A_div1(x, t) ->
     (dim,) + shape`` (``sum_i d_i A_ij``) and ``A_div2(x, t) -> shape``
     (``sum_ij d_i d_j A_ij``) must be supplied; all declared derivatives are
-    checked against central differences when the model is built.
+    checked against central differences when the model is built.  No
+    callable may write into its arguments: in the solver ``p`` and ``m`` are
+    an iterate's own arrays, passed as read-only views wherever the clamps
+    cut nothing, so a write raises ``ValueError``.
     """
 
     H: Callable

@@ -13,6 +13,13 @@ All three are idempotent and 1-Lipschitz, and hard clamps make the final
 de-truncation check exact: if the computed solution never leaves the
 identity region the clamped and unclamped systems coincide pointwise.
 
+A clamp that changes nothing copies nothing: an array already inside the
+identity region comes back as a read-only view of itself, so a model that
+writes into its arguments fails instead of corrupting the caller's array.
+``clamp_vector`` reads the magnitude ``|p|`` from the caller when it holds
+one (the solver keeps each iterate's gradient magnitudes), so a sweep of a
+de-truncated run clamps by a few reductions.
+
 ``select_K`` fixes the threshold from the initial density, the final-cost
 constants ``(L_h, C0)`` and the density floor ``delta``:
 
@@ -96,35 +103,65 @@ def select_K(m0: Field, L_h: float, C0: float, delta: float) -> TruncationParams
     return TruncationParams(K=K, delta=delta, L_h=L_h, C0=C0, m0_norm_C1=norm1, m0_gradient=grad)
 
 
+def _unchanged(x: np.ndarray) -> np.ndarray:
+    """``x`` itself, as a read-only view."""
+    view = x.view()
+    view.flags.writeable = False
+    return view
+
+
+def _inside(x, lower: float, upper: float) -> bool:
+    """Whether ``x`` is a nonempty float array with every entry in ``[lower, upper]``.
+
+    A NaN entry fails the test, as do scalars and other dtypes: those take
+    the clamp formula, which keeps their result types.
+    """
+    return (
+        isinstance(x, np.ndarray) and x.dtype == np.float64 and x.size > 0
+        and lower <= x.min() and x.max() <= upper
+    )
+
+
 def clamp_positive(x, K: float):
-    """Hard clamp onto ``[1/K, K]``; identity there, 1-Lipschitz everywhere."""
+    """Hard clamp onto ``[1/K, K]``; identity there, 1-Lipschitz everywhere.
+
+    A float array already inside comes back unchanged, as a read-only view.
+    """
     if not K >= 1.0:
         raise ValueError(f"clamp_positive needs K >= 1, got {K}")
+    if _inside(x, 1.0 / K, K):
+        return _unchanged(x)
     return np.minimum(np.maximum(x, 1.0 / K), K)
 
 
 def clamp_symmetric(x, K: float):
-    """Hard clamp onto ``[-K, K]``."""
+    """Hard clamp onto ``[-K, K]``; a float array inside comes back as a read-only view."""
     if not K > 0:
         raise ValueError(f"clamp_symmetric needs K > 0, got {K}")
+    if _inside(x, -K, K):
+        return _unchanged(x)
     return np.minimum(np.maximum(x, -K), K)
 
 
-def clamp_vector(p: np.ndarray, K: float) -> np.ndarray:
+def clamp_vector(p: np.ndarray, K: float, magnitude: Optional[np.ndarray] = None) -> np.ndarray:
     """Radial retraction onto the ball ``|p| <= K``.
 
     ``p`` has the component axis first (shape ``(dim, ...)``); vectors with
     ``|p| <= K`` pass through unchanged, longer ones are rescaled onto the
-    sphere without changing direction.
+    sphere without changing direction.  ``magnitude`` is ``|p|`` when the
+    caller already holds it (as :func:`~fbmfg.torus_grid.gradient_magnitude`
+    gives it); it is not checked.  When no entry exceeds ``K``, ``p`` comes
+    back as a read-only view; a NaN magnitude counts as not exceeding.
     """
     if not K > 0:
         raise ValueError(f"clamp_vector needs K > 0, got {K}")
     p = np.asarray(p, dtype=float)
-    mag = np.sqrt(np.sum(p * p, axis=0))
-    factor = np.ones_like(mag)
+    # Summed along the component axis, so a single (dim,) vector works too.
+    mag = np.sqrt(np.sum(p * p, axis=0)) if magnitude is None else magnitude
     over = mag > K
-    factor[over] = K / mag[over]
-    return p * factor
+    if not np.any(over):
+        return _unchanged(p)
+    return p * np.divide(K, mag, out=np.ones_like(mag), where=over)
 
 
 def wrap_model(
@@ -138,27 +175,29 @@ def wrap_model(
     evaluated on clamped arguments: the value slot through the symmetric
     clamp, the density slot through the positive clamp, both gradient slots
     through the radial retraction.  The second-derivative slot of ``G`` is
-    passed through untouched, which keeps the wrapped ``G`` affine in it.
+    passed through untouched (as a read-only view), which keeps the wrapped
+    ``G`` affine in it.  The optional keywords ``Du_mag`` and ``Dm_mag`` are
+    the magnitudes of ``Du`` and ``Dm`` when the caller holds them.
     """
     K = params.K
 
-    def F_hat(u, m, Du, Dm, x, t):
+    def F_hat(u, m, Du, Dm, x, t, *, Du_mag=None, Dm_mag=None):
         return F(
             clamp_symmetric(u, K),
             clamp_positive(m, K),
-            clamp_vector(Du, K),
-            clamp_vector(Dm, K),
+            clamp_vector(Du, K, Du_mag),
+            clamp_vector(Dm, K, Dm_mag),
             x,
             t,
         )
 
-    def G_hat(u, m, Du, Dm, D2u, x, t):
+    def G_hat(u, m, Du, Dm, D2u, x, t, *, Du_mag=None, Dm_mag=None):
         return G(
             clamp_symmetric(u, K),
             clamp_positive(m, K),
-            clamp_vector(Du, K),
-            clamp_vector(Dm, K),
-            D2u,
+            clamp_vector(Du, K, Du_mag),
+            clamp_vector(Dm, K, Dm_mag),
+            _unchanged(np.asarray(D2u)),
             x,
             t,
         )

@@ -35,6 +35,7 @@ from fbmfg.torus_grid import (
     Field,
     SpaceTimeField,
     TorusGrid,
+    gradient_magnitude,
     gradient_values,
     hessian_values,
     norm_C1,
@@ -165,6 +166,21 @@ class TestApplyT:
         ])
         assert np.array_equal(F_hat(u, m, Du, Dm, x, t), F_loop)
         assert np.array_equal(G_hat(u, m, Du, Dm, D2u, x, t), G_loop)
+
+    def test_new_pair_carries_its_density_gradient_and_magnitude(self):
+        # The backward source's Dm and |Dm| become the new pair's cache; |Du|
+        # is the magnitude of the cached Du, computed on first use.
+        grid = TorusGrid(dim=2, n=16, nt=8, T=0.01)
+        m0 = Field.from_function(grid, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x))
+        cost = final_cost_convolution(grid)
+        trunc = select_K(m0, cost.L_h, cost.C0, 0.5)
+        out = apply_T(quadratic_mfg_model(2), cost, m0, initial_state(grid, m0), trunc)
+
+        assert {"Dm", "Dm_mag"} <= set(vars(out)) and "Du_mag" not in vars(out)
+        Dm = gradient_values(out.m.values, grid.h, grid.dim)
+        assert np.array_equal(out.Dm, Dm)
+        assert np.array_equal(out.Dm_mag, gradient_magnitude(Dm))
+        assert np.array_equal(out.Du_mag, gradient_magnitude(out.Du))
 
     def test_datum_slices_pass_through_exactly(self):
         grid = TorusGrid(dim=1, n=32, nt=16, T=0.01)
@@ -399,6 +415,20 @@ class TestStencilCount:
         counts = self.count_stencils(monkeypatch)
         report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=1)
         assert report.iterations == 1
+        assert counts["stencils"] == 10
+
+    def test_explicit_K_takes_the_gradient_of_m0_once(self, monkeypatch):
+        # With K given, the norm behind M1 and the starting pair share one
+        # gradient of m0, as with K derived.
+        grid = TorusGrid(dim=2, n=16, nt=8, T=0.01)
+        m0 = Field.from_function(
+            grid, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+        )
+        model, cost = quadratic_mfg_model(2), final_cost_convolution(grid)
+        K = 2.0 * select_K(m0, cost.L_h, cost.C0, float(np.min(m0.values))).K
+        counts = self.count_stencils(monkeypatch)
+        report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=1, K=K)
+        assert report.iterations == 1 and report.K == K
         assert counts["stencils"] == 10
 
 
@@ -689,6 +719,28 @@ class TestSweepFailures:
         report = picard_solve(model, cost, m0, grid, max_iter=20)
         assert report.error.startswith("sweep 2: ValueError: density has C1 norm")
         self.assert_history_of_one_sweep(report, model, cost, m0, grid)
+
+    @pytest.mark.parametrize("slot", ["F writes Du", "G writes D2u"])
+    def test_model_writing_into_a_derivative_is_an_error(self, slot):
+        # A clamp that cuts nothing hands the iterate's cached Du on as a
+        # read-only view, and D2u is always one: the write fails instead of
+        # corrupting the cache.
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        m0 = cosine_density(grid, 0.25)
+
+        def F(u, m, Du, Dm, x, t):
+            Du[0] = 1.0
+            return np.zeros(np.shape(u))
+
+        def G(u, m, Du, Dm, D2u, x, t):
+            D2u[0, 0] = 1.0
+            return np.zeros(np.shape(u))
+
+        model = model_with_sources(F=F) if slot == "F writes Du" else model_with_sources(G=G)
+        report = picard_solve(model, final_cost_convolution(grid), m0, grid)
+        assert report.status == "error" and report.iterations == 0
+        assert report.error.startswith("sweep 1: ValueError:")
+        assert "read-only" in report.error
 
     def test_nonfinite_source_is_a_solver_error(self):
         grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)

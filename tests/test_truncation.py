@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fbmfg.torus_grid import Field, TorusGrid
+from fbmfg.models import quadratic_mfg_model
+from fbmfg.torus_grid import Field, TorusGrid, gradient_magnitude
 from fbmfg.truncation import (
     TruncationParams,
     clamp_positive,
@@ -10,6 +11,31 @@ from fbmfg.truncation import (
     select_K,
     wrap_model,
 )
+
+
+# The clamp formulas before pass-through, kept as the oracle: the clamps
+# must reproduce them bit for bit, cutting or not.
+def reference_positive(x, K):
+    return np.minimum(np.maximum(x, 1.0 / K), K)
+
+
+def reference_symmetric(x, K):
+    return np.minimum(np.maximum(x, -K), K)
+
+
+def reference_vector(p, K):
+    p = np.asarray(p, dtype=float)
+    mag = np.sqrt(np.sum(p * p, axis=0))
+    factor = np.ones_like(mag)
+    over = mag > K
+    factor[over] = K / mag[over]
+    return p * factor
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 def flat_density(value=1.0, n=16):
@@ -81,6 +107,100 @@ class TestClamps:
         assert np.allclose(clamp_vector(cpx, K), cpx, rtol=0, atol=1e-14)
         dist = np.sqrt(np.sum((cpx - cpy) ** 2, axis=0))
         assert np.all(dist <= np.sqrt(np.sum((px - py) ** 2, axis=0)) + 1e-12)
+
+
+class TestClampOracle:
+    """Pass-through clamps against the reference formulas, bit for bit."""
+
+    K = 2.0
+    rng = np.random.default_rng(23)
+    # Scalars spread over [-2K, 2K] (about half clamped) or inside the range;
+    # (2, 9, 8, 8) gradient stacks with half the magnitudes above K or none.
+    scalar_stacks = {
+        "half": rng.uniform(-2.0 * K, 2.0 * K, (9, 8, 8)),
+        "none": rng.uniform(1.0 / K, K, (9, 8, 8)),
+    }
+    wide = rng.normal(size=(2, 9, 8, 8))
+    vector_stacks = {
+        "half": wide * (K / np.median(np.sqrt(np.sum(wide * wide, axis=0)))),
+        "none": wide * (0.99 * K / np.max(np.sqrt(np.sum(wide * wide, axis=0)))),
+    }
+
+    @pytest.mark.parametrize("case", ["half", "none"])
+    def test_scalar_clamps_on_stacks(self, case):
+        x = self.scalar_stacks[case]
+        for clamp, reference in ((clamp_positive, reference_positive),
+                                 (clamp_symmetric, reference_symmetric)):
+            assert_bitwise(clamp(x, self.K), reference(x, self.K))
+        if case == "half":
+            assert np.mean(np.abs(x) > self.K) > 0.3
+
+    @pytest.mark.parametrize("case", ["half", "none"])
+    def test_vector_clamp_on_stacks(self, case):
+        p = self.vector_stacks[case]
+        expected = reference_vector(p, self.K)
+        assert_bitwise(clamp_vector(p, self.K), expected)
+        assert_bitwise(clamp_vector(p, self.K, gradient_magnitude(p)), expected)
+        share = np.mean(gradient_magnitude(p) > self.K)
+        assert (0.4 < share < 0.6) if case == "half" else share == 0.0
+
+    def test_entries_exactly_at_the_levels(self):
+        K = self.K
+        x = np.array([1.0 / K, K, -K, 0.0, 1.0])
+        for clamp, reference in ((clamp_positive, reference_positive),
+                                 (clamp_symmetric, reference_symmetric)):
+            assert_bitwise(clamp(x, K), reference(x, K))
+        p = np.array([[3.0, 0.6, 3.0], [4.0, 0.8, 4.1]])  # |p| = 5, 1, > 5
+        for given in (None, gradient_magnitude(p)):
+            assert_bitwise(clamp_vector(p, 5.0, given), reference_vector(p, 5.0))
+
+    def test_zero_vectors_and_nan_entries(self):
+        K = self.K
+        p = np.array([[0.0, 0.0, np.nan, 10.0, 1.0],
+                      [0.0, -0.0, 1.0, 0.0, np.nan]])
+        for given in (None, gradient_magnitude(p)):
+            assert_bitwise(clamp_vector(p, K, given), reference_vector(p, K))
+        inside = np.array([[0.0, np.nan], [-0.0, 0.5]])
+        assert_bitwise(clamp_vector(inside, K), reference_vector(inside, K))
+        x = np.array([np.nan, 0.5, 3.0, -0.0])
+        for clamp, reference in ((clamp_positive, reference_positive),
+                                 (clamp_symmetric, reference_symmetric)):
+            assert_bitwise(clamp(x, K), reference(x, K))
+            assert_bitwise(clamp(x[1:2], K), reference(x[1:2], K))
+
+    def test_single_vector_and_python_floats(self):
+        K = self.K
+        for p in ([0.3, -0.4], [3.0, 4.0], np.array([1.2, 1.6]), np.zeros(2)):
+            assert_bitwise(clamp_vector(p, K), reference_vector(p, K))
+        for x in (0.0, 0.25, 1.0, -1.5, 3.0, -0.0, float("nan")):
+            assert_bitwise(clamp_positive(x, K), reference_positive(x, K))
+            assert_bitwise(clamp_symmetric(x, K), reference_symmetric(x, K))
+
+    def test_pass_through_is_a_read_only_view(self):
+        x = self.scalar_stacks["none"].copy()
+        p = self.vector_stacks["none"].copy()
+        for out, source in ((clamp_positive(x, self.K), x), (clamp_symmetric(x, self.K), x),
+                            (clamp_vector(p, self.K), p),
+                            (clamp_vector(p, self.K, gradient_magnitude(p)), p)):
+            assert out.base is source and not out.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                out[...] = 0.0
+        assert x.flags.writeable and p.flags.writeable
+
+    def test_hats_given_magnitudes_equal_hats_without(self):
+        model = quadratic_mfg_model(dim=2)
+        grid = TorusGrid(dim=2, n=8, nt=8, T=0.05)
+        F_hat, G_hat = wrap_model(model.F, model.G, TestWrapModel.params(K=self.K))
+        rng = np.random.default_rng(4)
+        u = rng.uniform(-2.0 * self.K, 2.0 * self.K, (9, 8, 8))
+        m = rng.uniform(0.1, 2.0 * self.K, (9, 8, 8))
+        Du, Dm = self.vector_stacks["half"], self.vector_stacks["none"]
+        D2u = rng.normal(size=(2, 2, 9, 8, 8))
+        x, t = grid.space_time_coordinates()
+        mags = {"Du_mag": gradient_magnitude(Du), "Dm_mag": gradient_magnitude(Dm)}
+        assert_bitwise(F_hat(u, m, Du, Dm, x, t, **mags), F_hat(u, m, Du, Dm, x, t))
+        assert_bitwise(G_hat(u, m, Du, Dm, D2u, x, t, **mags),
+                       G_hat(u, m, Du, Dm, D2u, x, t))
 
 
 class TestWrapModel:
