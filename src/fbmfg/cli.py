@@ -228,18 +228,14 @@ def _config_from_entries(entries: dict[str, str]) -> RunConfig:
 
     if dim not in (1, 2):
         raise ConfigError(f"grid.dim must be 1 or 2, got {dim}")
-    if n < 2:
-        raise ConfigError(f"grid.n must be at least 2, got {n}")
-    if nt < 1:
-        raise ConfigError(f"grid.nt must be at least 1, got {nt}")
     if not T > 0:
         raise ConfigError(f"grid.T must be positive, got {T}")
     if K is not None and not K > 0:
         raise ConfigError(f"truncation.K must be positive, got {K}")
     if delta is not None and not delta > 0:
         raise ConfigError(f"truncation.delta must be positive, got {delta}")
-    if p is not None and p < 1.0:
-        raise ConfigError(f"iteration.p must be at least 1, got {p}")
+    if p is not None and not p >= 2.0:
+        raise ConfigError(f"iteration.p must be at least 2, got {p}")
     if not tol > 0:
         raise ConfigError(f"iteration.tol must be positive, got {tol}")
     if max_iter < 1:

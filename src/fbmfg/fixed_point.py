@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -396,10 +395,12 @@ def picard_solve(
         raise ValueError("initial density must be strictly positive")
     if not 0.0 < relaxation <= 1.0:
         raise ValueError(f"relaxation must lie in (0, 1], got {relaxation}")
-    if delta is None:
-        delta = float(np.min(m0.values))
     if p is None:
         p = grid.dim + 3.0
+    elif not p >= 2:
+        raise ValueError(f"exponent p must be >= 2, got {p}")
+    if delta is None:
+        delta = float(np.min(m0.values))
     m0 = m0.with_grid(grid)
     if K is None:
         trunc = select_K(m0, final_cost.L_h, final_cost.C0, delta)
@@ -582,5 +583,7 @@ def horizon_sweep(
 
     if workers <= 1 or len(T_list) == 1:
         return [run_one(T) for T in T_list]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, T_list))

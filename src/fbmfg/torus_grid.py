@@ -91,6 +91,9 @@ class TorusGrid:
             raise ValueError(f"n must be an integer >= 8, got {self.n}")
         if int(self.nt) != self.nt or self.nt < 2:
             raise ValueError(f"nt must be an integer >= 2, got {self.nt}")
+        # Integral floats (n=32.0) are stored as ints: they size arrays.
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "nt", int(self.nt))
         if not (self.T > 0 and np.isfinite(self.T)):
             raise ValueError(f"T must be positive and finite, got {self.T}")
 

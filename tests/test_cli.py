@@ -85,6 +85,7 @@ class TestParsing:
             ("outputs.write_fields = yes", "expected true or false"),
             ("iteration.max_iter = 0", "max_iter"),
             ("iteration.relaxation = 1.5", "relaxation"),
+            ("iteration.p = 1.5", "iteration.p must be at least 2"),
             ("params.sigma = 0.1", "does not accept"),
             ("just some words", "expected 'key = value'"),
         ],
@@ -268,6 +269,22 @@ class TestRunCommand:
         cfg_path = write(tmp_path / "run.cfg", DECOUPLED + "truncation.K = 0.01\n")
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_exponent_below_two_exits_1(self, tmp_path, capsys):
+        cfg_path = write(tmp_path / "run.cfg", DECOUPLED + "iteration.p = 1.5\n")
+        out = tmp_path / "o"
+        assert main(["run", cfg_path, "--out", str(out)]) == 1
+        assert "error: iteration.p must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, bad, fragment", [
+        ("grid.n = 32", "grid.n = 4", "n must be an integer >= 8"),
+        ("grid.nt = 16", "grid.nt = 1", "nt must be an integer >= 2"),
+    ])
+    def test_grid_bounds_come_from_the_grid(self, tmp_path, capsys, line, bad, fragment):
+        cfg_path = write(tmp_path / "run.cfg", DECOUPLED.replace(line, bad))
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        assert fragment in capsys.readouterr().err
 
     def test_custom_factory_by_dotted_name(self, tmp_path):
         cfg_path = write(

@@ -291,6 +291,20 @@ class TestPicardBasics:
             with pytest.raises(ValueError, match="relaxation"):
                 picard_solve(model, cost, m0, grid, relaxation=bad)
 
+    def test_rejects_p_below_two_before_the_first_sweep(self):
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        calls = []
+
+        def F(u, m, Du, Dm, x, t):
+            calls.append(np.shape(u))
+            return np.zeros(np.shape(u))
+
+        model = model_with_sources(F=F)
+        cost = final_cost_scaled_identity(1.0)
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            picard_solve(model, cost, cosine_density(grid, 0.25), grid, p=1.5)
+        assert calls == []
+
     def test_rejects_bad_density_or_shape(self):
         grid = TorusGrid(dim=1, n=32, nt=8, T=0.01)
         model = decoupled_heat_model(dim=1)

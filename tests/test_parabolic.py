@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -333,6 +334,72 @@ class TestStencilAssembler:
         assert indices.size == 5 * 64 and np.all(np.diff(indptr) == 5)
         with pytest.raises(ValueError):
             indices[0] = 0
+
+
+def reference_splu_march(problem):
+    """The ``splu`` march as it was factored before: SuperLU's default ordering."""
+    from scipy.sparse.linalg import splu
+
+    g = problem.grid
+    eye = sp.identity(g.num_points, format="csr")
+    out = np.empty((g.nt + 1, *g.shape))
+    out[0] = problem.initial.values
+    for j in range(1, g.nt + 1):
+        L = reference_spatial_operator(g.n, g.dim, g.h, problem.diffusion_slice(j))
+        rhs = np.ravel(out[j - 1]) - g.dt * np.ravel(problem.source[j])
+        out[j] = splu((eye + g.dt * L).tocsc()).solve(rhs).reshape(g.shape)
+    return out
+
+
+class TestSpluOrdering:
+    """Both direct-solver paths factor through ``parabolic._factor``.
+
+    The march's minimum-degree ordering moves its output only at round-off
+    against the default-ordering factorization it replaced.
+    """
+
+    @staticmethod
+    def problem(mixed, time_dependent=False):
+        g = TorusGrid(dim=2, n=32, nt=6, T=0.002)
+        rng = np.random.default_rng(41 + mixed + 2 * time_dependent)
+        lead = (g.nt + 1,) if time_dependent else ()
+        c = random_diffusion(rng, 2, g.n, mixed, lead=lead)
+        if time_dependent:
+            c = np.moveaxis(c, 2, 0)
+        return ParabolicProblem(
+            grid=g, diffusion=c, source=rng.normal(size=(g.nt + 1, *g.shape)),
+            initial=Field(g, rng.normal(size=g.shape)),
+        )
+
+    @pytest.mark.parametrize("mixed, time_dependent",
+                             [(False, False), (True, False), (False, True), (True, True)])
+    def test_march_matches_the_default_ordering(self, mixed, time_dependent):
+        problem = self.problem(mixed, time_dependent)
+        ref = reference_splu_march(problem)
+        new = solve_forward(problem).values
+        assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_every_factorization_takes_the_minimum_degree_ordering(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        calls = []
+        splu = spla.splu
+
+        def recorded(A, **kwargs):
+            calls.append(kwargs)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recorded)
+        problem = self.problem(mixed=True)
+        solve_forward(problem)
+        assert len(calls) == 1  # x-dependent only: one factorization per march
+        solve_forward(self.problem(mixed=False, time_dependent=True))
+        assert len(calls) == 1 + problem.grid.nt
+        drift = np.zeros((problem.grid.nt + 1, 2, *problem.grid.shape))
+        solve_fp_conservative(replace(problem, diffusion=np.eye(2)), drift)
+        assert len(calls) == 1 + 2 * problem.grid.nt
+        expected = dict(permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+        assert all(kwargs == expected for kwargs in calls)
 
 
 class TestFourierAgainstSplu:

@@ -64,12 +64,23 @@ class TestTorusGrid:
             dict(dim=3, n=16, nt=4, T=1.0),
             dict(dim=1, n=4, nt=4, T=1.0),
             dict(dim=1, n=16, nt=1, T=1.0),
+            dict(dim=1, n=32.5, nt=8, T=1.0),
+            dict(dim=1, n=32, nt=8.5, T=1.0),
             dict(dim=1, n=16, nt=4, T=-1.0),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             TorusGrid(**kwargs)
+
+    @pytest.mark.parametrize("n, nt", [(32.0, 8), (32, 8.0), (np.float64(32.0), np.int64(8))])
+    def test_integral_sizes_are_stored_as_int(self, n, nt):
+        g = TorusGrid(dim=2, n=n, nt=nt, T=0.1)
+        assert type(g.n) is int and type(g.nt) is int
+        assert g == TorusGrid(dim=2, n=32, nt=8, T=0.1)
+        assert hash(g) == hash(TorusGrid(dim=2, n=32, nt=8, T=0.1))
+        assert Field.zeros(g).values.shape == (32, 32)
+        assert SpaceTimeField.zeros(g).values.shape == (9, 32, 32)
 
     def test_field_shape_validation(self):
         g = grid1d(n=16)
