@@ -210,6 +210,66 @@ class TestTwoDimensional:
         assert len(calls) == crosses
 
 
+class TestMarchCheck:
+    """``_check_march`` passes an exact march and rejects a corrupted one.
+
+    dt/h^2 is about one, so a zero-mean perturbation ``δ`` of slice ``j``
+    leaves the residual ``(I + dt L) δ`` at step ``j`` clearly above the
+    ``-δ`` it leaves at step ``j + 1``: the check must name slice ``j``.
+    """
+
+    @staticmethod
+    def diffusion(kind, g):
+        x, y = g.coordinates()
+        growth = 1.0 + g.times()  # the factor of the t-dependent kinds
+        space = np.array([[1.0 + 0.3 * np.sin(TWO_PI * x), 0.2 * np.cos(TWO_PI * y)],
+                          [0.2 * np.cos(TWO_PI * y), 0.8 + 0.2 * np.cos(TWO_PI * y)]])
+        if kind == "constant":
+            return np.diag([1.0, 0.6])
+        if kind == "mixed":
+            return np.array([[1.0, 0.25], [0.25, 0.8]])
+        if kind == "x-dependent":
+            return space * np.eye(2)[:, :, None, None]
+        if kind == "t-dependent":
+            return growth[:, None, None] * np.diag([1.0, 0.6])
+        return growth[:, None, None, None, None] * space  # mixed, x- and t-dependent
+
+    KINDS = ["constant", "mixed", "x-dependent", "t-dependent", "mixed-xt"]
+
+    def exact_march(self, kind):
+        g = TorusGrid(dim=2, n=8, nt=8, T=0.1)
+        rng = np.random.default_rng(59)
+        problem = ParabolicProblem(
+            grid=g, diffusion=self.diffusion(kind, g),
+            source=rng.normal(size=(g.nt + 1, *g.shape)),
+            initial=Field(g, 1.0 + 0.3 * rng.normal(size=g.shape)),
+        )
+        return problem, solve_forward(problem).values.copy()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_march_passes(self, kind):
+        problem, v = self.exact_march(kind)
+        parabolic._check_march(problem, v)
+
+    @pytest.mark.parametrize("j", [1, 4, 7, 8])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_perturbed_slice_is_rejected(self, kind, j):
+        problem, v = self.exact_march(kind)
+        noise = np.random.default_rng(61 + j).normal(size=v[j].shape)
+        v[j] += 1e-6 * np.max(np.abs(v[j])) * (noise - noise.mean())
+        with pytest.raises(SolverError, match=rf"march residual .* at slice {j}$"):
+            parabolic._check_march(problem, v)
+
+    def test_one_dimensional_march(self):
+        g, problem = make_problem_1d(n=16, nt=8, T=0.01)
+        problem.initial = Field.from_function(g, lambda x: heat_exact_1d(x, 0.0))
+        v = solve_forward(problem).values.copy()
+        parabolic._check_march(problem, v)
+        v[3, 5] *= 1.0 + 1e-6
+        with pytest.raises(SolverError, match=r"march residual .* at slice 3$"):
+            parabolic._check_march(problem, v)
+
+
 # ---------------------------------------------------------------------------
 # Reference matrices built the old way, from periodic shift matrices with
 # kron/diags: S @ vec(v) == vec(np.roll(v, s, axis)).
