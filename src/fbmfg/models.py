@@ -335,7 +335,7 @@ def build_mfg_coupling(
         Hp = np.asarray(spec.H_p(x, t, Du, m), dtype=float)
         Hpp = np.asarray(spec.H_pp(x, t, Du, m), dtype=float)
         out = -np.sum(Hp * Dm, axis=0)
-        div_term = np.sum(Hpp * D2u, axis=(0, 1))
+        div_term = np.einsum("ij...,ij...->...", Hpp, D2u)  # H_pp : D2u, no product stack
         if spec.H_xp_div is not None:
             div_term = np.asarray(spec.H_xp_div(x, t, Du, m), dtype=float) + div_term
         if spec.H_mp is not None:

@@ -20,6 +20,7 @@ from fbmfg.torus_grid import (
     norm_W21p,
     norm_W21p_values,
     second_differences,
+    subtract_second_order,
     time_derivative,
 )
 
@@ -196,7 +197,7 @@ def roll_hessian(values, h, dim):
 
 
 class TestGhostLayerStencils:
-    """The ghost-layer stencils are bitwise equal to shifted copies."""
+    """The periodic stencils are bitwise equal to shifted copies."""
 
     SHAPES = {
         "1d-slice": (1, (16,)),
@@ -242,6 +243,116 @@ class TestGhostLayerStencils:
         hess_mag = hessian_magnitude(hessian_values(values, g.h, g.dim))
         assert norm_C10_values(values, grad_mag) == norm_C10(f)
         assert norm_W21p_values(values, grad_mag[:-1], hess_mag[:-1], g, 5.0) == norm_W21p(f, 5.0)
+
+
+def spread(rng, shape):
+    """Samples whose magnitudes span many decades, so a reordered sum shows."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+
+
+class TestFlatStencils:
+    """The flat-buffer kernels at n = 8, against ``np.roll`` and on strided input.
+
+    Every shifted difference is one 1-D pass over the contiguous buffer plus
+    patches on the wrapped lines; the outputs must be bitwise the reference.
+    """
+
+    LAYOUTS = ["contiguous", "reversed", "every-other"]
+
+    @staticmethod
+    def values(dim, lead, layout):
+        """An ``lead + (8,) * dim`` array stored as ``layout`` says."""
+        rng = np.random.default_rng(10 * dim + len(lead))
+        shape = lead + (8,) * dim
+        if layout == "contiguous":
+            return spread(rng, shape)
+        if layout == "reversed":
+            return spread(rng, shape)[::-1]
+        # Every other entry of the first axis, or of the last when it is alone.
+        base = spread(rng, (2 * shape[0],) + shape[1:])
+        return base[::2] if len(shape) == 1 else base.reshape(shape[0], 2, *shape[1:])[:, 0]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equal_to_np_roll(self, dim, lead, layout):
+        values = self.values(dim, lead, layout)
+        assert values.shape == lead + (8,) * dim
+        assert values.flags.c_contiguous == (layout == "contiguous")
+        h = 1.0 / 8
+        hess = hessian_values(values, h, dim)
+        assert np.array_equal(gradient_values(values, h, dim), roll_gradient(values, h, dim))
+        assert np.array_equal(hess, roll_hessian(values, h, dim))
+        diag = second_differences(values, h, dim)
+        assert all(np.array_equal(diag[i], hess[i, i]) for i in range(dim))
+        copy = np.ascontiguousarray(values)
+        assert np.array_equal(hessian_values(copy, h, dim), hess)
+
+    def test_strided_columns_of_a_slice(self):
+        base = spread(np.random.default_rng(3), (8, 16))
+        values = base[:, ::2]
+        assert not values.flags.c_contiguous
+        for fn, ref in ((gradient_values, roll_gradient), (hessian_values, roll_hessian)):
+            assert np.array_equal(fn(values, 0.125, 2), ref(values, 0.125, 2))
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_subtract_second_order_against_the_hessian(self, dim, mixed):
+        rng = np.random.default_rng(13 + dim + mixed)
+        values = rng.normal(size=(5,) + (8,) * dim)
+        coeffs = rng.uniform(0.5, 1.5, size=(dim, dim, 5) + (8,) * dim)
+        if dim == 2:
+            coeffs[1, 0] = coeffs[0, 1] = 0.3 * coeffs[0, 1] if mixed else 0.0
+        hess = hessian_values(values, 0.125, dim)
+        expected = 1.0 - np.einsum("ij...,ij...->...", coeffs, hess)
+        out = np.ones_like(values)
+        subtract_second_order(out, values, coeffs, 0.125, dim)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+class TestIntegerPowers:
+    """``norm_W21p_values`` raises integer exponents by repeated squaring."""
+
+    @staticmethod
+    def inputs(p):
+        g = grid2d(n=8, nt=6, T=0.3)
+        values = spread(np.random.default_rng(int(10 * p)), (g.nt + 1, *g.shape))
+        grad_mag = gradient_magnitude(gradient_values(values[:-1], g.h, g.dim))
+        hess_mag = hessian_magnitude(hessian_values(values[:-1], g.h, g.dim))
+        return g, values, grad_mag, hess_mag
+
+    @staticmethod
+    def power_formula(values, grad_mag, hess_mag, g, p):
+        vals = values[:-1]
+        ft = (values[1:] - vals) / g.dt
+        integrand = np.abs(vals) ** p + grad_mag**p + hess_mag**p + np.abs(ft) ** p
+        return (float(np.sum(integrand)) * g.dt * g.h**g.dim) ** (1.0 / p)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 7])
+    def test_within_four_ulp_of_the_power_formula(self, p):
+        g, values, grad_mag, hess_mag = self.inputs(p)
+        for exponent in (p, float(p)):
+            got = norm_W21p_values(values, grad_mag, hess_mag, g, exponent)
+            ref = self.power_formula(values, grad_mag, hess_mag, g, exponent)
+            assert abs(got - ref) <= 4 * np.spacing(ref)
+
+    def test_non_integer_exponent_is_the_power_formula(self):
+        g, values, grad_mag, hess_mag = self.inputs(2.5)
+        assert norm_W21p_values(values, grad_mag, hess_mag, g, 2.5) == self.power_formula(
+            values, grad_mag, hess_mag, g, 2.5
+        )
+
+    @pytest.mark.parametrize("p", [2, 2.5, 3, 4, 5, 7])
+    def test_field_norm_equals_the_values_norm(self, p):
+        g, values, grad_mag, hess_mag = self.inputs(p)
+        f = SpaceTimeField(g, values)
+        assert norm_W21p(f, p) == norm_W21p_values(values, grad_mag, hess_mag, g, p)
+
+    def test_inputs_are_not_modified(self):
+        g, values, grad_mag, hess_mag = self.inputs(5)
+        saved = [a.copy() for a in (values, grad_mag, hess_mag)]
+        norm_W21p_values(values, grad_mag, hess_mag, g, 5)
+        assert all(np.array_equal(a, b) for a, b in zip((values, grad_mag, hess_mag), saved))
 
 
 class TestNorms:
