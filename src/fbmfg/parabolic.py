@@ -345,7 +345,7 @@ def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
     c = problem.coefficients()[:, :, 1:] if problem.time_dependent else problem.coefficients()
     rhs = v[:-1] - g.dt * problem.source[1:]
     res = v[1:] - rhs
-    subtract_second_order(res, v[1:], g.dt * c, g.h, g.dim)
+    subtract_second_order(v[1:], g.dt * c, g.h, g.dim, out=res)
     rhs, res = rhs.reshape(g.nt, -1), res.reshape(g.nt, -1)
     scale = np.maximum(np.sqrt(np.einsum("ij,ij->i", rhs, rhs)), 1e-300)
     rel = np.sqrt(np.einsum("ij,ij->i", res, res)) / scale

@@ -19,11 +19,13 @@ axis ``[0, T]``.  This module owns
     ``D^2 f`` and the forward-difference ``∂_t f`` under an ``L^p``
     quadrature over the space-time cylinder (:func:`norm_W21p`).
 
-Periodicity is enforced purely through indexing: each stencil call copies
-its input once into an array with one periodic ghost layer on every side
-of the spatial axes, and reads every shifted neighbour as a slice of that
-array.  So ``h * n == 1`` holds exactly at the level of stencil
-bookkeeping; no floating-point coordinate wrapping is involved.
+Periodicity is enforced purely through indexing.  A stencil reads each
+shifted neighbour as one 1-D slice of the flat contiguous buffer of the
+whole stack, offset by the axis stride; that is right everywhere except on
+the lines at index 0 and ``n - 1`` of the shifted axis, which are then
+recomputed from strided views with wrapped indices.  Only an input that is
+not contiguous is copied.  So ``h * n == 1`` holds exactly at the level of
+stencil bookkeeping; no floating-point coordinate wrapping is involved.
 
 All operators here are linear and act on plain ``numpy`` arrays under the
 hood; the ``*_values`` variants are the array-level work functions and are
@@ -237,7 +239,7 @@ class SpaceTimeField:
 # A stencil is ``stencil(shifted, target)``: it writes into ``target`` from
 # the views ``shifted(*moves)`` of ``f(x + Σ step e_axis)`` over ``target``,
 # one ``(axis, step)`` move per shifted axis, each step -1 or 1.
-Stencil = Callable[[Callable[..., np.ndarray], np.ndarray], None]
+_Stencil = Callable[[Callable[..., np.ndarray], np.ndarray], None]
 
 # The bands of an axis a stencil shifts along: index 0, 1 .. n-2, n-1.
 _LOW, _INNER, _HIGH = 0, 1, 2
@@ -291,7 +293,7 @@ class _Periodic:
         self.sizes = self.values.shape[lead:]
         self.strides = tuple(s // self.values.itemsize for s in self.values.strides[lead:])
 
-    def apply(self, stencil: Stencil, axes: tuple[int, ...], out: np.ndarray) -> None:
+    def apply(self, stencil: _Stencil, axes: tuple[int, ...], out: np.ndarray) -> None:
         """Run ``stencil`` (shifting along ``axes``) into the C-contiguous ``out``."""
         flat, size, strides = self.flat, self.flat.size, self.strides
         reach = sum(strides[k] for k in axes)
@@ -306,40 +308,40 @@ class _Periodic:
             stencil(lambda *moves: values[_box(sizes, band, moves)], out[_box(sizes, band, ())])
 
 
-def _centered_difference(grid: _Periodic, i: int, out: np.ndarray) -> None:
+def _centered_difference(periodic: _Periodic, i: int, out: np.ndarray) -> None:
     """``out = f(x + e_i) - f(x - e_i)``."""
     def stencil(shifted, target):
         np.subtract(shifted((i, 1)), shifted((i, -1)), out=target)
 
-    grid.apply(stencil, (i,), out)
+    periodic.apply(stencil, (i,), out)
 
 
-def _second_difference(grid: _Periodic, i: int, out: np.ndarray) -> None:
+def _second_difference(periodic: _Periodic, i: int, out: np.ndarray) -> None:
     """``out = f(x + e_i) - 2 f(x) + f(x - e_i)``."""
     def stencil(shifted, target):
         np.multiply(shifted(), 2.0, out=target)
         np.subtract(shifted((i, 1)), target, out=target)
         target += shifted((i, -1))
 
-    grid.apply(stencil, (i,), out)
+    periodic.apply(stencil, (i,), out)
 
 
-def _neighbour_sum(grid: _Periodic, i: int, out: np.ndarray) -> None:
+def _neighbour_sum(periodic: _Periodic, i: int, out: np.ndarray) -> None:
     """``out = f(x + e_i) + f(x - e_i)``."""
     def stencil(shifted, target):
         np.add(shifted((i, 1)), shifted((i, -1)), out=target)
 
-    grid.apply(stencil, (i,), out)
+    periodic.apply(stencil, (i,), out)
 
 
-def _cross_difference(grid: _Periodic, i: int, j: int, out: np.ndarray) -> None:
+def _cross_difference(periodic: _Periodic, i: int, j: int, out: np.ndarray) -> None:
     """``out`` = the 4-point cross stencil of ``d_i d_j f``, times ``4 h^2``."""
     def stencil(shifted, target):
         np.add(shifted((i, 1), (j, 1)), shifted((i, -1), (j, -1)), out=target)
         target -= shifted((i, 1), (j, -1))
         target -= shifted((i, -1), (j, 1))
 
-    grid.apply(stencil, (i, j), out)
+    periodic.apply(stencil, (i, j), out)
 
 
 def gradient_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
@@ -348,10 +350,10 @@ def gradient_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     Returns an array of shape ``(dim,) + values.shape``; component ``i`` is
     ``(f(x + h e_i) - f(x - h e_i)) / (2h)`` with periodic wrap.
     """
-    grid = _Periodic(values, dim)
+    periodic = _Periodic(values, dim)
     out = np.empty((dim, *values.shape))
     for i in range(dim):
-        _centered_difference(grid, i, out[i])
+        _centered_difference(periodic, i, out[i])
     out /= 2.0 * h
     return out
 
@@ -362,10 +364,10 @@ def second_differences(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     Returns an array of shape ``(dim,) + values.shape``; component ``i`` is
     bitwise equal to ``hessian_values(values, h, dim)[i, i]``.
     """
-    grid = _Periodic(values, dim)
+    periodic = _Periodic(values, dim)
     out = np.empty((dim, *values.shape))
     for i in range(dim):
-        _second_difference(grid, i, out[i])
+        _second_difference(periodic, i, out[i])
     out /= h * h
     return out
 
@@ -377,22 +379,22 @@ def hessian_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     4-point cross stencil; the result has shape ``(dim, dim) + values.shape``
     and is exactly symmetric (the mixed entry is computed once and mirrored).
     """
-    grid = _Periodic(values, dim)
+    periodic = _Periodic(values, dim)
     out = np.empty((dim, dim, *values.shape))
     h2 = h * h
     for i in range(dim):
-        _second_difference(grid, i, out[i, i])
+        _second_difference(periodic, i, out[i, i])
         out[i, i] /= h2
     for i in range(dim):
         for j in range(i + 1, dim):
-            _cross_difference(grid, i, j, out[i, j])
+            _cross_difference(periodic, i, j, out[i, j])
             out[i, j] /= 4.0 * h2
             out[j, i] = out[i, j]
     return out
 
 
-def subtract_second_order(out: np.ndarray, values: np.ndarray, coeffs: np.ndarray,
-                          h: float, dim: int) -> None:
+def subtract_second_order(values: np.ndarray, coeffs: np.ndarray, h: float, dim: int,
+                          out: np.ndarray) -> None:
     """``out -= Σ_ij c_ij (D^2 f)_ij`` without building the Hessian.
 
     ``coeffs`` has axes ``(dim, dim) + ...`` broadcasting against ``values``
@@ -402,17 +404,17 @@ def subtract_second_order(out: np.ndarray, values: np.ndarray, coeffs: np.ndarra
     scratch array, no second differences, and the same value as with
     :func:`hessian_values` up to rounding.
     """
-    grid = _Periodic(values, dim)
+    periodic = _Periodic(values, dim)
     h2 = h * h
     weights = [coeffs[i, i] / h2 for i in range(dim)]
-    out += (2.0 * sum(weights)) * grid.values
-    scratch = np.empty_like(grid.values)
+    out += (2.0 * sum(weights)) * periodic.values
+    scratch = np.empty_like(periodic.values)
     for i in range(dim):
-        _neighbour_sum(grid, i, scratch)
+        _neighbour_sum(periodic, i, scratch)
         scratch *= weights[i]
         out -= scratch
     if dim == 2 and np.any(coeffs[0, 1] != 0.0):
-        _cross_difference(grid, 0, 1, scratch)
+        _cross_difference(periodic, 0, 1, scratch)
         scratch *= coeffs[0, 1] / (2.0 * h2)
         out -= scratch
 

@@ -306,7 +306,7 @@ class TestFlatStencils:
         hess = hessian_values(values, 0.125, dim)
         expected = 1.0 - np.einsum("ij...,ij...->...", coeffs, hess)
         out = np.ones_like(values)
-        subtract_second_order(out, values, coeffs, 0.125, dim)
+        subtract_second_order(values, coeffs, 0.125, dim, out=out)
         assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
