@@ -268,9 +268,7 @@ class TestFlatStencils:
             return spread(rng, shape)
         if layout == "reversed":
             return spread(rng, shape)[::-1]
-        # Every other entry of the first axis, or of the last when it is alone.
-        base = spread(rng, (2 * shape[0],) + shape[1:])
-        return base[::2] if len(shape) == 1 else base.reshape(shape[0], 2, *shape[1:])[:, 0]
+        return spread(rng, shape[:-1] + (2 * shape[-1],))[..., ::2]  # every other column
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
@@ -287,13 +285,6 @@ class TestFlatStencils:
         assert all(np.array_equal(diag[i], hess[i, i]) for i in range(dim))
         copy = np.ascontiguousarray(values)
         assert np.array_equal(hessian_values(copy, h, dim), hess)
-
-    def test_strided_columns_of_a_slice(self):
-        base = spread(np.random.default_rng(3), (8, 16))
-        values = base[:, ::2]
-        assert not values.flags.c_contiguous
-        for fn, ref in ((gradient_values, roll_gradient), (hessian_values, roll_hessian)):
-            assert np.array_equal(fn(values, 0.125, 2), ref(values, 0.125, 2))
 
     @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("dim", [1, 2])
