@@ -112,7 +112,6 @@ class RunConfig:
     p: Optional[float] = None
     tol: float = 1e-8
     max_iter: int = 100
-    relaxation: float = 1.0
     params: tuple[tuple[str, str], ...] = ()
     out_dir: str = "out"
     write_fields: bool = True
@@ -196,9 +195,6 @@ def _config_from_entries(entries: dict[str, str]) -> RunConfig:
     p = optional_float("iteration.p")
     tol = _as_float("iteration.tol", entries.pop("iteration.tol", "1e-8"))
     max_iter = _as_int("iteration.max_iter", entries.pop("iteration.max_iter", "100"))
-    relaxation = _as_float(
-        "iteration.relaxation", entries.pop("iteration.relaxation", "1.0")
-    )
     out_dir = entries.pop("outputs.dir", "out")
     write_fields = _as_bool(
         "outputs.write_fields", entries.pop("outputs.write_fields", "true")
@@ -240,14 +236,10 @@ def _config_from_entries(entries: dict[str, str]) -> RunConfig:
         raise ConfigError(f"iteration.tol must be positive, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"iteration.max_iter must be at least 1, got {max_iter}")
-    if not 0.0 < relaxation <= 1.0:
-        raise ConfigError(
-            f"iteration.relaxation must lie in (0, 1], got {relaxation}"
-        )
 
     return RunConfig(
         model=model, dim=dim, n=n, nt=nt, T=T, K=K, delta=delta, p=p,
-        tol=tol, max_iter=max_iter, relaxation=relaxation,
+        tol=tol, max_iter=max_iter,
         params=tuple(sorted(params.items())),
         out_dir=out_dir, write_fields=write_fields,
     )
@@ -274,7 +266,6 @@ def format_config(cfg: RunConfig) -> str:
         lines.append(f"iteration.p = {cfg.p!r}")
     lines.append(f"iteration.tol = {cfg.tol!r}")
     lines.append(f"iteration.max_iter = {cfg.max_iter}")
-    lines.append(f"iteration.relaxation = {cfg.relaxation!r}")
     for name, value in cfg.params:
         lines.append(f"params.{name} = {value}")
     lines.append(f"outputs.dir = {cfg.out_dir}")
@@ -595,7 +586,7 @@ def execute_run(cfg: RunConfig) -> int:
         report = picard_solve(
             model, cost, m0, grid,
             tol=cfg.tol, max_iter=cfg.max_iter, delta=cfg.delta, K=cfg.K,
-            p=cfg.p, relaxation=cfg.relaxation,
+            p=cfg.p,
         )
     except ValueError as exc:
         # Parameter admissibility is checked before the first sweep, so a
@@ -682,8 +673,7 @@ def execute_sweep(cfg: RunConfig, T_list: Sequence[float]) -> int:
     rows = horizon_sweep(
         model, rebuild_cost, m0, T_values,
         dt=cfg.T / cfg.nt, tol=cfg.tol, max_iter=cfg.max_iter,
-        delta=cfg.delta, K=cfg.K, p=cfg.p, relaxation=cfg.relaxation,
-        workers=workers,
+        delta=cfg.delta, K=cfg.K, p=cfg.p, workers=workers,
     )
 
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -48,7 +48,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -250,18 +250,16 @@ class IterationReport:
     ``"max_iter"`` (budget exhausted first) or ``"error"`` (a sweep raised
     ``ValueError``, ``ArithmeticError`` or :class:`SolverError`; ``error``
     names the sweep and the message, ``rows`` end before it and
-    ``final_state`` is the pair it started from).  The contraction
-    evidence is ``gamma_history``; the clamp evidence is ``detrunc_ok``
-    together with ``detrunc_failures`` naming any violated bound.
-    ``m1_violations`` lists sweeps whose iterate left the a-priori ball of
-    radius ``M1`` (monitoring only — the truncation, not this ball, is
-    what keeps the iteration defined).
+    ``final_state`` is the pair it started from).  ``iterations``,
+    ``distance_history`` and ``gamma_history`` are read off ``rows``.
+    The contraction evidence is ``gamma_history``; the clamp evidence is
+    ``detrunc_ok`` together with ``detrunc_failures`` naming any violated
+    bound.  ``m1_violations`` lists sweeps whose iterate left the a-priori
+    ball of radius ``M1`` (monitoring only — the truncation, not this
+    ball, is what keeps the iteration defined).
     """
 
     status: str
-    iterations: int
-    distance_history: tuple[float, ...]
-    gamma_history: tuple[float, ...]
     rows: tuple[IterationRow, ...]
     final_state: IterateState
     K: float
@@ -283,8 +281,21 @@ class IterationReport:
         return self.status == "converged"
 
     @property
+    def iterations(self) -> int:
+        return len(self.rows)
+
+    @property
+    def distance_history(self) -> tuple[float, ...]:
+        return tuple(r.distance for r in self.rows)
+
+    @property
+    def gamma_history(self) -> tuple[float, ...]:
+        """The per-sweep factors from the second sweep on."""
+        return tuple(r.gamma for r in self.rows[1:])
+
+    @property
     def final_distance(self) -> float:
-        return self.distance_history[-1] if self.distance_history else math.nan
+        return self.rows[-1].distance if self.rows else math.nan
 
     @property
     def max_gamma(self) -> float:
@@ -368,7 +379,6 @@ def picard_solve(
     delta: Optional[float] = None,
     K: Optional[float] = None,
     p: Optional[float] = None,
-    relaxation: float = 1.0,
 ) -> IterationReport:
     """Iterate the two-stage sweep to a fixed point (or a verdict).
 
@@ -380,12 +390,6 @@ def picard_solve(
     non-finite value), on a failed sweep (status ``"error"``), or when
     ``max_iter`` sweeps are exhausted.  Inadmissible inputs raise
     ``ValueError`` before the first sweep.
-
-    ``relaxation`` blends each sweep with the previous iterate
-    (``new = old + w (sweep - old)``); the default ``w = 1`` is the plain
-    iteration, which is the only setting for which the exact slice-datum
-    identities hold.  Under-relaxation is exploratory: fixed points are
-    unchanged, convergence behaviour may differ.
     """
     if m0.values.shape != grid.shape:
         raise ValueError(
@@ -393,8 +397,6 @@ def picard_solve(
         )
     if not np.all(m0.values > 0.0):
         raise ValueError("initial density must be strictly positive")
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError(f"relaxation must lie in (0, 1], got {relaxation}")
     if p is None:
         p = grid.dim + 3.0
     elif not p >= 2:
@@ -402,23 +404,13 @@ def picard_solve(
     if delta is None:
         delta = float(np.min(m0.values))
     m0 = m0.with_grid(grid)
-    if K is None:
-        trunc = select_K(m0, final_cost.L_h, final_cost.C0, delta)
-    else:
-        Dm0 = gradient_values(m0.values, grid.h, grid.dim)
-        trunc = TruncationParams(
-            K=float(K), delta=float(delta), L_h=final_cost.L_h, C0=final_cost.C0,
-            m0_norm_C1=norm_C10_values(m0.values, gradient_magnitude(Dm0)),
-            m0_gradient=Dm0,
-        )
+    trunc = select_K(m0, final_cost.L_h, final_cost.C0, delta, K)
     M1 = 3.0 * ((final_cost.L_h + 1.0) * trunc.m0_norm_C1 + final_cost.C0)
     # A callable diffusion depends only on the grid: evaluate it once here.
     model = replace(model, diffusion_u=model.diffusion_values(grid, "u"),
                     diffusion_m=model.diffusion_values(grid, "m"))
 
     state = initial_state(grid, m0, trunc.m0_gradient)
-    distances: list[float] = []
-    gammas: list[float] = []
     rows: list[IterationRow] = []
     m1_violations: list[int] = []
     status = "max_iter"
@@ -433,40 +425,20 @@ def picard_solve(
             break
         # Only the sweep reads the old pair's derivatives; release them.
         state = IterateState(u=state.u, m=state.m)
-        if relaxation != 1.0:
-            # Blending with the previous iterate keeps the slice data exact:
-            # the sweep already matches them, so the update there is zero.
-            new_state = IterateState(
-                u=SpaceTimeField(
-                    grid,
-                    state.u.values
-                    + relaxation * (candidate.u.values - state.u.values),
-                ),
-                m=SpaceTimeField(
-                    grid,
-                    state.m.values
-                    + relaxation * (candidate.m.values - state.m.values),
-                ),
-            )
-        else:
-            new_state = candidate
-        d = iterate_distance(new_state, state, p)
-        gamma = d / distances[-1] if distances else math.nan
-        distances.append(d)
-        if k >= 2:
-            gammas.append(gamma)
-        row = _iteration_row(k, d, gamma, new_state, p)
+        d = iterate_distance(candidate, state, p)
+        gamma = d / rows[-1].distance if rows else math.nan
+        row = _iteration_row(k, d, gamma, candidate, p)
         rows.append(row)
         if row.norm_u_c10 > M1 or row.norm_m_c10 > M1:
             m1_violations.append(k)
-        state = new_state
+        state = candidate
         if not math.isfinite(d):
             status = "diverged"
             break
         if d <= tol:
             status = "converged"
             break
-        if len(distances) >= 2 and d > distances[-2]:
+        if len(rows) >= 2 and d > rows[-2].distance:
             increases += 1
             if increases >= 5:
                 status = "diverged"
@@ -478,9 +450,6 @@ def picard_solve(
     residuals = _pde_residuals(model, state)
     return IterationReport(
         status=status,
-        iterations=len(distances),
-        distance_history=tuple(distances),
-        gamma_history=tuple(gammas),
         rows=tuple(rows),
         # A fresh pair, so the report does not hold the derivative cache.
         final_state=IterateState(u=state.u, m=state.m),
@@ -533,7 +502,6 @@ def horizon_sweep(
     delta: Optional[float] = None,
     K: Optional[float] = None,
     p: Optional[float] = None,
-    relaxation: float = 1.0,
     workers: int = 1,
 ) -> list[SweepRow]:
     """Run the iteration across horizons at a fixed time-step size.
@@ -561,7 +529,6 @@ def horizon_sweep(
             report = picard_solve(
                 model, cost, m0.with_grid(grid), grid,
                 tol=tol, max_iter=max_iter, delta=delta, K=K, p=p,
-                relaxation=relaxation,
             )
         except Exception as exc:  # noqa: BLE001 - captured into the row
             return SweepRow(

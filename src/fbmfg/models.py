@@ -5,10 +5,10 @@ The solver core treats the coupled pair
     -u_t - a_ij u_{x_i x_j} + F(u, m, Du, Dm, x, t) = 0,
      m_t - c_ij m_{x_i x_j} + G(u, m, Du, Dm, D2u, x, t) = 0,
 
-as abstract data: two source callables, two diffusions, declared growth
-bounds, and a final-condition map m(T) -> u(T).  This module supplies that
-data for the built-in problem families and provides the audits that check a
-model against the structural assumptions the fixed-point argument rests on.
+as abstract data: two source callables, two diffusions and a
+final-condition map m(T) -> u(T).  This module supplies that data for the
+built-in problem families and checks the derivative callables a model is
+built from against central differences.
 
 Three families are built here.
 
@@ -44,16 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .parabolic import constant_diffusion
-from .torus_grid import (
-    Field,
-    TorusGrid,
-    gradient_magnitude,
-    hessian_magnitude,
-    hessian_values,
-    norm_C1,
-    norm_C2,
-)
-from .truncation import clamp_vector
+from .torus_grid import Field, TorusGrid, hessian_values, norm_C1, norm_C2
 
 __all__ = [
     "CouplingModel",
@@ -69,8 +60,6 @@ __all__ = [
     "final_cost_constant",
     "final_cost_scaled_identity",
     "periodic_gaussian_kernel",
-    "AssumptionReport",
-    "validate_assumptions",
 ]
 
 
@@ -92,25 +81,20 @@ class CouplingModel:
         coordinate arrays.  ``shape`` is the trailing shape of the field
         arguments, and ``x`` and ``t`` arrive broadcast against it: the
         solver passes whole space-time stacks, ``shape = (nt + 1,) +
-        spatial``, with ``t`` an array of slice times; the audits pass
-        sample points and a float ``t``.  F must be pointwise, returning
-        an array of that shape.  F must not write into its arguments: the
-        solver hands on an iterate's own arrays, as read-only views
-        wherever a clamp cuts nothing, so such a write raises
-        ``ValueError`` there.
+        spatial``, with ``t`` an array of slice times.  F must be
+        pointwise, returning an array of that shape.  F must not write into
+        its arguments: the solver hands on an iterate's own arrays, as
+        read-only views wherever a clamp cuts nothing, so such a write
+        raises ``ValueError`` there.
     G : callable
         Source of the forward equation, ``G(u, m, Du, Dm, D2u, x, t)`` with
         ``D2u`` of shape ``(dim, dim) + shape`` and the same conventions.
-        G must be affine in ``D2u`` for the splitting used by the audits
-        and the solver, and must not write into its arguments either.
+        The existence theorem assumes G affine in ``D2u``; nothing checks
+        it.  G must not write into its arguments either.
     diffusion_u, diffusion_m : ndarray or callable
         A coefficient array accepted by the stepper (a constant ``(dim,
         dim)`` matrix, say) or a callable mapping a :class:`TorusGrid` to
         one; ``picard_solve`` evaluates a callable once per solve.
-    L_F, L_G : callable
-        Declared growth bounds: for arguments bounded by ``M`` (density in
-        ``[1/M, M]``), ``|F| <= L_F(M)`` and ``|G| <= L_G(M) (1 + |D2u|)``,
-        with the same constants bounding the Lipschitz ratios.
     optimal_drift : callable, optional
         Velocity ``b(u, m, Du, Dm, x, t)`` such that the forward equation
         is equivalent to ``m_t = d_ij (c_ij m) + div(m b)``; None when the
@@ -123,8 +107,6 @@ class CouplingModel:
     G: Callable
     diffusion_u: object
     diffusion_m: object
-    L_F: Callable[[float], float]
-    L_G: Callable[[float], float]
     optimal_drift: Optional[Callable] = None
 
     def diffusion_values(self, grid: TorusGrid, equation: str = "u") -> np.ndarray:
@@ -153,7 +135,7 @@ class HamiltonianSpec:
     axis, and every callable is vectorized over the trailing shape, against
     which ``x`` and ``t`` arrive broadcast (the solver passes whole
     ``(nt + 1,) + spatial`` stacks with an array ``t``; the derivative
-    probes and audits pass sample points and a float ``t``).  The
+    probes pass sample points and a float ``t``).  The
     derivative fields are the ones the transport terms need:
 
     * ``H_p``  -> ``(dim,) + shape``   gradient in p,
@@ -294,8 +276,6 @@ def build_mfg_coupling(
     spec: HamiltonianSpec,
     *,
     dim: int,
-    L_F: Callable[[float], float],
-    L_G: Callable[[float], float],
     name: str = "mfg-coupling",
 ) -> CouplingModel:
     """Assemble the coupled sources from a Hamiltonian.
@@ -361,8 +341,7 @@ def build_mfg_coupling(
 
     return CouplingModel(
         name=name, dim=dim, F=F, G=G,
-        diffusion_u=diffusion, diffusion_m=diffusion,
-        L_F=L_F, L_G=L_G, optimal_drift=drift,
+        diffusion_u=diffusion, diffusion_m=diffusion, optimal_drift=drift,
     )
 
 
@@ -380,8 +359,6 @@ def build_congestion_coupling(
     H1_p: Optional[Callable] = None,
     H1_pp: Optional[Callable] = None,
     f: Optional[Callable] = None,
-    L_F: Optional[Callable[[float], float]] = None,
-    L_G: Optional[Callable[[float], float]] = None,
     name: str = "congestion",
 ) -> CouplingModel:
     """Congestion coupling ``F = m^alpha H1(Du / m^alpha) - f(x, t, m)``.
@@ -399,10 +376,10 @@ def build_congestion_coupling(
 
     ``H1`` defaults to ``|q|^2 / 2`` (with exact derivatives) and ``f`` to
     the density itself; the sources raise on any nonpositive density, since
-    ``m^alpha`` leaves its domain there.  Custom ``H1`` requires all of
-    ``H1_p``/``H1_pp`` plus declared ``L_F``/``L_G``; the derivative pair is
-    probed against central differences on fixed sample points.  A is a
-    constant matrix (scalar or ``(dim, dim)``).
+    ``m^alpha`` leaves its domain there.  Custom ``H1`` requires both
+    ``H1_p`` and ``H1_pp``; the derivative pair is probed against central
+    differences on fixed sample points.  A is a constant matrix (scalar or
+    ``(dim, dim)``).
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -411,26 +388,11 @@ def build_congestion_coupling(
     custom_H1 = H1 is not None
     if custom_H1 and (H1_p is None or H1_pp is None):
         raise ValueError("a custom H1 needs H1_p and H1_pp as well")
-    if custom_H1 or f is not None:
-        if L_F is None or L_G is None:
-            raise ValueError(
-                "custom congestion terms need declared growth bounds L_F and L_G"
-            )
     if not custom_H1:
         H1 = lambda q: 0.5 * np.sum(q * q, axis=0)
         H1_p = lambda q: q
     if f is None:
         f = lambda x, t, m: m
-    if L_F is None:
-        L_F = lambda M: (1.0 + alpha) * M ** (3.0 + alpha) + M ** (2.0 + alpha) + M + 1.0
-    if L_G is None:
-        L_G = (
-            lambda M: (1.0 + alpha)
-            * (1.0 + abs(1.0 - alpha))
-            * math.sqrt(dim)
-            * (M + 1.0) ** (3.0 + alpha)
-            + 1.0
-        )
 
     if custom_H1:
         rng = np.random.default_rng(0)
@@ -479,8 +441,7 @@ def build_congestion_coupling(
     diffusion = constant_diffusion(dim, A)
     return CouplingModel(
         name=name, dim=dim, F=F, G=G,
-        diffusion_u=diffusion, diffusion_m=diffusion,
-        L_F=L_F, L_G=L_G, optimal_drift=drift,
+        diffusion_u=diffusion, diffusion_m=diffusion, optimal_drift=drift,
     )
 
 
@@ -496,7 +457,6 @@ def decoupled_heat_model(dim: int = 1) -> CouplingModel:
         F=lambda u, m, Du, Dm, x, t: np.zeros(np.shape(u)),
         G=lambda u, m, Du, Dm, D2u, x, t: np.zeros(np.shape(u)),
         diffusion_u=np.eye(dim), diffusion_m=np.eye(dim),
-        L_F=lambda M: 0.0, L_G=lambda M: 0.0,
         optimal_drift=lambda u, m, Du, Dm, x, t: np.zeros((dim,) + np.shape(u)),
     )
 
@@ -513,11 +473,7 @@ def quadratic_mfg_model(dim: int = 1) -> CouplingModel:
         H_pp=lambda x, t, p, m: _eye_like(p.shape[0], p.shape[1:]),
         A=0.5 * np.eye(dim),
     )
-    return build_mfg_coupling(
-        spec, dim=dim, name="quadratic-mfg",
-        L_F=lambda M: 0.5 * M * M + M + 1.0,
-        L_G=lambda M: math.sqrt(dim) * (M + 1.0) ** 2,
-    )
+    return build_mfg_coupling(spec, dim=dim, name="quadratic-mfg")
 
 
 def congestion_model(dim: int = 1, alpha: float = 1.0) -> CouplingModel:
@@ -541,7 +497,6 @@ def linear_counterexample_model(alpha: float = -3.0, dim: int = 1) -> CouplingMo
         F=lambda u, m, Du, Dm, x, t: np.zeros(np.shape(u)),
         G=G,
         diffusion_u=np.eye(dim), diffusion_m=np.eye(dim),
-        L_F=lambda M: 0.0, L_G=lambda M: math.sqrt(dim),
         optimal_drift=None,
     )
 
@@ -733,157 +688,3 @@ def final_cost_scaled_identity(scale: float) -> FinalCost:
         return Field(m.grid, scale * m.values)
 
     return FinalCost(fn=fn, L_h=abs(scale), C0=0.0, regularizing=False)
-
-
-# ---------------------------------------------------------------------------
-# Assumption audits
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Outcome of the sampled structural audit of a coupling model.
-
-    Ratios are worst observed value over declared bound (so anything above
-    one is a violation); the affinity defect is the worst midpoint error of
-    G in its Hessian slot, normalized by the magnitude of G.  The audit
-    reports, it does not raise: a flagged model is still usable, the flags
-    say which declared constant its sources outgrew.
-    """
-
-    K: float
-    samples: int
-    bound_F_ratio: float
-    lipschitz_F_ratio: float
-    bound_G_ratio: float
-    lipschitz_G_ratio: float
-    affine_defect: float
-    flags: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
-    def describe(self) -> str:
-        lines = [
-            f"structural audit at K = {self.K:g} ({self.samples} samples)",
-            f"  |F| bound ratio        {self.bound_F_ratio:.3e}",
-            f"  F Lipschitz ratio      {self.lipschitz_F_ratio:.3e}",
-            f"  |G| bound ratio        {self.bound_G_ratio:.3e}",
-            f"  G Lipschitz ratio      {self.lipschitz_G_ratio:.3e}",
-            f"  G affinity defect      {self.affine_defect:.3e}",
-        ]
-        if self.flags:
-            lines += [f"  FLAG: {f}" for f in self.flags]
-        else:
-            lines.append("  all declared bounds hold on the sample")
-        return "\n".join(lines)
-
-
-def _ratio(value: float, bound: float) -> float:
-    if bound > 0.0:
-        return value / bound
-    return 0.0 if value <= 1e-12 else math.inf
-
-
-def validate_assumptions(
-    model: CouplingModel,
-    K: float,
-    *,
-    samples: int = 200,
-    seed: int = 0,
-) -> AssumptionReport:
-    """Sampled audit of the declared structure of ``model`` at level ``K``.
-
-    Draws points with ``|u|, |Du|, |Dm| <= K`` and density in ``[1/K, K]``
-    (plus unrestricted Hessian slots) and checks, per sample,
-
-    * ``|F| <= L_F(K)`` and the F Lipschitz ratio against ``L_F(K)``,
-    * ``|G| <= L_G(K) (1 + |D2u|_F)`` and the mixed G Lipschitz ratio
-      ``|G(w1, P1) - G(w2, P2)|`` against
-      ``L_G(K) [(1 + max|P|) |dw| + |dP|]``,
-    * affinity of G in the Hessian slot (midpoint identity).
-
-    At least 100 samples are required so the worst-ratio statistics mean
-    something.  Results come back in an :class:`AssumptionReport`.
-    """
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples for the audit, got {samples}")
-    M = float(K)
-    if not M > 1.0:
-        raise ValueError(f"K must exceed 1, got {K}")
-    dim = model.dim
-    rng = np.random.default_rng(seed)
-    S = samples
-    x = tuple(rng.uniform(0.0, 1.0, S) for _ in range(dim))
-
-    def draw_args():
-        u = rng.uniform(-M, M, S)
-        m = rng.uniform(1.0 / M, M, S)
-        Du = clamp_vector(rng.uniform(-M, M, (dim, S)), M)
-        Dm = clamp_vector(rng.uniform(-M, M, (dim, S)), M)
-        return u, m, Du, Dm
-
-    def draw_hessian():
-        P = rng.uniform(-2.0 * M, 2.0 * M, (dim, dim, S))
-        return 0.5 * (P + np.swapaxes(P, 0, 1))
-
-    LF, LG = float(model.L_F(M)), float(model.L_G(M))
-    bound_F = lip_F = bound_G = lip_G = affine = 0.0
-    for t in (0.0, 0.37):
-        u1, m1, Du1, Dm1 = draw_args()
-        u2, m2, Du2, Dm2 = draw_args()
-        P1, P2 = draw_hessian(), draw_hessian()
-
-        F1 = np.asarray(model.F(u1, m1, Du1, Dm1, x, t), dtype=float)
-        F2 = np.asarray(model.F(u2, m2, Du2, Dm2, x, t), dtype=float)
-        bound_F = max(bound_F, _ratio(float(np.max(np.abs(F1))), LF))
-        dw = (
-            np.abs(u1 - u2) + np.abs(m1 - m2)
-            + gradient_magnitude(Du1 - Du2) + gradient_magnitude(Dm1 - Dm2)
-        )
-        mask = dw > 1e-12
-        if np.any(mask):
-            lip_F = max(
-                lip_F, _ratio(float(np.max(np.abs(F1 - F2)[mask] / dw[mask])), LF)
-            )
-
-        G11 = np.asarray(model.G(u1, m1, Du1, Dm1, P1, x, t), dtype=float)
-        G22 = np.asarray(model.G(u2, m2, Du2, Dm2, P2, x, t), dtype=float)
-        P1_norm = hessian_magnitude(P1)
-        bound_G = max(
-            bound_G, _ratio(float(np.max(np.abs(G11) / (1.0 + P1_norm))), LG)
-        )
-        denom = (
-            (1.0 + np.maximum(P1_norm, hessian_magnitude(P2))) * dw
-            + hessian_magnitude(P1 - P2)
-        )
-        mask = denom > 1e-12
-        if np.any(mask):
-            lip_G = max(
-                lip_G, _ratio(float(np.max(np.abs(G11 - G22)[mask] / denom[mask])), LG)
-            )
-
-        G_mid = np.asarray(model.G(u1, m1, Du1, Dm1, 0.5 * (P1 + P2), x, t), dtype=float)
-        G12 = np.asarray(model.G(u1, m1, Du1, Dm1, P2, x, t), dtype=float)
-        scale = max(1.0, float(np.max(np.abs(G11))), float(np.max(np.abs(G12))))
-        affine = max(affine, float(np.max(np.abs(G_mid - 0.5 * (G11 + G12)))) / scale)
-
-    flags = []
-    slack = 1.0 + 1e-9
-    if bound_F > slack:
-        flags.append(f"|F| exceeds declared L_F(K) by factor {bound_F:.3g}")
-    if lip_F > slack:
-        flags.append(f"F Lipschitz ratio exceeds declared L_F(K) by factor {lip_F:.3g}")
-    if bound_G > slack:
-        flags.append(f"|G| exceeds declared L_G(K)(1+|D2u|) by factor {bound_G:.3g}")
-    if lip_G > slack:
-        flags.append(f"G Lipschitz ratio exceeds declared L_G(K) by factor {lip_G:.3g}")
-    if affine > 1e-8:
-        flags.append(f"G is not affine in its Hessian slot (defect {affine:.3g})")
-    return AssumptionReport(
-        K=M, samples=samples,
-        bound_F_ratio=bound_F, lipschitz_F_ratio=lip_F,
-        bound_G_ratio=bound_G, lipschitz_G_ratio=lip_G,
-        affine_defect=affine, flags=tuple(flags),
-    )

@@ -39,7 +39,7 @@ solver that needs several norms of one iterate evaluates each stencil once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -53,7 +53,6 @@ __all__ = [
     "gradient_values",
     "hessian",
     "hessian_values",
-    "second_differences",
     "subtract_second_order",
     "time_derivative",
     "gradient_magnitude",
@@ -355,20 +354,6 @@ def gradient_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     for i in range(dim):
         _centered_difference(periodic, i, out[i])
     out /= 2.0 * h
-    return out
-
-
-def second_differences(values: np.ndarray, h: float, dim: int) -> np.ndarray:
-    """The diagonal of :func:`hessian_values`, without the cross stencil.
-
-    Returns an array of shape ``(dim,) + values.shape``; component ``i`` is
-    bitwise equal to ``hessian_values(values, h, dim)[i, i]``.
-    """
-    periodic = _Periodic(values, dim)
-    out = np.empty((dim, *values.shape))
-    for i in range(dim):
-        _second_difference(periodic, i, out[i])
-    out /= h * h
     return out
 
 

@@ -81,14 +81,20 @@ class TruncationParams:
             )
 
 
-def select_K(m0: Field, L_h: float, C0: float, delta: float) -> TruncationParams:
-    """Smallest admissible truncation threshold for the given data.
+def select_K(
+    m0: Field, L_h: float, C0: float, delta: float, K: Optional[float] = None
+) -> TruncationParams:
+    """Truncation parameters for the given data.
+
+    ``K`` defaults to the smallest admissible threshold; an explicit ``K``
+    is kept as given, after the same checks.
 
     Raises
     ------
     ValueError
         If ``m0`` dips below the declared floor ``delta`` (the positivity
-        assumption on the initial density fails).
+        assumption on the initial density fails), or if an explicit ``K``
+        is below the admissible threshold.
     """
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta}")
@@ -99,8 +105,11 @@ def select_K(m0: Field, L_h: float, C0: float, delta: float) -> TruncationParams
         )
     grad = gradient_values(m0.values, m0.grid.h, m0.grid.dim)
     norm1 = norm_C10_values(m0.values, gradient_magnitude(grad))
-    K = _required_K(norm1, L_h, C0, delta)
-    return TruncationParams(K=K, delta=delta, L_h=L_h, C0=C0, m0_norm_C1=norm1, m0_gradient=grad)
+    if K is None:
+        K = _required_K(norm1, L_h, C0, delta)
+    return TruncationParams(
+        K=float(K), delta=delta, L_h=L_h, C0=C0, m0_norm_C1=norm1, m0_gradient=grad
+    )
 
 
 def _unchanged(x: np.ndarray) -> np.ndarray:

@@ -65,7 +65,7 @@ class TestParsing:
         assert (cfg.dim, cfg.n, cfg.nt) == (1, 32, 16)
         assert cfg.T == 0.01
         assert cfg.K is None and cfg.delta is None and cfg.p is None
-        assert cfg.tol == 1e-8 and cfg.max_iter == 100 and cfg.relaxation == 1.0
+        assert cfg.tol == 1e-8 and cfg.max_iter == 100
         assert cfg.params == (("modes", "0=1.0; 1=0.25"),)
         assert cfg.out_dir == "out" and cfg.write_fields
 
@@ -84,7 +84,7 @@ class TestParsing:
             ("iteration.tol = soon", "expected a number"),
             ("outputs.write_fields = yes", "expected true or false"),
             ("iteration.max_iter = 0", "max_iter"),
-            ("iteration.relaxation = 1.5", "relaxation"),
+            ("iteration.relaxation = 0.5", "unknown keys"),
             ("iteration.p = 1.5", "iteration.p must be at least 2"),
             ("params.sigma = 0.1", "does not accept"),
             ("just some words", "expected 'key = value'"),
@@ -109,7 +109,7 @@ class TestParsing:
     def test_round_trip_through_format_config(self):
         cfg = RunConfig(
             model="linear-counterexample", dim=1, n=48, nt=300, T=T_CRIT,
-            K=7.25, delta=0.5, p=4.0, tol=3e-7, max_iter=55, relaxation=0.8,
+            K=7.25, delta=0.5, p=4.0, tol=3e-7, max_iter=55,
             params=(("alpha", "-3.0"), ("modes", "0=1.0; 1=0.05")),
             out_dir="some dir", write_fields=False,
         )
@@ -269,6 +269,17 @@ class TestRunCommand:
         cfg_path = write(tmp_path / "run.cfg", DECOUPLED + "truncation.K = 0.01\n")
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_density_floor_with_explicit_K_exits_1(self, tmp_path, capsys):
+        # min m0 = 0.75 lies below the declared floor; a given K skips no check.
+        cfg_path = write(
+            tmp_path / "run.cfg",
+            DECOUPLED + "truncation.K = 2000.0\ntruncation.delta = 0.9\n",
+        )
+        out = tmp_path / "o"
+        assert main(["run", cfg_path, "--out", str(out)]) == 1
+        assert "initial density violates its floor" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exponent_below_two_exits_1(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", DECOUPLED + "iteration.p = 1.5\n")

@@ -59,7 +59,6 @@ def model_with_sources(F=None, G=None, dim: int = 1) -> CouplingModel:
     return CouplingModel(
         name="probe", dim=dim, F=F or zero_F, G=G or zero_G,
         diffusion_u=np.eye(dim), diffusion_m=np.eye(dim),
-        L_F=lambda M: M + 1.0, L_G=lambda M: M + 1.0,
     )
 
 
@@ -259,38 +258,6 @@ class TestPicardBasics:
         assert report.status == "max_iter"
         assert report.iterations == 3
 
-    def test_under_relaxation_lands_on_the_same_fixed_point(self):
-        grid = TorusGrid(dim=1, n=32, nt=16, T=0.01)
-        m0 = cosine_density(grid, 0.25)
-        g = Field.from_function(grid, lambda x: 0.3 * np.sin(2.0 * np.pi * x))
-        model = decoupled_heat_model(dim=1)
-        plain = picard_solve(
-            model, final_cost_constant(g), m0, grid, tol=1e-12, max_iter=10,
-        )
-        damped = picard_solve(
-            model, final_cost_constant(g), m0, grid,
-            tol=1e-10, max_iter=60, relaxation=0.5,
-        )
-        # The sweep output never changes here, so each damped step halves
-        # the distance: geometric convergence to the plain fixed point.
-        assert damped.status == "converged"
-        assert damped.iterations > plain.iterations
-        assert damped.max_gamma == pytest.approx(0.5, abs=1e-3)
-        assert np.array_equal(damped.final_state.m.values[0], m0.values)
-        gap = np.abs(
-            damped.final_state.u.values - plain.final_state.u.values
-        )
-        assert float(np.max(gap)) < 1e-9
-
-    def test_rejects_relaxation_outside_unit_interval(self):
-        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
-        m0 = cosine_density(grid, 0.25)
-        model = decoupled_heat_model(dim=1)
-        cost = final_cost_scaled_identity(1.0)
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="relaxation"):
-                picard_solve(model, cost, m0, grid, relaxation=bad)
-
     def test_rejects_p_below_two_before_the_first_sweep(self):
         grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
         calls = []
@@ -303,6 +270,23 @@ class TestPicardBasics:
         cost = final_cost_scaled_identity(1.0)
         with pytest.raises(ValueError, match="p must be >= 2"):
             picard_solve(model, cost, cosine_density(grid, 0.25), grid, p=1.5)
+        assert calls == []
+
+    def test_explicit_K_keeps_the_density_floor_check(self):
+        # min m0 = 0.75 < delta: rejected before the first sweep, whether K
+        # is derived or given.
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        calls = []
+
+        def F(u, m, Du, Dm, x, t):
+            calls.append(np.shape(u))
+            return np.zeros(np.shape(u))
+
+        model = model_with_sources(F=F)
+        cost = final_cost_scaled_identity(1.0)
+        for K in (None, 2000.0):
+            with pytest.raises(ValueError, match="violates its floor"):
+                picard_solve(model, cost, cosine_density(grid, 0.25), grid, delta=0.9, K=K)
         assert calls == []
 
     def test_rejects_bad_density_or_shape(self):
@@ -578,7 +562,6 @@ class TestResiduals:
             F=lambda u, m, Du, Dm, x, t: np.zeros(np.shape(u)),
             G=lambda u, m, Du, Dm, D2u, x, t: np.zeros(np.shape(u)),
             diffusion_u=diffusion, diffusion_m=diffusion,
-            L_F=lambda M: 0.0, L_G=lambda M: 0.0,
         )
 
     @pytest.mark.parametrize("which", ["decoupled", "x-dependent-diffusion"])
@@ -629,10 +612,7 @@ class TestResiduals:
             ),
             A=A, A_div1=A_div1, A_div2=A_div2,
         )
-        return build_mfg_coupling(
-            spec, dim=2, L_F=lambda M: 0.5 * M * M + M + 1.0,
-            L_G=lambda M: 8.0 * (M + 1.0) ** 3,
-        )
+        return build_mfg_coupling(spec, dim=2)
 
     @staticmethod
     def hamiltonian_problem():

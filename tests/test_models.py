@@ -1,4 +1,4 @@
-"""Tests for coupling models, final costs, and the structural audit."""
+"""Tests for coupling models and final costs."""
 
 from __future__ import annotations
 
@@ -8,19 +8,15 @@ import numpy as np
 import pytest
 
 from fbmfg.models import (
-    CouplingModel,
     HamiltonianSpec,
     build_congestion_coupling,
     build_mfg_coupling,
     congestion_model,
-    decoupled_heat_model,
     final_cost_constant,
     final_cost_convolution,
     final_cost_scaled_identity,
-    linear_counterexample_model,
     periodic_gaussian_kernel,
     quadratic_mfg_model,
-    validate_assumptions,
 )
 from fbmfg.torus_grid import (
     Field,
@@ -103,7 +99,7 @@ class TestQuadraticModel:
             ),
             H_xp_div=lambda x, t, p, m: tau * np.cos(tau * x[0]) + 0.0 * m,
         )
-        model = build_mfg_coupling(spec, dim=2, L_F=lambda M: M**2, L_G=lambda M: M**2)
+        model = build_mfg_coupling(spec, dim=2)
         u, m, Du, Dm, D2u, x = random_batch(np.random.default_rng(13), 2, 30)
         G = model.G(u, m, Du, Dm, D2u, x, 0.0)
         div_term = (
@@ -132,7 +128,7 @@ class TestQuadraticModel:
             ),
         )
         with pytest.raises(ValueError, match="H_p"):
-            build_mfg_coupling(spec, dim=1, L_F=lambda M: M**2, L_G=lambda M: M**2)
+            build_mfg_coupling(spec, dim=1)
 
     def test_divergence_form_identity(self):
         # The pointwise G must match the discrete divergence-form transport
@@ -174,9 +170,7 @@ class TestVariableDiffusionCoupling:
             H_pp=lambda x, t, p, m: np.ones((1, 1) + p.shape[1:]),
             A=A, A_div1=A_div1, A_div2=A_div2,
         )
-        return build_mfg_coupling(
-            spec, dim=1, L_F=lambda M: M**2 + M + 1, L_G=lambda M: 8 * (M + 1) ** 3
-        )
+        return build_mfg_coupling(spec, dim=1)
 
     def test_fd_validation_accepts_consistent_divergences(self):
         self._model()  # would raise if the declared A derivatives were off
@@ -195,7 +189,7 @@ class TestVariableDiffusionCoupling:
             A_div2=lambda x, t: np.zeros(np.shape(x[0])),
         )
         with pytest.raises(ValueError, match="A_div1"):
-            build_mfg_coupling(spec, dim=1, L_F=lambda M: M**2, L_G=lambda M: M**3)
+            build_mfg_coupling(spec, dim=1)
 
     def test_divergence_form_identity_with_varying_A(self):
         model = self._model()
@@ -262,7 +256,7 @@ class TestCongestion:
                 H_p=lambda x, t, p, m: p,
                 H_pp=lambda x, t, p, m: np.ones((1, 1) + p.shape[1:]),
             ),
-            dim=1, L_F=lambda M: M**2 + M + 1, L_G=lambda M: 4 * (M + 1) ** 2,
+            dim=1,
         )
         u, m, Du, Dm, D2u, x = random_batch(rng, 1, 50)
         assert np.max(np.abs(cong.F(u, m, Du, Dm, x, 0.0) - mfg.F(u, m, Du, Dm, x, 0.0))) < 1e-6
@@ -323,21 +317,21 @@ class TestCongestion:
         expected = self.general_G(alpha, eye, m, Du, Dm, D2u)
         custom = build_congestion_coupling(
             alpha, dim=dim, H1=lambda q: 0.5 * np.sum(q * q, axis=0), H1_p=lambda q: q,
-            H1_pp=eye, L_F=lambda M: 10.0, L_G=lambda M: 10.0,
+            H1_pp=eye,
         )
         for model in (congestion_model(dim=dim, alpha=alpha), custom):
             assert np.array_equal(model.G(u, m, Du, Dm, D2u, x, t), expected)
 
-    def test_custom_H1_needs_bounds_and_derivatives(self):
+    def test_custom_H1_needs_both_derivatives(self):
         H1 = lambda q: np.cosh(q[0])
+        H1_p = lambda q: np.sinh(q)[...]
+        H1_pp = lambda q: np.cosh(q)[np.newaxis]
         with pytest.raises(ValueError, match="H1_p"):
-            build_congestion_coupling(0.5, dim=1, H1=H1, L_F=lambda M: 10.0, L_G=lambda M: 10.0)
-        with pytest.raises(ValueError, match="growth bounds"):
-            build_congestion_coupling(
-                0.5, dim=1, H1=H1,
-                H1_p=lambda q: np.sinh(q)[...],
-                H1_pp=lambda q: np.cosh(q)[np.newaxis],
-            )
+            build_congestion_coupling(0.5, dim=1, H1=H1)
+        with pytest.raises(ValueError, match="H1_pp"):
+            build_congestion_coupling(0.5, dim=1, H1=H1, H1_p=H1_p)
+        model = build_congestion_coupling(0.5, dim=1, H1=H1, H1_p=H1_p, H1_pp=H1_pp)
+        assert model.name == "congestion"
 
     def test_custom_H1_derivative_check(self):
         with pytest.raises(ValueError, match="H1_p"):
@@ -346,7 +340,6 @@ class TestCongestion:
                 H1=lambda q: np.cosh(q[0]),
                 H1_p=lambda q: 2.0 * np.sinh(q),  # wrong factor
                 H1_pp=lambda q: np.cosh(q)[np.newaxis],
-                L_F=lambda M: 100.0, L_G=lambda M: 100.0,
             )
 
     def test_negative_alpha_rejected(self):
@@ -501,46 +494,3 @@ class TestOtherFinalCosts:
         m = Field.full(grid, 2.0)
         assert np.array_equal(cost(m).values, -6.0 * np.ones(16))
 
-
-class TestAssumptionAudit:
-    def test_builtin_models_pass(self):
-        for model in (
-            decoupled_heat_model(1),
-            quadratic_mfg_model(1),
-            quadratic_mfg_model(2),
-            congestion_model(1, alpha=1.0),
-            linear_counterexample_model(-3.0),
-        ):
-            report = validate_assumptions(model, 3.0, samples=150, seed=2)
-            assert report.ok, f"{model.name}: {report.flags}"
-            assert report.bound_F_ratio <= 1.0
-            assert report.lipschitz_G_ratio <= 1.0
-
-    def test_flags_undeclared_growth(self):
-        model = CouplingModel(
-            name="dishonest", dim=1,
-            F=lambda u, m, Du, Dm, x, t: 10.0 * u,
-            G=lambda u, m, Du, Dm, D2u, x, t: np.zeros(np.shape(u)),
-            diffusion_u=np.eye(1), diffusion_m=np.eye(1),
-            L_F=lambda M: 1.0, L_G=lambda M: 1.0,
-        )
-        report = validate_assumptions(model, 3.0, samples=200, seed=0)
-        assert not report.ok
-        assert any("exceeds" in f for f in report.flags)
-        assert report.bound_F_ratio > 5.0
-        assert "FLAG" in report.describe()
-
-    def test_flags_nonaffine_hessian_dependence(self):
-        model = CouplingModel(
-            name="quadratic-in-hessian", dim=1,
-            F=lambda u, m, Du, Dm, x, t: np.zeros(np.shape(u)),
-            G=lambda u, m, Du, Dm, D2u, x, t: np.trace(D2u, axis1=0, axis2=1) ** 2,
-            diffusion_u=np.eye(1), diffusion_m=np.eye(1),
-            L_F=lambda M: 1.0, L_G=lambda M: 1e6,
-        )
-        report = validate_assumptions(model, 2.0, samples=120, seed=1)
-        assert any("affine" in f for f in report.flags)
-
-    def test_sample_floor(self):
-        with pytest.raises(ValueError, match="100"):
-            validate_assumptions(quadratic_mfg_model(1), 2.0, samples=50)

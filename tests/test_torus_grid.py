@@ -19,7 +19,6 @@ from fbmfg.torus_grid import (
     norm_C2,
     norm_W21p,
     norm_W21p_values,
-    second_differences,
     subtract_second_order,
     time_derivative,
 )
@@ -220,8 +219,6 @@ class TestGhostLayerStencils:
         assert grad.shape == (dim, *shape) and hess.shape == (dim, dim, *shape)
         assert np.array_equal(grad, roll_gradient(values, h, dim))
         assert np.array_equal(hess, roll_hessian(values, h, dim))
-        diag = second_differences(values, h, dim)
-        assert all(np.array_equal(diag[i], hess[i, i]) for i in range(dim))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_magnitudes_equal_numpy_sums(self, dim):
@@ -281,8 +278,6 @@ class TestFlatStencils:
         hess = hessian_values(values, h, dim)
         assert np.array_equal(gradient_values(values, h, dim), roll_gradient(values, h, dim))
         assert np.array_equal(hess, roll_hessian(values, h, dim))
-        diag = second_differences(values, h, dim)
-        assert all(np.array_equal(diag[i], hess[i, i]) for i in range(dim))
         copy = np.ascontiguousarray(values)
         assert np.array_equal(hessian_values(copy, h, dim), hess)
 
