@@ -34,6 +34,7 @@ import argparse
 import dataclasses
 import hashlib
 import importlib
+import math
 import os
 import sys
 import time
@@ -230,8 +231,8 @@ def _config_from_entries(entries: dict[str, str]) -> RunConfig:
         raise ConfigError(f"truncation.K must be positive, got {K}")
     if delta is not None and not delta > 0:
         raise ConfigError(f"truncation.delta must be positive, got {delta}")
-    if p is not None and not p >= 2.0:
-        raise ConfigError(f"iteration.p must be at least 2, got {p}")
+    if p is not None and not 2.0 <= p < math.inf:
+        raise ConfigError(f"iteration.p must be at least 2 and finite, got {p}")
     if not tol > 0:
         raise ConfigError(f"iteration.tol must be positive, got {tol}")
     if max_iter < 1:
@@ -654,8 +655,8 @@ def execute_sweep(cfg: RunConfig, T_list: Sequence[float]) -> int:
     T_values = [float(t) for t in T_list]
     if not T_values:
         raise ConfigError("sweep needs at least one horizon")
-    if any(not t > 0 for t in T_values):
-        raise ConfigError("every horizon must be positive")
+    if any(not 0 < t < math.inf for t in T_values):
+        raise ConfigError("every horizon must be positive and finite")
     for a, b in zip(T_values, T_values[1:]):
         if not b > a:
             raise ConfigError("the horizon list must be strictly increasing")

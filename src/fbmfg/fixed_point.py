@@ -397,10 +397,12 @@ def picard_solve(
         )
     if not np.all(m0.values > 0.0):
         raise ValueError("initial density must be strictly positive")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     if p is None:
         p = grid.dim + 3.0
-    elif not p >= 2:
-        raise ValueError(f"exponent p must be >= 2, got {p}")
+    elif not 2 <= p < math.inf:
+        raise ValueError(f"exponent p must be >= 2 and finite, got {p}")
     if delta is None:
         delta = float(np.min(m0.values))
     m0 = m0.with_grid(grid)
@@ -516,8 +518,10 @@ def horizon_sweep(
     """
     if not T_list:
         raise ValueError("T_list must not be empty")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not all(0 < T < math.inf for T in T_list):
+        raise ValueError(f"every horizon must be positive and finite, got {list(T_list)}")
     dim, n = m0.grid.dim, m0.grid.n
 
     def run_one(T: float) -> SweepRow:

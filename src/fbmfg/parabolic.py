@@ -19,17 +19,18 @@ Time stepping is backward Euler: each step solves
 
 with ``L_j`` the spatial operator sampled at the implicit level ``t_j``.
 Spatial stencils are the second-order centered ones from
-:mod:`fbmfg.torus_grid`.  The march takes one of two paths, chosen from the
-shape of the diffusion:
+:mod:`fbmfg.torus_grid`.  A time-stacked diffusion whose slices are all
+equal is constant in time and is stored as its first slice, so the
+coefficients' values, not the shape they arrive in, choose one of two paths:
 
 - a constant ``(dim, dim)`` matrix makes ``I + dt * L`` circulant, so the
   march is one scalar recursion per discrete Fourier mode,
   ``v̂_j = (v̂_{j-1} - dt ĝ_j) / (1 + dt λ̂_k)``, with ``λ̂_k`` the symbol of
   exactly those stencils (mixed term included);
 - x- or t-dependent coefficients assemble ``L_j`` as a sparse matrix and
-  solve each step by a direct ``splu`` factorization (refactored only when
-  the coefficients change in time) under the minimum-degree ordering of
-  ``A^T + A``.
+  solve each step by a direct ``splu`` factorization (once per march, or
+  once per step when the coefficients change in time) under the
+  minimum-degree ordering of ``A^T + A``.
 
 Both paths treat the mixed term implicitly.  Either way the finished
 march is checked against its discrete equation: the relative residual of
@@ -57,9 +58,8 @@ Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Its implicit system
 matrix is an M-matrix with unit column sums, so densities stay nonnegative
 and the discrete total mass is conserved exactly (up to the linear-solver
 residual); this path uses a direct factorization, like the march,
-because its purpose is the mass-conservation audit.  It is the one path
-with an explicit mixed term, so a nonzero mixed coefficient there needs
-``dt <= h^2 / (8 max|c_01|)``.
+because its purpose is the mass-conservation audit.  It takes no mixed
+coefficient, so every path that accepts one treats it implicitly.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .torus_grid import (
     Field,
     SpaceTimeField,
     TorusGrid,
-    hessian_values,
     subtract_second_order,
 )
 
@@ -183,8 +182,10 @@ class ParabolicProblem:
     diffusion : ndarray
         Second-order coefficients ``c_ij``.  Accepted shapes:
         ``(dim, dim)`` (constant), ``(dim, dim) + spatial`` (x-dependent),
-        or with a leading ``nt + 1`` axis for time dependence.  Only the
-        constant shape takes the Fourier march.  The smallest eigenvalue
+        or with a leading ``nt + 1`` axis for time dependence.  A stack
+        whose slices are all equal is replaced by its first slice, so a
+        matrix constant in x and t takes the Fourier march whichever of
+        the two constant shapes it comes in.  The smallest eigenvalue
         of ``(c_ij)`` must reach ``ELLIPTICITY_FLOOR`` (validated at
         construction).
     source : ndarray, optional
@@ -211,6 +212,8 @@ class ParabolicProblem:
                 f"coefficient shape {self.diffusion.shape} not understood "
                 f"(expected one of {sorted(ok_shapes)})"
             )
+        if self.time_dependent and np.all(self.diffusion == self.diffusion[:1]):
+            self.diffusion = self.diffusion[0]
         if self.source is None:
             self.source = np.zeros((g.nt + 1, *g.shape))
         self.source = np.asarray(self.source, float)
@@ -439,12 +442,6 @@ def _conservative_matrices(grid: TorusGrid, c: np.ndarray, velocity: np.ndarray)
     return _stencil_matrices("csc", n, dim, False, rate)
 
 
-def _conservative_cross_term(grid: TorusGrid, c: np.ndarray, m_flat: np.ndarray) -> np.ndarray:
-    """``2 d_0 d_1 (c_01 m)`` in 2D, by the grid's own 4-point cross stencil."""
-    w = c[0, 1] * m_flat.reshape(grid.shape)
-    return 2.0 * np.ravel(hessian_values(w, grid.h, grid.dim)[0, 1])
-
-
 def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> SpaceTimeField:
     """Solve ``m_t = d_ij (A_ij m) + div(m b)`` preserving mass and sign.
 
@@ -457,10 +454,9 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
         The divergence-form drift ``b`` with shape ``(nt+1, dim) + spatial``
         (the transport velocity of the density is ``-b``).
 
-    Mixed diffusion entries are treated explicitly (they are the only terms
-    that could break the M-matrix structure), so a nonzero mixed
-    coefficient needs ``dt <= h^2 / (8 max|c_01|)``; a larger step raises
-    ``ValueError``.
+    A nonzero mixed coefficient ``c_01`` raises ``ValueError``: an implicit
+    mixed term would break the M-matrix structure that keeps the density
+    nonnegative.
     """
     g = problem.grid
     if problem.initial is None:
@@ -472,19 +468,15 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
         )
     if not np.all(np.isfinite(drift)):
         raise ValueError("drift contains non-finite values")
-    off = float(np.max(np.abs(problem.coefficients()[0, 1]))) if g.dim == 2 else 0.0
-    if off > 0.0:
-        limit = g.h**2 / (8.0 * off)
-        if g.dt > limit:
-            raise ValueError(f"the explicit mixed term needs dt <= {limit:.3e}, got {g.dt:.3e}")
+    if g.dim == 2 and np.any(problem.coefficients()[0, 1] != 0.0):
+        raise ValueError("solve_fp_conservative takes no mixed coefficient c_01")
 
     out = np.empty((g.nt + 1, *g.shape))
     out[0] = problem.initial.values
     m = np.ravel(out[0])
     c = problem.coefficients()[:, :, 1:] if problem.time_dependent else problem.coefficients()
     for j, A in enumerate(_conservative_matrices(g, c, -drift[1:]), start=1):
-        rhs = m + g.dt * _conservative_cross_term(g, problem.diffusion_slice(j), m) if off else m
-        m = _factor(A).solve(rhs)
+        rhs, m = m, _factor(A).solve(m)
         _check_residual(A, m, rhs, f"fp slice {j}")
         out[j] = m.reshape(g.shape)
     return SpaceTimeField(g, out)

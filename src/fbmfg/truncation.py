@@ -75,9 +75,9 @@ class TruncationParams:
         if self.L_h < 0 or self.C0 < 0:
             raise ValueError("L_h and C0 must be nonnegative")
         required = _required_K(self.m0_norm_C1, self.L_h, self.C0, self.delta)
-        if self.K < required * (1.0 - 1e-12):
+        if not self.K >= required * (1.0 - 1e-12):
             raise ValueError(
-                f"K={self.K} is below the admissible threshold {required}"
+                f"K={self.K} must reach the admissible threshold {required}"
             )
 
 

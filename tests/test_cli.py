@@ -86,6 +86,7 @@ class TestParsing:
             ("iteration.max_iter = 0", "max_iter"),
             ("iteration.relaxation = 0.5", "unknown keys"),
             ("iteration.p = 1.5", "iteration.p must be at least 2"),
+            ("iteration.p = inf", "iteration.p must be at least 2 and finite"),
             ("params.sigma = 0.1", "does not accept"),
             ("just some words", "expected 'key = value'"),
         ],
@@ -395,7 +396,7 @@ class TestSweepCommand:
 
     def test_horizon_list_validation(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", DECOUPLED)
-        for bad in ("0.02,0.01", "0.01,,0.02", "0.01,-0.5", "0.01,abc"):
+        for bad in ("0.02,0.01", "0.01,,0.02", "0.01,-0.5", "0.01,abc", "0.01,inf"):
             assert main(["sweep", cfg_path, "--T-list", bad]) == 1
             assert "error:" in capsys.readouterr().err
 

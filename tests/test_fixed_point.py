@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fbmfg import torus_grid
+from fbmfg import parabolic, torus_grid
 from fbmfg.fixed_point import (
     IterateState,
     _pde_residuals,
@@ -270,6 +270,29 @@ class TestPicardBasics:
         cost = final_cost_scaled_identity(1.0)
         with pytest.raises(ValueError, match="p must be >= 2"):
             picard_solve(model, cost, cosine_density(grid, 0.25), grid, p=1.5)
+        assert calls == []
+
+    @pytest.mark.parametrize("kwargs, fragment", [
+        (dict(tol=-1.0), "tol must be nonnegative"),
+        (dict(tol=math.nan), "tol must be nonnegative"),
+        (dict(p=math.inf), "p must be >= 2 and finite"),
+        (dict(K=math.nan), "admissible threshold"),
+    ])
+    def test_rejects_nonfinite_or_negative_parameters_before_the_first_sweep(
+        self, kwargs, fragment
+    ):
+        # tol < 0 used to reach d = 0 and divide by it; p = inf pinned the
+        # W21p distance at 1; K = nan failed inside the first clamp.
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        calls = []
+
+        def F(u, m, Du, Dm, x, t):
+            calls.append(np.shape(u))
+            return np.zeros(np.shape(u))
+
+        with pytest.raises(ValueError, match=fragment):
+            picard_solve(model_with_sources(F=F), final_cost_convolution(grid),
+                         Field.full(grid, 1.0), grid, **kwargs)
         assert calls == []
 
     def test_explicit_K_keeps_the_density_floor_check(self):
@@ -649,6 +672,19 @@ class TestResiduals:
             per_solve.append(len(calls))
         assert per_solve[0] == per_solve[1] <= 2
 
+    def test_callable_diffusion_is_factored_once_per_march(self, monkeypatch):
+        # The model broadcasts A(x, t) over time; equal slices collapse, so
+        # neither march refactors per step.
+        grid, m0, cost = self.hamiltonian_problem()
+        calls = []
+        factor = parabolic._factor
+        monkeypatch.setattr(parabolic, "_factor", lambda A: calls.append(1) or factor(A))
+        report = picard_solve(
+            self.x_dependent_hamiltonian_model(), cost, m0, grid, tol=0.0, max_iter=3,
+        )
+        assert report.iterations == 3
+        assert len(calls) == 2 * report.iterations
+
 
 class TestResidualFailures:
     @staticmethod
@@ -818,3 +854,9 @@ class TestHorizonSweep:
             horizon_sweep(model, cost, m0, [], dt=0.01)
         with pytest.raises(ValueError, match="dt"):
             horizon_sweep(model, cost, m0, [0.01], dt=0.0)
+        # An infinite dt used to run every horizon at nt=2, and an infinite
+        # horizon to overflow int(round(T / dt)) after the finite ones ran.
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            horizon_sweep(model, cost, m0, [0.01], dt=math.inf)
+        with pytest.raises(ValueError, match="every horizon must be positive and finite"):
+            horizon_sweep(model, cost, m0, [0.01, math.inf], dt=0.01)

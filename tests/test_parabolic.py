@@ -499,6 +499,57 @@ class TestFourierAgainstSplu:
             assert np.max(np.abs(fourier.values - splu.values)) <= 1e-12
 
 
+class TestEqualSliceStacks:
+    """A time stack whose slices are all equal marches as its one slice.
+
+    The problem stores slice 0, so the march, its check and the time
+    reversal all see a diffusion constant in time: bitwise the same output,
+    one factorization per march, and the Fourier march for a constant one.
+    """
+
+    @staticmethod
+    def solve_both(g, diffusion, stack):
+        rng = np.random.default_rng(17)
+        source = rng.normal(size=(g.nt + 1, *g.shape))
+        datum = Field(g, rng.normal(size=g.shape))
+        for solve, key in ((solve_forward, "initial"), (solve_backward, "final")):
+            yield tuple(
+                solve(ParabolicProblem(grid=g, diffusion=c, source=source, **{key: datum}))
+                for c in (diffusion, stack)
+            )
+
+    @pytest.mark.parametrize("dim, mixed", [(1, False), (2, False), (2, True)])
+    def test_x_dependent_stack_matches_its_slice(self, monkeypatch, dim, mixed):
+        g = TorusGrid(dim=dim, n=16, nt=8, T=0.01)
+        c = random_diffusion(np.random.default_rng(5 + dim + mixed), dim, g.n, mixed)
+        stack = np.repeat(c[np.newaxis], g.nt + 1, axis=0)
+        calls = []
+        factor = parabolic._factor
+        monkeypatch.setattr(parabolic, "_factor", lambda A: calls.append(1) or factor(A))
+        for plain, stacked in self.solve_both(g, c, stack):
+            assert np.array_equal(plain.values, stacked.values)
+        assert len(calls) == 4  # one per march
+
+    @pytest.mark.parametrize("C", [[[1.0]], [[1.0, 0.25], [0.25, 0.8]]])
+    def test_constant_stack_takes_the_fourier_march(self, C):
+        C = np.array(C)
+        dim = len(C)
+        g = TorusGrid(dim=dim, n=16, nt=8, T=0.01)
+        stack = np.repeat(C[np.newaxis], g.nt + 1, axis=0)
+        assert ParabolicProblem(grid=g, diffusion=stack).diffusion.shape == (dim, dim)
+        for plain, stacked in self.solve_both(g, C, stack):
+            assert np.array_equal(plain.values, stacked.values)
+
+    def test_unequal_or_nonfinite_stacks_stay_stacked(self):
+        g = TorusGrid(dim=1, n=8, nt=4, T=0.01)
+        stack = np.ones((g.nt + 1, 1, 1))
+        stack[-1] = 2.0
+        assert ParabolicProblem(grid=g, diffusion=stack).time_dependent
+        stack[:] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ParabolicProblem(grid=g, diffusion=stack)
+
+
 class TestConservativeFP:
     def test_uniform_density_stays_uniform(self):
         g = TorusGrid(dim=1, n=32, nt=16, T=0.1)
@@ -576,41 +627,19 @@ class TestConservativeFP:
         assert np.all(np.abs(mass - mass[0]) <= 1e-12 * np.abs(mass[0]))
         assert np.min(sol.values) >= 0.0
 
-    def test_mixed_diffusion_2d(self):
-        # The one path with an explicit mixed term, at a step inside its
-        # restriction dt <= h^2 / (8 |c_01|).
+    @pytest.mark.parametrize("kind", ["constant", "x-dependent"])
+    def test_rejects_a_mixed_coefficient(self, kind):
+        # The audit has no mixed term; the marches treat it implicitly, so
+        # solve_forward takes the same problem at a step far above h^2.
+        g = TorusGrid(dim=2, n=16, nt=4, T=1.0)
         C = np.array([[1.0, 0.4], [0.4, 1.0]])
-        g = TorusGrid(dim=2, n=16, nt=16, T=0.01)
-        assert g.dt <= g.h**2 / (8.0 * C[0, 1])
-        x, y = g.coordinates()
-        m0 = Field(g, 1.0 + 0.4 * np.cos(TWO_PI * (x + y)))
-        prob = ParabolicProblem(grid=g, diffusion=C, initial=m0)
-        drift = np.empty((g.nt + 1, 2, g.n, g.n))
-        drift[:, 0] = np.sin(TWO_PI * y)
-        drift[:, 1] = np.cos(TWO_PI * x)
-        sol = solve_fp_conservative(prob, drift)
-        mass = np.sum(sol.values, axis=(1, 2)) * g.h**2
-        assert np.all(np.abs(np.diff(mass)) <= 1e-12 * np.abs(mass[0]))
-        assert np.min(sol.values) > 0.0
-        # Without drift this is the heat equation of solve_forward, whose
-        # mixed term is implicit: the two differ by O(dt), a small part of
-        # what the mixed term itself changes.
-        explicit = solve_fp_conservative(prob, np.zeros_like(drift)).values
-        implicit = solve_forward(prob).values
-        diagonal = solve_forward(
-            ParabolicProblem(grid=g, diffusion=np.eye(2), initial=m0)
-        ).values
-        assert np.max(np.abs(explicit - implicit)) <= 0.1 * np.max(np.abs(implicit - diagonal))
-
-    def test_positivity_time_step_restriction(self):
-        C = np.array([[1.0, 0.4], [0.4, 1.0]])
-        g = TorusGrid(dim=2, n=16, nt=4, T=1.0)  # dt far above h^2/(8 c12)
+        if kind == "x-dependent":
+            x, y = g.coordinates()
+            C = C[:, :, None, None] * (1.0 + 0.2 * np.sin(TWO_PI * x) * np.cos(TWO_PI * y))
         prob = ParabolicProblem(grid=g, diffusion=C, initial=Field.full(g, 1.0))
-        with pytest.raises(ValueError, match="dt"):
+        with pytest.raises(ValueError, match="mixed coefficient"):
             solve_fp_conservative(prob, np.zeros((g.nt + 1, 2, g.n, g.n)))
-        # The forward march treats the mixed term implicitly: no restriction.
         assert np.allclose(solve_forward(prob).values, 1.0, rtol=0, atol=1e-12)
-
 
     def test_time_dependent_diagonal_diffusion_conserves_mass(self):
         g = TorusGrid(dim=2, n=16, nt=12, T=0.01)
