@@ -57,9 +57,11 @@ transport velocity ``-b`` (the implicit upwind scheme of Achdou and
 Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Its implicit system
 matrix is an M-matrix with unit column sums, so densities stay nonnegative
 and the discrete total mass is conserved exactly (up to the linear-solver
-residual); this path uses a direct factorization, like the march,
-because its purpose is the mass-conservation audit.  It takes no mixed
-coefficient, so every path that accepts one treats it implicitly.
+residual).  Consecutive step matrices differ only by ``dt`` times a change
+in the upwinded drift, so the audit factors one step and refines the
+following ones on those factors, to round-off and with each step's mass
+exact, factoring again only where refinement stops contracting.  It takes
+no mixed coefficient, so every path that accepts one treats it implicitly.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
 
 RESIDUAL_TOL = 1e-10
+# The conservative audit refines each step on earlier factors until its
+# relative residual reaches _REFINE_TARGET, above the direct solve's own
+# floor (up to 5e-14 at 2D n=128), and refactors once the contraction seen so
+# far cannot reach it within _REFINE_SWEEPS updates.
+_REFINE_TARGET = 1e-13
+_REFINE_SWEEPS = 6
 # Lower bound every diffusion's smallest eigenvalue must reach.
 ELLIPTICITY_FLOOR = 1e-10
 
@@ -297,9 +305,14 @@ def _fourier_march(problem: ParabolicProblem, out: np.ndarray) -> None:
     hat = np.fft.rfftn(problem.source, axes=axes)
     hat *= -g.dt
     hat[0] = np.fft.rfftn(out[0])
+    # numpy divides a complex row by a real ``d`` as by ``d + 0j``, which is
+    # bitwise a product of both parts with ``1/d``: run the recursion on the
+    # interleaved real view, one scaling per part.
+    flat = hat.view(np.float64)
+    scale = np.repeat(1.0 / denom, 2, axis=-1)
     for j in range(1, g.nt + 1):
-        hat[j] += hat[j - 1]
-        hat[j] /= denom
+        flat[j] += flat[j - 1]
+        flat[j] *= scale
     out[1:] = np.fft.irfftn(hat[1:], s=g.shape, axes=axes)
 
 
@@ -442,6 +455,32 @@ def _conservative_matrices(grid: TorusGrid, c: np.ndarray, velocity: np.ndarray)
     return _stencil_matrices("csc", n, dim, False, rate)
 
 
+def _refine(lu: spla.SuperLU, A: sp.csc_matrix, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Solve ``A x = rhs`` on the factors ``lu`` of a nearby matrix, or ``None``.
+
+    Classical iterative refinement (Moler, J. ACM 14, 1967): ``x += lu.solve(rhs
+    - A x)`` until the relative residual reaches ``_REFINE_TARGET``.  ``None``
+    means the factors are too far from ``A``: at the last update's rate of
+    contraction the residual would miss the target after ``_REFINE_SWEEPS``
+    updates.  That covers a residual that stops shrinking or is not finite.
+    Factors too far off thus cost two solves before the caller refactors; a
+    solve takes about a twentieth of a factorization (2D n=32).
+    """
+    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    x = lu.solve(rhs)
+    last = np.inf
+    for left in range(_REFINE_SWEEPS, -1, -1):
+        res = rhs - A @ x
+        rel = float(np.linalg.norm(res)) / scale
+        if rel <= _REFINE_TARGET:
+            return x
+        if not rel * (rel / last) ** left <= _REFINE_TARGET:
+            return None
+        last = rel
+        x += lu.solve(res)
+    return None
+
+
 def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> SpaceTimeField:
     """Solve ``m_t = d_ij (A_ij m) + div(m b)`` preserving mass and sign.
 
@@ -457,10 +496,22 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     A nonzero mixed coefficient ``c_01`` raises ``ValueError``: an implicit
     mixed term would break the M-matrix structure that keeps the density
     nonnegative.
+
+    The first step's matrix is factored, and each later step is refined on
+    the factors kept (:func:`_refine`); a step that does not reach the
+    round-off target on them is factored and solved directly, and its
+    factors are kept for the steps that follow.  Every refinement update
+    keeps the step's mass exact: the factored matrix ``A₀`` and the step's
+    own ``A`` both have unit column sums, so for ``r = rhs − A m``,
+    ``1ᵀA₀ = 1ᵀ`` gives ``1ᵀA₀⁻¹r = 1ᵀr = 1ᵀrhs − 1ᵀm``, and the update
+    ``m += A₀⁻¹r`` brings ``1ᵀm`` to ``1ᵀrhs``.  Each step still passes the
+    residual check at ``RESIDUAL_TOL``.
     """
     g = problem.grid
     if problem.initial is None:
         raise ValueError("solve_fp_conservative needs an initial density")
+    if not problem.initial.is_finite():
+        raise ValueError("initial density contains non-finite values")
     drift = np.asarray(drift, dtype=float)
     if drift.shape != (g.nt + 1, g.dim, *g.shape):
         raise ValueError(
@@ -475,8 +526,12 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     out[0] = problem.initial.values
     m = np.ravel(out[0])
     c = problem.coefficients()[:, :, 1:] if problem.time_dependent else problem.coefficients()
+    lu = None
     for j, A in enumerate(_conservative_matrices(g, c, -drift[1:]), start=1):
-        rhs, m = m, _factor(A).solve(m)
+        rhs, m = m, None if lu is None else _refine(lu, A, m)
+        if m is None:
+            lu = _factor(A)
+            m = lu.solve(rhs)
         _check_residual(A, m, rhs, f"fp slice {j}")
         out[j] = m.reshape(g.shape)
     return SpaceTimeField(g, out)

@@ -359,7 +359,7 @@ class TestStencilAssembler:
 
     @pytest.mark.parametrize("dim, n, mixed", CASES)
     def test_conservative_matrices_match_reference(self, dim, n, mixed):
-        # The audit keeps the mixed term explicit: its matrices ignore c_01.
+        # The audit takes no mixed term: its matrices ignore c_01.
         rng = np.random.default_rng(200 * dim + n)
         grid, steps = small_grid(dim, n), 3
         c = random_diffusion(rng, dim, n, mixed, lead=(steps,))
@@ -457,7 +457,7 @@ class TestSpluOrdering:
         assert len(calls) == 1 + problem.grid.nt
         drift = np.zeros((problem.grid.nt + 1, 2, *problem.grid.shape))
         solve_fp_conservative(replace(problem, diffusion=np.eye(2)), drift)
-        assert len(calls) == 1 + 2 * problem.grid.nt
+        assert len(calls) == 2 + problem.grid.nt  # equal audit steps: one factorization
         expected = dict(permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
         assert all(kwargs == expected for kwargs in calls)
 
@@ -548,6 +548,39 @@ class TestEqualSliceStacks:
         stack[:] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ParabolicProblem(grid=g, diffusion=stack)
+
+
+def reference_conservative_audit(problem, drift):
+    """The audit as it was solved before refinement: a factorization per step."""
+    from scipy.sparse.linalg import splu
+
+    g = problem.grid
+    out = np.empty((g.nt + 1, *g.shape))
+    out[0] = problem.initial.values
+    for j in range(1, g.nt + 1):
+        A = reference_conservative_matrix(
+            g.n, g.dim, g.h, g.dt, problem.diffusion_slice(j), -drift[j]
+        )
+        out[j] = splu(A.tocsc()).solve(np.ravel(out[j - 1])).reshape(g.shape)
+    return out
+
+
+def checked_audit(monkeypatch, problem, drift):
+    """Run a 2D audit, check it against the reference; return its factorizations.
+
+    Refined on kept factors or refactored, every step must match the
+    per-step direct solve, keep its mass and keep the density positive.
+    """
+    calls = []
+    factor = parabolic._factor
+    monkeypatch.setattr(parabolic, "_factor", lambda A: calls.append(1) or factor(A))
+    values = solve_fp_conservative(problem, drift).values
+    ref = reference_conservative_audit(problem, drift)
+    assert np.max(np.abs(values - ref)) <= 1e-11 * np.max(np.abs(ref))
+    mass = np.sum(values, axis=(1, 2))
+    assert np.max(np.abs(np.diff(mass))) <= 1e-12 * mass[0]
+    assert np.min(values) > 0.0
+    return len(calls)
 
 
 class TestConservativeFP:
@@ -641,7 +674,7 @@ class TestConservativeFP:
             solve_fp_conservative(prob, np.zeros((g.nt + 1, 2, g.n, g.n)))
         assert np.allclose(solve_forward(prob).values, 1.0, rtol=0, atol=1e-12)
 
-    def test_time_dependent_diagonal_diffusion_conserves_mass(self):
+    def test_time_dependent_diagonal_diffusion_conserves_mass(self, monkeypatch):
         g = TorusGrid(dim=2, n=16, nt=12, T=0.01)
         x, y = g.coordinates()
         t = g.times().reshape(-1, 1, 1)
@@ -653,10 +686,81 @@ class TestConservativeFP:
         prob = ParabolicProblem(
             grid=g, diffusion=C, initial=Field(g, 1.0 + 0.5 * np.cos(TWO_PI * x))
         )
-        sol = solve_fp_conservative(prob, drift)
-        mass = np.sum(sol.values, axis=(1, 2)) * g.h**2
-        assert np.all(np.abs(np.diff(mass)) <= 1e-12 * np.abs(mass[0]))
-        assert np.min(sol.values) > 0.0
+        # A drift this sharp between steps defeats refinement: the audit refactors.
+        assert checked_audit(monkeypatch, prob, drift) > 1
+
+    def test_congestion_audit_factors_once(self, monkeypatch):
+        from fbmfg import congestion_model, final_cost_convolution, picard_solve
+        from fbmfg.torus_grid import gradient_values
+
+        g = TorusGrid(dim=2, n=16, nt=16, T=0.02)
+        x, y = g.coordinates()
+        model = congestion_model(dim=2, alpha=1.0)
+        m0 = Field(g, 1.0 + 0.2 * np.cos(TWO_PI * x) * np.sin(TWO_PI * (x + y)))
+        report = picard_solve(model, final_cost_convolution(g), m0, g, tol=1e-8, max_iter=60)
+        assert report.status == "converged"
+        u, m = report.final_state.u.values, report.final_state.m.values
+        Du, Dm = gradient_values(u, g.h, g.dim), gradient_values(m, g.h, g.dim)
+        drift = np.stack([
+            model.optimal_drift(u[j], m[j], Du[:, j], Dm[:, j], (x, y), float(t))
+            for j, t in enumerate(g.times())
+        ])
+        prob = ParabolicProblem(
+            g, diffusion=model.diffusion_values(g, "m"), initial=Field(g, m[0])
+        )
+        assert checked_audit(monkeypatch, prob, drift) == 1
+
+    def test_rejects_a_nonfinite_initial_density(self):
+        g = TorusGrid(dim=1, n=16, nt=4, T=0.01)
+        m0 = np.ones(g.shape)
+        m0[3] = np.nan
+        prob = ParabolicProblem(grid=g, diffusion=constant_diffusion(1, 1.0), initial=Field(g, m0))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_fp_conservative(prob, np.zeros((g.nt + 1, 1, g.n)))
+
+
+def reference_fourier_march(problem, out):
+    """The Fourier march's step loop as it was, on complex rows."""
+    g = problem.grid
+    axes = tuple(range(1, g.dim + 1))
+    denom = 1.0 + g.dt * parabolic._fourier_symbol(problem)
+    hat = np.fft.rfftn(problem.source, axes=axes)
+    hat *= -g.dt
+    hat[0] = np.fft.rfftn(out[0])
+    for j in range(1, g.nt + 1):
+        hat[j] += hat[j - 1]
+        hat[j] /= denom
+    out[1:] = np.fft.irfftn(hat[1:], s=g.shape, axes=axes)
+
+
+class TestFourierMarchLoop:
+    """The step loop on the real view of the modes gives the same bits."""
+
+    @pytest.mark.parametrize("dim, n, C", [
+        (1, 17, [[1.0]]),
+        (2, 16, [[1.0, 0.0], [0.0, 0.6]]),
+        (2, 15, [[1.0, 0.3], [0.3, 0.8]]),
+    ])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_march_is_bitwise_the_complex_loop(self, dim, n, C, symmetric):
+        g = TorusGrid(dim=dim, n=n, nt=9, T=0.01)
+        rng = np.random.default_rng(n + dim)
+        if symmetric:  # even data: every mode has a zero imaginary part
+            x = g.coordinates()[0]
+            initial = np.cos(TWO_PI * x)
+            source = np.broadcast_to(-initial, (g.nt + 1, *g.shape)).copy()
+        else:
+            initial = rng.normal(size=g.shape)
+            source = rng.normal(size=(g.nt + 1, *g.shape))
+        problem = ParabolicProblem(
+            grid=g, diffusion=np.array(C), source=source, initial=Field(g, initial)
+        )
+        ref, new = (np.empty((g.nt + 1, *g.shape)) for _ in range(2))
+        ref[0] = new[0] = initial
+        reference_fourier_march(problem, ref)
+        parabolic._fourier_march(problem, new)
+        assert np.array_equal(new, ref)
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
 
 
 class TestValidation:
