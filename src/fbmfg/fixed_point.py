@@ -142,23 +142,28 @@ def initial_state(grid: TorusGrid, m0: Field, Dm0: Optional[np.ndarray] = None) 
     return state
 
 
+def _pair_norms(state: IterateState, p: float) -> tuple[float, float, float]:
+    """``(|u|_W21p, |u|_C1, |m|_C1)`` of a pair, from its cached derivatives."""
+    u, m = state.u.values, state.m.values
+    Du_mag = state.Du_mag
+    return (
+        norm_W21p_values(u, Du_mag[:-1], hessian_magnitude(state.D2u[:, :, :-1]), state.grid, p),
+        norm_C10_values(u, Du_mag),
+        norm_C10_values(m, state.Dm_mag),
+    )
+
+
 def iterate_distance(a: IterateState, b: IterateState, p: float) -> float:
     """The contraction metric ``|du|_W21p + |du|_C1 + |dm|_C1``.
 
-    Equal to ``norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)``, with each
-    stencil of the differences evaluated once.
+    Equal to ``norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)``: the sum of
+    :func:`_pair_norms` of the difference pair, whose stencils are
+    evaluated once each.
     """
     grid = a.grid
-    du = a.u.values - b.u.values
-    dm = a.m.values - b.m.values
-    du_grad = gradient_magnitude(gradient_values(du, grid.h, grid.dim))
-    du_hess = hessian_magnitude(hessian_values(du[:-1], grid.h, grid.dim))
-    dm_grad = gradient_magnitude(gradient_values(dm, grid.h, grid.dim))
-    return (
-        norm_W21p_values(du, du_grad[:-1], du_hess, grid, p)
-        + norm_C10_values(du, du_grad)
-        + norm_C10_values(dm, dm_grad)
-    )
+    diff = IterateState(u=SpaceTimeField(grid, a.u.values - b.u.values),
+                        m=SpaceTimeField(grid, a.m.values - b.m.values))
+    return sum(_pair_norms(diff, p))
 
 
 def apply_T(
@@ -225,19 +230,10 @@ def _iteration_row(
     k: int, d: float, gamma: float, state: IterateState, p: float
 ) -> IterationRow:
     """The row of sweep ``k``; the norms read the new pair's cached derivatives."""
-    u, m = state.u.values, state.m.values
-    Du_mag = state.Du_mag
     return IterationRow(
-        iteration=k,
-        distance=d,
-        gamma=gamma,
-        norm_u_w21p=norm_W21p_values(
-            u, Du_mag[:-1], hessian_magnitude(state.D2u[:, :, :-1]), state.grid, p
-        ),
-        norm_u_c10=norm_C10_values(u, Du_mag),
-        norm_m_c10=norm_C10_values(m, state.Dm_mag),
-        min_m=float(np.min(m)),
-        max_Du=float(np.max(Du_mag)),
+        k, d, gamma, *_pair_norms(state, p),
+        min_m=float(np.min(state.m.values)),
+        max_Du=float(np.max(state.Du_mag)),
     )
 
 
@@ -397,8 +393,12 @@ def picard_solve(
         )
     if not np.all(m0.values > 0.0):
         raise ValueError("initial density must be strictly positive")
+    if not np.all(np.isfinite(m0.values)):
+        raise ValueError("initial density must be finite")
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if p is None:
         p = grid.dim + 3.0
     elif not 2 <= p < math.inf:

@@ -8,7 +8,10 @@ The solver core treats the coupled pair
 as abstract data: two source callables, two diffusions and a
 final-condition map m(T) -> u(T).  This module supplies that data for the
 built-in problem families and checks the derivative callables a model is
-built from against central differences.
+built from against central differences.  One helper takes every such
+probe (step 1e-3, relative tolerance 1e-4, times 0 and 0.37);
+:class:`HamiltonianSpec` and :func:`build_congestion_coupling` say what
+each derivative is checked against.
 
 Three families are built here.
 
@@ -16,7 +19,7 @@ Three families are built here.
   diffusion ``A``: F is H evaluated on the value gradient, and G collects
   the terms that turn the density equation into the transport equation
   ``m_t = d_ij (A_ij m) + div(m H_p)``.  Derivative callables are
-  cross-checked against central differences before a model is returned.
+  checked against central differences before a model is returned.
 * Congestion couplings ``F = m^alpha H1(Du / m^alpha) - f(x, t, m)`` with
   the matching transport terms; the effective drift weakens where the
   density is large.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -135,24 +138,25 @@ class HamiltonianSpec:
     axis, and every callable is vectorized over the trailing shape, against
     which ``x`` and ``t`` arrive broadcast (the solver passes whole
     ``(nt + 1,) + spatial`` stacks with an array ``t``; the derivative
-    probes pass sample points and a float ``t``).  The
-    derivative fields are the ones the transport terms need:
+    probes pass sample points and a float ``t``).  The derivative fields are
+    the ones the transport terms need; each must match central differences
+    of the callable named last:
 
-    * ``H_p``  -> ``(dim,) + shape``   gradient in p,
-    * ``H_pp`` -> ``(dim, dim) + shape`` Hessian in p,
-    * ``H_mp`` -> ``(dim,) + shape``   mixed m,p derivative (None = 0),
+    * ``H_p``  -> ``(dim,) + shape``   gradient in p; of H,
+    * ``H_pp`` -> ``(dim, dim) + shape`` Hessian in p; of H_p in p,
+    * ``H_mp`` -> ``(dim,) + shape``   mixed m,p derivative (None = 0); of H_p in m,
     * ``H_xp_div`` -> ``shape``        the summed trace ``sum_i d^2 H / dx_i dp_i``
-      (None = 0).
+      (None = 0); of H_p in x.
 
     ``A`` is a constant matrix (scalar, ``(dim, dim)`` array, or None for
     the identity) or a callable ``A(x, t) -> (dim, dim) + shape``.  For a
     spatially varying A the divergence callables ``A_div1(x, t) ->
-    (dim,) + shape`` (``sum_i d_i A_ij``) and ``A_div2(x, t) -> shape``
-    (``sum_ij d_i d_j A_ij``) must be supplied; all declared derivatives are
-    checked against central differences when the model is built.  No
-    callable may write into its arguments: in the solver ``p`` and ``m`` are
-    an iterate's own arrays, passed as read-only views wherever the clamps
-    cut nothing, so a write raises ``ValueError``.
+    (dim,) + shape`` (``sum_i d_i A_ij``; of A) and ``A_div2(x, t) -> shape``
+    (``sum_ij d_i d_j A_ij``; of that numeric ``A_div1``) must be supplied.
+    The matches are checked when the model is built, an undeclared term
+    against zero.  No callable may write into its arguments: in the solver
+    ``p`` and ``m`` are an iterate's own arrays, passed as read-only views
+    wherever the clamps cut nothing, so a write raises ``ValueError``.
     """
 
     H: Callable
@@ -165,13 +169,28 @@ class HamiltonianSpec:
     A_div2: Optional[Callable] = None
 
 
-def _shift_x(x: Sequence[np.ndarray], axis: int, delta: float) -> tuple:
-    out = list(x)
-    out[axis] = out[axis] + delta
-    return tuple(out)
+# Derivative probes: difference step, relative tolerance, samples, times.
+_FD_STEP = 1e-3
+_FD_TOL = 1e-4
+_FD_SAMPLES = 24
+_FD_TIMES = (0.0, 0.37)
 
 
-def _assert_close(label: str, analytic, numeric, tol: float) -> None:
+def _partials(f: Callable, v: np.ndarray) -> np.ndarray:
+    """Central differences of ``f`` along each row of the ``(k, S)`` samples ``v``.
+
+    ``f`` maps such an array to ``(...) + (S,)``; entry ``[..., j, s]`` of
+    the result approximates ``d f[..., s] / d v[j, s]``.
+    """
+    cols = []
+    for j in range(v.shape[0]):
+        dv = np.zeros_like(v)
+        dv[j] = _FD_STEP
+        cols.append(np.asarray(f(v + dv), dtype=float) - np.asarray(f(v - dv), dtype=float))
+    return np.stack(cols, axis=-2) / (2 * _FD_STEP)
+
+
+def _assert_close(label: str, analytic, numeric) -> None:
     analytic = np.asarray(analytic, dtype=float)
     numeric = np.asarray(numeric, dtype=float)
     if analytic.shape != numeric.shape:
@@ -181,95 +200,46 @@ def _assert_close(label: str, analytic, numeric, tol: float) -> None:
         )
     scale = max(1.0, float(np.max(np.abs(analytic))))
     err = float(np.max(np.abs(analytic - numeric)))
-    if not math.isfinite(err) or err > tol * scale:
+    if not math.isfinite(err) or err > _FD_TOL * scale:
         raise ValueError(
             f"{label}: declared derivative differs from a central-difference "
-            f"probe by {err:.3e} (allowed {tol * scale:.3e}); "
+            f"probe by {err:.3e} (allowed {_FD_TOL * scale:.3e}); "
             "check the supplied callables"
         )
 
 
 def _fd_validate_hamiltonian(
-    spec: HamiltonianSpec,
-    H_mp: Callable,
-    H_xp_div: Callable,
-    dim: int,
-    step: float = 1e-3,
-    tol: float = 1e-4,
+    spec: HamiltonianSpec, H_mp: Callable, H_xp_div: Callable, dim: int
 ) -> None:
-    """Probe every declared derivative against central differences."""
+    """Probe H_p, H_pp, H_mp and H_xp_div against differences of H and H_p."""
     rng = np.random.default_rng(0)
-    S = 24
-    x = tuple(rng.uniform(0.0, 1.0, S) for _ in range(dim))
-    p = rng.uniform(-2.0, 2.0, (dim, S))
-    m = rng.uniform(0.6, 1.8, S)
-    for t in (0.0, 0.37):
-        Hp = np.asarray(spec.H_p(x, t, p, m), dtype=float)
-        num_p = np.empty_like(Hp)
-        num_pp = np.empty((dim, dim, S))
-        for j in range(dim):
-            dp = np.zeros_like(p)
-            dp[j] = step
-            num_p[j] = (spec.H(x, t, p + dp, m) - spec.H(x, t, p - dp, m)) / (2 * step)
-            num_pp[:, j] = (
-                np.asarray(spec.H_p(x, t, p + dp, m), dtype=float)
-                - np.asarray(spec.H_p(x, t, p - dp, m), dtype=float)
-            ) / (2 * step)
-        _assert_close("H_p", Hp, num_p, tol)
-        _assert_close("H_pp", spec.H_pp(x, t, p, m), num_pp, tol)
-        num_mp = (
-            np.asarray(spec.H_p(x, t, p, m + step), dtype=float)
-            - np.asarray(spec.H_p(x, t, p, m - step), dtype=float)
-        ) / (2 * step)
-        _assert_close("H_mp", H_mp(x, t, p, m), num_mp, tol)
-        num_xp = np.zeros(S)
-        for i in range(dim):
-            num_xp += (
-                np.asarray(spec.H_p(_shift_x(x, i, step), t, p, m), dtype=float)[i]
-                - np.asarray(spec.H_p(_shift_x(x, i, -step), t, p, m), dtype=float)[i]
-            ) / (2 * step)
-        _assert_close("H_xp_div", H_xp_div(x, t, p, m), num_xp, tol)
+    X = rng.uniform(0.0, 1.0, (dim, _FD_SAMPLES))
+    p = rng.uniform(-2.0, 2.0, (dim, _FD_SAMPLES))
+    m = rng.uniform(0.6, 1.8, _FD_SAMPLES)
+    x = tuple(X)
+    for t in _FD_TIMES:
+        _assert_close("H_p", spec.H_p(x, t, p, m), _partials(lambda v: spec.H(x, t, v, m), p))
+        _assert_close("H_pp", spec.H_pp(x, t, p, m),
+                      _partials(lambda v: spec.H_p(x, t, v, m), p))
+        _assert_close("H_mp", H_mp(x, t, p, m),
+                      _partials(lambda v: spec.H_p(x, t, p, v[0]), m[np.newaxis])[:, 0])
+        _assert_close("H_xp_div", H_xp_div(x, t, p, m),
+                      np.trace(_partials(lambda v: spec.H_p(tuple(v), t, p, m), X)))
 
 
-def _fd_validate_diffusion(
-    A: Callable,
-    A_div1: Callable,
-    A_div2: Callable,
-    dim: int,
-    step: float = 1e-3,
-    tol: float = 1e-4,
-) -> None:
-    rng = np.random.default_rng(1)
-    S = 24
-    x = tuple(rng.uniform(0.0, 1.0, S) for _ in range(dim))
-    for t in (0.0, 0.37):
-        def Aat(xs):
-            return np.asarray(A(xs, t), dtype=float)
+def _fd_validate_diffusion(A: Callable, A_div1: Callable, A_div2: Callable, dim: int) -> None:
+    """Probe ``A_div1_j = sum_i d_i A_ij`` and ``A_div2`` = the divergence of that."""
+    X = np.random.default_rng(1).uniform(0.0, 1.0, (dim, _FD_SAMPLES))
+    for t in _FD_TIMES:
+        def A_at(v):
+            A_v = np.asarray(A(tuple(v), t), dtype=float)
+            return np.broadcast_to(A_v, (dim, dim, v.shape[1]))
 
-        div1 = np.zeros((dim, S))
-        for i in range(dim):
-            dA = (Aat(_shift_x(x, i, step)) - Aat(_shift_x(x, i, -step))) / (2 * step)
-            div1 += dA[i]
-        _assert_close("A_div1", A_div1(x, t), div1, tol)
-        div2 = np.zeros(S)
-        base = Aat(x)
-        for i in range(dim):
-            d2 = (
-                Aat(_shift_x(x, i, step)) - 2.0 * base + Aat(_shift_x(x, i, -step))
-            ) / step**2
-            div2 += d2[i, i]
-        for i in range(dim):
-            for j in range(dim):
-                if i == j:
-                    continue
-                cross = (
-                    Aat(_shift_x(_shift_x(x, i, step), j, step))
-                    - Aat(_shift_x(_shift_x(x, i, step), j, -step))
-                    - Aat(_shift_x(_shift_x(x, i, -step), j, step))
-                    + Aat(_shift_x(_shift_x(x, i, -step), j, -step))
-                ) / (4 * step**2)
-                div2 += cross[i, j]
-        _assert_close("A_div2", A_div2(x, t), div2, tol)
+        def div1(v):
+            return np.trace(_partials(A_at, v), axis1=0, axis2=2)
+
+        _assert_close("A_div1", A_div1(tuple(X), t), div1(X))
+        _assert_close("A_div2", A_div2(tuple(X), t), np.trace(_partials(div1, X)))
 
 
 def build_mfg_coupling(
@@ -288,8 +258,9 @@ def build_mfg_coupling(
     which is exactly ``c_ij m_ij - d_ij(A_ij m) - div(m H_p)``, so the
     forward equation transports the density along ``H_p``.  Both equations
     use ``A`` as diffusion.  Every declared derivative is probed against
-    central differences on fixed sample points, and the build fails loudly
-    on disagreement.
+    central differences on fixed sample points, as listed at
+    :class:`HamiltonianSpec`, and the build raises ``ValueError`` naming
+    the first one that disagrees.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -377,8 +348,9 @@ def build_congestion_coupling(
     ``H1`` defaults to ``|q|^2 / 2`` (with exact derivatives) and ``f`` to
     the density itself; the sources raise on any nonpositive density, since
     ``m^alpha`` leaves its domain there.  Custom ``H1`` requires both
-    ``H1_p`` and ``H1_pp``; the derivative pair is probed against central
-    differences on fixed sample points.  A is a constant matrix (scalar or
+    ``H1_p`` and ``H1_pp``; ``H1_p`` is probed against central differences
+    of ``H1``, and ``H1_pp`` against those of ``H1_p``, on fixed sample
+    points.  A is a constant matrix (scalar or
     ``(dim, dim)``).
     """
     if dim not in (1, 2):
@@ -395,21 +367,9 @@ def build_congestion_coupling(
         f = lambda x, t, m: m
 
     if custom_H1:
-        rng = np.random.default_rng(0)
-        q = rng.uniform(-2.0, 2.0, (dim, 24))
-        step, tol = 1e-3, 1e-4
-        num_p = np.empty_like(q)
-        num_pp = np.empty((dim, dim, q.shape[1]))
-        for j in range(dim):
-            dq = np.zeros_like(q)
-            dq[j] = step
-            num_p[j] = (H1(q + dq) - H1(q - dq)) / (2 * step)
-            num_pp[:, j] = (
-                np.asarray(H1_p(q + dq), dtype=float)
-                - np.asarray(H1_p(q - dq), dtype=float)
-            ) / (2 * step)
-        _assert_close("H1_p", H1_p(q), num_p, tol)
-        _assert_close("H1_pp", H1_pp(q), num_pp, tol)
+        q = np.random.default_rng(0).uniform(-2.0, 2.0, (dim, _FD_SAMPLES))
+        _assert_close("H1_p", H1_p(q), _partials(H1, q))
+        _assert_close("H1_pp", H1_pp(q), _partials(H1_p, q))
 
     def _check_density(m):
         if np.any(np.asarray(m) <= 0.0):

@@ -72,8 +72,10 @@ class TruncationParams:
     def __post_init__(self) -> None:
         if not (self.delta > 0):
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.L_h < 0 or self.C0 < 0:
-            raise ValueError("L_h and C0 must be nonnegative")
+        if not (self.L_h >= 0 and self.C0 >= 0):  # NaN fails too
+            raise ValueError(
+                f"L_h and C0 must be nonnegative numbers, got L_h={self.L_h}, C0={self.C0}"
+            )
         required = _required_K(self.m0_norm_C1, self.L_h, self.C0, self.delta)
         if not self.K >= required * (1.0 - 1e-12):
             raise ValueError(

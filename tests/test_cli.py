@@ -20,7 +20,12 @@ from fbmfg.cli import (
     main,
     parse_config,
 )
-from fbmfg.models import decoupled_heat_model, final_cost_constant, final_cost_convolution
+from fbmfg.models import (
+    FinalCost,
+    decoupled_heat_model,
+    final_cost_constant,
+    final_cost_convolution,
+)
 from fbmfg.torus_grid import Field
 
 T_CRIT = math.log(3.0) / (8.0 * math.pi**2)
@@ -41,6 +46,20 @@ def failing_factory(grid, params):
     model = dataclasses.replace(decoupled_heat_model(dim=grid.dim), G=G)
     m0 = Field.from_function(grid, lambda x: 1.0 + 0.25 * np.cos(2.0 * np.pi * x))
     return model, final_cost_convolution(grid), m0
+
+
+def nan_cost_factory(grid, params):
+    """Factory whose final cost declares a NaN smoothing constant."""
+    real = final_cost_convolution(grid)
+    cost = FinalCost(fn=real.fn, L_h=math.nan, C0=real.C0, regularizing=True)
+    return decoupled_heat_model(dim=grid.dim), cost, Field.full(grid, 1.0)
+
+
+def infinite_density_factory(grid, params):
+    """Factory whose initial density has one infinite entry."""
+    values = np.ones(grid.shape)
+    values[3] = np.inf
+    return decoupled_heat_model(dim=grid.dim), final_cost_convolution(grid), Field(grid, values)
 
 
 def write(path, text):
@@ -317,6 +336,27 @@ class TestRunCommand:
         # The factory builds a uniform density at the requested level, and
         # the positivity floor defaults to its minimum.
         assert "resolved.delta = 2.5" in manifest
+
+    @pytest.mark.parametrize("factory, fragment", [
+        ("nan_cost_factory", "L_h and C0 must be nonnegative"),
+        ("infinite_density_factory", "initial density must be finite"),
+    ])
+    def test_factory_data_the_solver_cannot_run_exits_1(self, tmp_path, capsys, factory, fragment):
+        cfg_path = write(
+            tmp_path / "run.cfg",
+            f"""\
+            model = custom
+            grid.dim = 1
+            grid.n = 16
+            grid.nt = 8
+            grid.T = 0.01
+            params.factory = test_cli:{factory}
+            """,
+        )
+        out = tmp_path / "o"
+        assert main(["run", cfg_path, "--out", str(out)]) == 1
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_sweep_keeps_the_series_and_exits_2(self, tmp_path):
         cfg_path = write(

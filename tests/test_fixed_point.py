@@ -19,6 +19,7 @@ from fbmfg.fixed_point import (
 )
 from fbmfg.models import (
     CouplingModel,
+    FinalCost,
     HamiltonianSpec,
     build_mfg_coupling,
     congestion_model,
@@ -325,6 +326,49 @@ class TestPicardBasics:
         m0 = Field.full(grid, 1.0)
         with pytest.raises(ValueError, match="floor"):
             picard_solve(model, cost, m0, grid, delta=2.0)
+
+    @pytest.mark.parametrize("constant", ["L_h", "C0"])
+    def test_nan_final_cost_constant_is_rejected_before_the_first_sweep(self, constant):
+        # Python's max dropped the NaN term of the threshold: the run ended
+        # "converged" with K = 5.56 (86.4 with the real constants), M1 = nan
+        # and a passed de-truncation check.
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        real = final_cost_convolution(grid)
+        constants = {"L_h": real.L_h, "C0": real.C0, constant: math.nan}
+        cost = FinalCost(fn=real.fn, regularizing=True, **constants)
+        calls = []
+
+        def F(u, m, Du, Dm, x, t):
+            calls.append(np.shape(u))
+            return np.zeros(np.shape(u))
+
+        with pytest.raises(ValueError, match="L_h and C0 must be nonnegative"):
+            picard_solve(model_with_sources(F=F), cost, cosine_density(grid, 0.25), grid)
+        assert calls == []
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
+    def test_rejects_a_budget_it_cannot_run(self, max_iter):
+        # 0 and -3 returned "max_iter" with no rows; 2.5 raised TypeError.
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            picard_solve(decoupled_heat_model(dim=1), final_cost_convolution(grid),
+                         Field.full(grid, 1.0), grid, max_iter=max_iter)
+
+    def test_rejects_an_infinite_density_entry_before_the_first_sweep(self):
+        # It used to reach the first march and end in status "error".
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        values = np.ones(grid.shape)
+        values[3] = np.inf
+        calls = []
+
+        def F(u, m, Du, Dm, x, t):
+            calls.append(np.shape(u))
+            return np.zeros(np.shape(u))
+
+        with pytest.raises(ValueError, match="initial density must be finite"):
+            picard_solve(model_with_sources(F=F), final_cost_convolution(grid),
+                         Field(grid, values), grid)
+        assert calls == []
 
     def test_iterate_distance_is_a_metric_at_zero(self):
         grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)

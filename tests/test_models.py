@@ -347,6 +347,84 @@ class TestCongestion:
             build_congestion_coupling(-0.1, dim=1)
 
 
+TWO_PI = 2.0 * np.pi
+
+
+def _mixed_2d_spec():
+    """A 2D Hamiltonian with every term declared, and an A with a mixed entry."""
+    def s(x):  # the p-linear part of H; its divergence is H_xp_div
+        return np.stack([0.3 * np.sin(TWO_PI * x[0]), 0.2 * np.cos(TWO_PI * x[1])])
+
+    def A(x, t):
+        off = 0.1 * np.sin(TWO_PI * (x[0] + x[1]))
+        return np.array([[1.0 + 0.2 * np.sin(TWO_PI * x[0]), off],
+                         [off, 1.0 + 0.2 * np.cos(TWO_PI * x[1])]])
+
+    def A_div1(x, t):
+        c = 0.2 * np.pi * np.cos(TWO_PI * (x[0] + x[1]))
+        return np.stack([0.4 * np.pi * np.cos(TWO_PI * x[0]) + c,
+                         c - 0.4 * np.pi * np.sin(TWO_PI * x[1])])
+
+    def A_div2(x, t):
+        return -0.8 * np.pi**2 * (
+            np.sin(TWO_PI * x[0]) + np.cos(TWO_PI * x[1]) + np.sin(TWO_PI * (x[0] + x[1]))
+        )
+
+    return dict(
+        H=lambda x, t, p, m: 0.5 * (1.0 + 0.1 * m) * np.sum(p * p, axis=0)
+        + np.sum(s(x) * p, axis=0) - (1.0 + t) * m,
+        H_p=lambda x, t, p, m: (1.0 + 0.1 * m) * p + s(x),
+        H_pp=lambda x, t, p, m: (1.0 + 0.1 * m) * np.eye(2)[:, :, np.newaxis] + 0.0 * p[0],
+        H_mp=lambda x, t, p, m: 0.1 * p,
+        H_xp_div=lambda x, t, p, m: 0.6 * np.pi * np.cos(TWO_PI * x[0])
+        - 0.4 * np.pi * np.sin(TWO_PI * x[1]),
+        A=A, A_div1=A_div1, A_div2=A_div2,
+    )
+
+
+def _mixed_H1():
+    """A 2D congestion Hamiltonian ``cosh q0 + cosh q1 + q0 q1 / 5``."""
+    return dict(
+        H1=lambda q: np.cosh(q[0]) + np.cosh(q[1]) + 0.2 * q[0] * q[1],
+        H1_p=lambda q: np.sinh(q) + 0.2 * q[::-1],
+        H1_pp=lambda q: np.array([[np.cosh(q[0]), 0.2 + 0.0 * q[0]],
+                                  [0.2 + 0.0 * q[0], np.cosh(q[1])]]),
+    )
+
+
+class TestDerivativeProbes:
+    """Each declared derivative is checked against central differences."""
+
+    def build(self, corrupt=None):
+        spec, h1 = _mixed_2d_spec(), _mixed_H1()
+        for parts in (spec, h1):
+            if corrupt in parts:
+                good = parts[corrupt]
+                parts[corrupt] = lambda *args: 1.01 * np.asarray(good(*args)) + 0.05
+        build_mfg_coupling(HamiltonianSpec(**spec), dim=2)
+        build_congestion_coupling(0.5, dim=2, **h1)
+
+    def test_consistent_model_is_accepted(self):
+        self.build()
+
+    @pytest.mark.parametrize(
+        "name", ["H_p", "H_pp", "H_mp", "H_xp_div", "A_div1", "A_div2", "H1_p", "H1_pp"]
+    )
+    def test_each_corrupted_derivative_is_named(self, name):
+        with pytest.raises(ValueError, match=rf"^{name}: declared derivative differs"):
+            self.build(corrupt=name)
+
+    def test_undeclared_terms_are_checked_against_zero(self):
+        spec = _mixed_2d_spec()
+        for name in ("H_mp", "H_xp_div"):
+            with pytest.raises(ValueError, match=rf"^{name}: "):
+                build_mfg_coupling(HamiltonianSpec(**{**spec, name: None}), dim=2)
+        with pytest.raises(ValueError, match=r"^A_div1: "):
+            build_mfg_coupling(
+                HamiltonianSpec(**{**spec, "A_div1": None, "A_div2": None}), dim=2
+            )
+
+
 class TestFinalCostConvolution:
     def test_kernel_mass_and_sign(self):
         for dim in (1, 2):
