@@ -38,6 +38,7 @@ from .fixed_point import (
 from .models import (
     CouplingModel,
     FinalCost,
+    HamiltonianSpec,
     build_congestion_coupling,
     build_mfg_coupling,
     congestion_model,
@@ -73,6 +74,7 @@ __all__ = [
     "CouplingModel",
     "Field",
     "FinalCost",
+    "HamiltonianSpec",
     "IterateState",
     "IterationReport",
     "IterationRow",

@@ -41,9 +41,9 @@ of a periodic 5-point (3-point in 1D, 9-point with a mixed term) stencil is
 built once per grid, and a matrix is per-offset data summed into it.
 
 SciPy's sparse modules are imported by the sparse paths on first use, not
-by this module, so a constant-diffusion run never loads them: ``import
-fbmfg`` takes ≈0.22 s where it took ≈0.64 s with ``scipy.sparse`` and
-``scipy.sparse.linalg`` (≈0.36 s of it) loaded up front (``python -X
+by this module, so a constant-diffusion run or audit never loads them:
+``import fbmfg`` takes ≈0.22 s where it took ≈0.64 s with ``scipy.sparse``
+and ``scipy.sparse.linalg`` (≈0.36 s of it) loaded up front (``python -X
 importtime``, median of 10, 2-core box).  Every factorization, in the
 march and in the conservative solver, goes through one helper.
 
@@ -57,18 +57,23 @@ transport velocity ``-b`` (the implicit upwind scheme of Achdou and
 Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Its implicit system
 matrix is an M-matrix with unit column sums, so densities stay nonnegative
 and the discrete total mass is conserved exactly (up to the linear-solver
-residual).  Consecutive step matrices differ only by ``dt`` times a change
-in the upwinded drift, so the audit factors one step and refines the
-following ones on those factors, to round-off and with each step's mass
-exact, factoring again only where refinement stops contracting.  It takes
-no mixed coefficient, so every path that accepts one treats it implicitly.
+residual).  The step matrices are applied matrix-free: the columns of every
+step come from one pass and are gathered once into rows over a fixed
+neighbour index, so a product is one gather and one contraction.  Each step
+is refined to round-off, with its mass exact, on an approximate inverse: for
+constant diffusion the per-mode solve of the step without its drift,
+otherwise the factors of an earlier step.  Only a step that refinement
+cannot finish is assembled as a sparse matrix and factored, and its factors
+serve the steps that follow; a constant-diffusion audit along a gentle drift
+(``|v| dt / h`` far below one) factors nothing.  It takes no mixed
+coefficient, so every path that accepts one treats it implicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Union
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -94,10 +99,11 @@ if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
 
 RESIDUAL_TOL = 1e-10
-# The conservative audit refines each step on earlier factors until its
-# relative residual reaches _REFINE_TARGET, above the direct solve's own
-# floor (up to 5e-14 at 2D n=128), and refactors once the contraction seen so
-# far cannot reach it within _REFINE_SWEEPS updates.
+# The conservative audit refines each step on an approximate inverse (the
+# Fourier solve of its diffusion, or earlier factors) until its relative
+# residual reaches _REFINE_TARGET, above the direct solve's own floor (up to
+# 5e-14 at 2D n=128), and refactors once the contraction seen so far cannot
+# reach it within _REFINE_SWEEPS updates.
 _REFINE_TARGET = 1e-13
 _REFINE_SWEEPS = 6
 # Lower bound every diffusion's smallest eigenvalue must reach.
@@ -113,21 +119,28 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _shifted_points(n: int, dim: int, cross: bool, sign: int) -> np.ndarray:
+    """``(offsets, n**dim)`` flat index of ``q + sign * offset_k`` for every point ``q``.
+
+    The offsets are 0, ``-e_i, +e_i`` per axis, then if ``cross`` ``(1, 1),
+    (-1, -1), (1, -1), (-1, 1)``."""
+    units = [tuple(s * (k == i) for k in range(dim)) for i in range(dim) for s in (-1, 1)]
+    corners = [(1, 1), (-1, -1), (1, -1), (-1, 1)] if cross else []
+    points = np.arange(n**dim).reshape((n,) * dim)
+    return np.stack([np.roll(points, [-sign * o for o in offset], axis=tuple(range(dim))).ravel()
+                     for offset in [(0,) * dim] + units + corners])
+
+
 @lru_cache(maxsize=8)
 def _stencil_pattern(n: int, dim: int, cross: bool) -> tuple[np.ndarray, ...]:
     """Sorted ``(indptr, indices, order, starts)`` of a stencil on ``n**dim`` points.
 
     Line ``q`` (a CSR row, a CSC column) holds entry ``k`` at ``q + offset_k``
-    for the offsets 0, ``-e_i, +e_i`` per axis, then if ``cross`` ``(1, 1),
-    (-1, -1), (1, -1), (-1, 1)``.  ``order`` lists data positions ``k*n**dim + q``
-    by nonzero; each sums its run from ``starts`` (runs > 1 only if n <= 2)."""
+    (offsets as in :func:`_shifted_points`).  ``order`` lists data positions
+    ``k*n**dim + q`` by nonzero; each sums its run from ``starts`` (runs > 1
+    only if n <= 2)."""
     size = n**dim
-    units = [tuple(s * (k == i) for k in range(dim)) for i in range(dim) for s in (-1, 1)]
-    corners = [(1, 1), (-1, -1), (1, -1), (-1, 1)] if cross else []
-    points = np.arange(size).reshape((n,) * dim)
-    targets = [np.roll(points, [-o for o in offset], axis=tuple(range(dim))).ravel()
-               for offset in [(0,) * dim] + units + corners]
-    keys = (np.arange(size) * size + np.stack(targets)).ravel()
+    keys = (np.arange(size) * size + _shifted_points(n, dim, cross, 1)).ravel()
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     keys = keys[order][starts]
@@ -138,16 +151,16 @@ def _stencil_pattern(n: int, dim: int, cross: bool) -> tuple[np.ndarray, ...]:
     return pattern
 
 
-def _stencil_matrices(kind: str, n: int, dim: int, cross: bool, data: np.ndarray) -> list:
-    """A ``kind`` (``"csr"``/``"csc"``) matrix per ``(offsets, n**dim)`` slice of ``data``."""
+def _stencil_matrix(kind: str, n: int, dim: int, cross: bool, data: np.ndarray) -> sp.spmatrix:
+    """The ``kind`` (``"csr"``/``"csc"``) matrix of ``(offsets, n**dim)`` stencil ``data``."""
     import scipy.sparse as sp
 
     matrix = sp.csr_matrix if kind == "csr" else sp.csc_matrix
     indptr, indices, order, starts = _stencil_pattern(n, dim, cross)
-    values = np.take(data.reshape(len(data), -1), order, axis=1)
+    values = np.ravel(data)[order]
     if starts.size < order.size:
-        values = np.add.reduceat(values, starts, axis=1)
-    return [matrix((v, indices, indptr), shape=(n**dim,) * 2) for v in values]
+        values = np.add.reduceat(values, starts)
+    return matrix((values, indices, indptr), shape=(n**dim,) * 2)
 
 
 def _factor(A: sp.csc_matrix) -> spla.SuperLU:
@@ -329,7 +342,7 @@ def _spatial_operator(grid: TorusGrid, c: np.ndarray) -> sp.csr_matrix:
         corner = np.ravel(c[0, 1]) / (2.0 * h2)
         data[5] = data[6] = -corner
         data[7] = data[8] = corner
-    return _stencil_matrices("csr", n, dim, cross, data[np.newaxis])[0]
+    return _stencil_matrix("csr", n, dim, cross, data)
 
 
 def _splu_march(problem: ParabolicProblem, out: np.ndarray) -> None:
@@ -420,23 +433,23 @@ def solve_backward(problem: ParabolicProblem) -> SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 
-def _check_residual(A: sp.spmatrix, x: np.ndarray, rhs: np.ndarray, context: str) -> None:
+def _check_residual(x: np.ndarray, rel: float, context: str) -> None:
+    """Raise unless ``x`` is finite and its relative residual ``rel`` is within tolerance."""
     if not np.all(np.isfinite(x)):
         raise SolverError(f"non-finite values produced at {context}")
-    res = A @ x - rhs
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    rel = float(np.linalg.norm(res)) / scale
-    if rel > RESIDUAL_TOL:
+    if not rel <= RESIDUAL_TOL:
         raise SolverError(f"linear solve residual {rel:.2e} exceeds {RESIDUAL_TOL} at {context}")
 
 
-def _conservative_matrices(grid: TorusGrid, c: np.ndarray, velocity: np.ndarray) -> list:
-    """``I - dt (D + adv)`` of every step as CSC matrices, computed in one pass.
+def _conservative_rates(grid: TorusGrid, c: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+    """The columns of ``I - dt (D + adv)`` of every step, computed in one pass.
 
     ``D m = d_ii (c_ii m)`` in flux form, ``adv m = -div(m v)`` upwinded at
     the faces; ``velocity`` is ``(steps, dim) + spatial`` and ``c`` has axes
-    ``(dim, dim, 1 or steps) + spatial``.  Column ``q`` says where the mass
-    at ``q`` goes: it sums to one and is nonpositive off the diagonal.
+    ``(dim, dim, 1 or steps) + spatial``.  The result is ``(steps, 1 + 2 dim,
+    n**dim)``: column ``q`` holds entry ``k`` at row ``q + offset_k`` (offsets
+    as in :func:`_shifted_points`), and says where the mass at ``q`` goes.  It
+    sums to one and is nonpositive off the diagonal.
     """
     n, dim, h, dt = grid.n, grid.dim, grid.h, grid.dt
     steps, size = velocity.shape[0], n**dim
@@ -452,32 +465,70 @@ def _conservative_matrices(grid: TorusGrid, c: np.ndarray, velocity: np.ndarray)
         rate[:, 2 + 2 * i] = cii + out / h
     rate *= -dt  # in place: the audit's largest temporary
     rate[:, 0] += 1.0
-    return _stencil_matrices("csc", n, dim, False, rate)
+    return rate
 
 
-def _refine(lu: spla.SuperLU, A: sp.csc_matrix, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve ``A x = rhs`` on the factors ``lu`` of a nearby matrix, or ``None``.
+def _stencil_rows(columns: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """Stencil column data ``(..., offsets, n**dim)`` turned into row data.
 
-    Classical iterative refinement (Moler, J. ACM 14, 1967): ``x += lu.solve(rhs
-    - A x)`` until the relative residual reaches ``_REFINE_TARGET``.  ``None``
-    means the factors are too far from ``A``: at the last update's rate of
-    contraction the residual would miss the target after ``_REFINE_SWEEPS``
-    updates.  That covers a residual that stops shrinking or is not finite.
-    Factors too far off thus cost two solves before the caller refactors; a
-    solve takes about a twentieth of a factorization (2D n=32).
+    Column ``q`` holds entry ``k`` at row ``q + offset_k``, so row ``p`` meets
+    column ``neighbours[k, p] = p - offset_k`` in that column's entry ``k``.
+    """
+    offsets, size = neighbours.shape
+    flat = neighbours + size * np.arange(offsets)[:, np.newaxis]
+    return np.take(columns.reshape(*columns.shape[:-2], -1), flat, axis=-1)
+
+
+def _gathered_apply(rows: np.ndarray, neighbours: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A x`` from the row data of :func:`_stencil_rows`: one gather, one contraction."""
+    return np.einsum("kp,kp->p", rows, x[neighbours])
+
+
+def _fourier_inverse(problem: ParabolicProblem) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve ``(I + dt L) v = y`` per mode for the constant diffusion of ``problem``.
+
+    Its mean mode divides by exactly one, so ``sum(v) = sum(y)`` to round-off.
+    """
+    g = problem.grid
+    axes = tuple(range(g.dim))
+    denom = 1.0 + g.dt * _fourier_symbol(problem)
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        hat = np.fft.rfftn(y.reshape(g.shape))
+        hat /= denom
+        return np.fft.irfftn(hat, s=g.shape, axes=axes).ravel()
+
+    return solve
+
+
+def _refine(
+    inverse: Callable[[np.ndarray], np.ndarray],
+    apply: Callable[[np.ndarray], np.ndarray],
+    rhs: np.ndarray,
+) -> Optional[tuple[np.ndarray, float]]:
+    """Solve ``A x = rhs`` with an approximate inverse of ``A``; ``(x, rel)`` or ``None``.
+
+    Classical iterative refinement (Moler, J. ACM 14, 1967): ``x +=
+    inverse(rhs - A x)``, with ``A`` applied by ``apply``, until the relative
+    residual ``rel`` reaches ``_REFINE_TARGET``.  ``None`` means the inverse
+    is too far from that of ``A``: at the last update's rate of contraction
+    the residual would miss the target after ``_REFINE_SWEEPS`` updates.
+    That covers a residual that stops shrinking or is not finite.  An inverse
+    too far off thus costs two solves before the caller refactors; a
+    factored solve takes about a twentieth of a factorization (2D n=32).
     """
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    x = lu.solve(rhs)
+    x = inverse(rhs)
     last = np.inf
     for left in range(_REFINE_SWEEPS, -1, -1):
-        res = rhs - A @ x
+        res = rhs - apply(x)
         rel = float(np.linalg.norm(res)) / scale
         if rel <= _REFINE_TARGET:
-            return x
+            return x, rel
         if not rel * (rel / last) ** left <= _REFINE_TARGET:
             return None
         last = rel
-        x += lu.solve(res)
+        x += inverse(res)
     return None
 
 
@@ -497,15 +548,21 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     mixed term would break the M-matrix structure that keeps the density
     nonnegative.
 
-    The first step's matrix is factored, and each later step is refined on
-    the factors kept (:func:`_refine`); a step that does not reach the
-    round-off target on them is factored and solved directly, and its
-    factors are kept for the steps that follow.  Every refinement update
-    keeps the step's mass exact: the factored matrix ``A₀`` and the step's
-    own ``A`` both have unit column sums, so for ``r = rhs − A m``,
-    ``1ᵀA₀ = 1ᵀ`` gives ``1ᵀA₀⁻¹r = 1ᵀr = 1ᵀrhs − 1ᵀm``, and the update
-    ``m += A₀⁻¹r`` brings ``1ᵀm`` to ``1ᵀrhs``.  Each step still passes the
-    residual check at ``RESIDUAL_TOL``.
+    Each step's matrix is applied matrix-free, from its rows gathered once
+    per audit, and each step is refined (:func:`_refine`) on an approximate
+    inverse.  For a constant diffusion the first inverse is the per-mode
+    solve of ``I - dt D`` (:func:`_fourier_inverse`), the step matrix without
+    its drift; otherwise no inverse is held at the first step.  A step that
+    does not reach the round-off target on the inverse held is factored and
+    solved directly, and its factors become the inverse for the steps that
+    follow.  Every refinement update keeps the step's mass exact: the step's
+    ``A`` has unit column sums and the inverse ``M⁻¹`` preserves sums (a
+    factored step matrix has unit column sums too; the Fourier solve divides
+    the mean mode by one), so for ``r = rhs − A m``, ``1ᵀM⁻¹r = 1ᵀr =
+    1ᵀrhs − 1ᵀm``, and the update ``m += M⁻¹r`` brings ``1ᵀm`` to ``1ᵀrhs``.
+    Every step passes the residual check at ``RESIDUAL_TOL`` against its own
+    matrix: a refined step with the residual its refinement accepted, a
+    factored step with one more product.
     """
     g = problem.grid
     if problem.initial is None:
@@ -526,12 +583,21 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     out[0] = problem.initial.values
     m = np.ravel(out[0])
     c = problem.coefficients()[:, :, 1:] if problem.time_dependent else problem.coefficients()
-    lu = None
-    for j, A in enumerate(_conservative_matrices(g, c, -drift[1:]), start=1):
-        rhs, m = m, None if lu is None else _refine(lu, A, m)
-        if m is None:
-            lu = _factor(A)
+    columns = _conservative_rates(g, c, -drift[1:])
+    neighbours = _shifted_points(g.n, g.dim, False, -1)
+    rows = _stencil_rows(columns, neighbours)
+    inverse = _fourier_inverse(problem) if problem.diffusion.shape == (g.dim, g.dim) else None
+    for j in range(1, g.nt + 1):
+        apply = partial(_gathered_apply, rows[j - 1], neighbours)
+        rhs = m
+        step = None if inverse is None else _refine(inverse, apply, rhs)
+        if step is None:
+            lu = _factor(_stencil_matrix("csc", g.n, g.dim, False, columns[j - 1]))
+            inverse = lu.solve
             m = lu.solve(rhs)
-        _check_residual(A, m, rhs, f"fp slice {j}")
+            res = rhs - apply(m)
+            step = m, float(np.linalg.norm(res)) / max(float(np.linalg.norm(rhs)), 1e-300)
+        m, rel = step
+        _check_residual(m, rel, f"fp slice {j}")
         out[j] = m.reshape(g.shape)
     return SpaceTimeField(g, out)

@@ -83,3 +83,31 @@ def test_sparse_paths_load_what_they_need_on_first_use(tmp_path):
     mass_drift, finite, loaded = out.split()
     assert float(mass_drift) <= 1e-14
     assert finite == "True" and loaded == "True"
+
+
+def test_constant_diffusion_audit_never_loads_the_sparse_stack(tmp_path):
+    out = run_fresh(
+        """\
+        import sys
+
+        import numpy as np
+
+        from fbmfg import Field, TorusGrid
+        from fbmfg.parabolic import ParabolicProblem, solve_fp_conservative
+
+        g = TorusGrid(dim=2, n=16, nt=8, T=0.01)
+        x, y = g.coordinates()
+        m0 = Field(g, 1.0 + 0.5 * np.cos(2.0 * np.pi * x))
+        drift = np.broadcast_to(
+            np.stack([np.sin(2.0 * np.pi * y), np.cos(2.0 * np.pi * x)]), (g.nt + 1, 2, *g.shape)
+        )
+        audit = solve_fp_conservative(ParabolicProblem(grid=g, diffusion=np.eye(2), initial=m0), drift)
+        mass = np.sum(audit.values, axis=(1, 2))
+        print(float(np.ptp(mass) / mass[0]), float(np.ptp(audit.values[-1])) > 0.0)
+        print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+        """,
+        tmp_path,
+    )
+    mass_drift, moved, loaded = out.split()
+    assert float(mass_drift) <= 1e-14
+    assert moved == "True" and loaded == "[]"

@@ -152,6 +152,15 @@ class TestQuadraticModel:
         assert coarse / fine > 3.4
 
 
+def test_the_package_exports_the_spec_its_factory_takes():
+    import fbmfg
+    from fbmfg import HamiltonianSpec as exported
+
+    assert exported is HamiltonianSpec
+    assert "HamiltonianSpec" in fbmfg.__all__
+    assert set(fbmfg.__all__) <= set(dir(fbmfg))
+
+
 class TestVariableDiffusionCoupling:
     def _model(self):
         def A(x, t):

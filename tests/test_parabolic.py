@@ -357,21 +357,38 @@ class TestStencilAssembler:
         assert new.format == "csr"
         assert relative_gap(new, reference_spatial_operator(n, dim, grid.h, c)) <= 1e-14
 
-    @pytest.mark.parametrize("dim, n, mixed", CASES)
-    def test_conservative_matrices_match_reference(self, dim, n, mixed):
+    @staticmethod
+    def conservative_case(dim, n, mixed, seed, steps=3):
         # The audit takes no mixed term: its matrices ignore c_01.
-        rng = np.random.default_rng(200 * dim + n)
-        grid, steps = small_grid(dim, n), 3
+        rng = np.random.default_rng(seed)
+        grid = small_grid(dim, n)
         c = random_diffusion(rng, dim, n, mixed, lead=(steps,))
         velocity = rng.normal(size=(steps, dim) + grid.shape)
-        matrices = list(parabolic._conservative_matrices(grid, c, velocity))
-        assert len(matrices) == steps
-        for j, new in enumerate(matrices):
+        refs = [reference_conservative_matrix(n, dim, grid.h, grid.dt, c[:, :, j], velocity[j])
+                for j in range(steps)]
+        return rng, grid, parabolic._conservative_rates(grid, c, velocity), refs
+
+    @pytest.mark.parametrize("dim, n, mixed", CASES)
+    def test_conservative_matrices_match_reference(self, dim, n, mixed):
+        _, grid, columns, refs = self.conservative_case(dim, n, mixed, 200 * dim + n)
+        assert len(columns) == len(refs)
+        for column, ref in zip(columns, refs):
+            new = parabolic._stencil_matrix("csc", n, dim, False, column)
             assert new.format == "csc"
-            ref = reference_conservative_matrix(
-                n, dim, grid.h, grid.dt, c[:, :, j], velocity[j]
-            )
             assert relative_gap(new, ref) <= 1e-14
+
+    @pytest.mark.parametrize("dim, n, mixed", CASES)
+    def test_gathered_apply_matches_reference(self, dim, n, mixed):
+        # Row-oriented data gathered from the columns, as the audit applies them.
+        rng, grid, columns, refs = self.conservative_case(dim, n, mixed, 300 * dim + n)
+        neighbours = parabolic._shifted_points(n, dim, False, -1)
+        rows = parabolic._stencil_rows(columns, neighbours)
+        assert np.array_equal(rows, np.take_along_axis(columns, neighbours[np.newaxis], axis=2))
+        for row, ref in zip(rows, refs):
+            x = rng.normal(size=n**dim)
+            new = parabolic._gathered_apply(row, neighbours, x)
+            expected = ref @ x
+            assert np.max(np.abs(new - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_conservative_columns_sum_to_one(self, dim):
@@ -379,8 +396,8 @@ class TestStencilAssembler:
         grid = small_grid(dim, 16, dt=2e-4)
         c = random_diffusion(rng, dim, 16, False, lead=(1,))
         velocity = rng.normal(scale=3.0, size=(2, dim) + grid.shape)
-        for A in parabolic._conservative_matrices(grid, c, velocity):
-            dense = A.toarray()
+        for column in parabolic._conservative_rates(grid, c, velocity):
+            dense = parabolic._stencil_matrix("csc", 16, dim, False, column).toarray()
             assert np.max(np.abs(dense.sum(axis=0) - 1.0)) <= 1e-15
             off = dense - np.diag(np.diag(dense))
             # An M-matrix: the generator D + adv moves mass only outwards.
@@ -456,7 +473,9 @@ class TestSpluOrdering:
         solve_forward(self.problem(mixed=False, time_dependent=True))
         assert len(calls) == 1 + problem.grid.nt
         drift = np.zeros((problem.grid.nt + 1, 2, *problem.grid.shape))
-        solve_fp_conservative(replace(problem, diffusion=np.eye(2)), drift)
+        # A constant diffusion would refine the audit on its Fourier solve.
+        diagonal = self.problem(mixed=False).diffusion
+        solve_fp_conservative(replace(problem, diffusion=diagonal), drift)
         assert len(calls) == 2 + problem.grid.nt  # equal audit steps: one factorization
         expected = dict(permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
         assert all(kwargs == expected for kwargs in calls)
@@ -689,7 +708,51 @@ class TestConservativeFP:
         # A drift this sharp between steps defeats refinement: the audit refactors.
         assert checked_audit(monkeypatch, prob, drift) > 1
 
-    def test_congestion_audit_factors_once(self, monkeypatch):
+    def test_x_dependent_audit_factors_once(self, monkeypatch):
+        g = TorusGrid(dim=2, n=16, nt=12, T=0.01)
+        x, y = g.coordinates()
+        C = np.zeros((2, 2, *g.shape))
+        C[0, 0] = 1.0 + 0.5 * np.sin(TWO_PI * x) * np.cos(TWO_PI * y)
+        C[1, 1] = 0.7
+        t = g.times().reshape(-1, 1, 1)
+        drift = np.stack([np.sin(TWO_PI * (y + t)), np.cos(TWO_PI * x) * (1.0 + t)], axis=1)
+        prob = ParabolicProblem(
+            grid=g, diffusion=C, initial=Field(g, 1.0 + 0.5 * np.cos(TWO_PI * x))
+        )
+        # No Fourier solve fits an x-dependent diffusion: the first step is factored.
+        assert checked_audit(monkeypatch, prob, drift) == 1
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 15), (2, 16)])
+    def test_constant_diffusion_step_keeps_its_mass_on_one_fourier_update(self, dim, n):
+        g = TorusGrid(dim=dim, n=n, nt=4, T=0.01)
+        prob = ParabolicProblem(grid=g, diffusion=np.diag([1.0, 0.6][:dim]))
+        y = np.random.default_rng(23).uniform(0.5, 1.5, g.num_points)
+        v = parabolic._fourier_inverse(prob)(y)
+        assert abs(np.sum(v) - np.sum(y)) <= 1e-14 * np.sum(y)
+        assert not np.allclose(v, y)
+
+    @pytest.mark.parametrize("diffusion", ["constant", "x-dependent"])
+    @pytest.mark.parametrize("scale, message", [
+        (np.nan, "non-finite values produced at fp slice 1$"),
+        (1.0 + 1e-6, "linear solve residual 1.00e-06 exceeds 1e-10 at fp slice 1$"),
+    ])
+    def test_a_failed_step_names_its_slice(self, monkeypatch, diffusion, scale, message):
+        # A Fourier solve that refinement gives up on, then factors whose
+        # solve is off by ``scale``: the direct step fails its own check.
+        g = TorusGrid(dim=2, n=8, nt=4, T=0.01)
+        x, y = g.coordinates()
+        C = np.eye(2) if diffusion == "constant" else np.eye(2)[:, :, None, None] * (
+            1.0 + 0.5 * np.sin(TWO_PI * x))
+        m0 = Field(g, 1.0 + 0.5 * np.cos(TWO_PI * x) * np.sin(TWO_PI * y))
+        prob = ParabolicProblem(grid=g, diffusion=C, initial=m0)
+        factor = parabolic._factor
+        monkeypatch.setattr(parabolic, "_fourier_inverse", lambda problem: lambda r: np.nan * r)
+        monkeypatch.setattr(parabolic, "_factor", lambda A: SimpleNamespace(
+            solve=lambda r, lu=factor(A): scale * lu.solve(r)))
+        with pytest.raises(SolverError, match=message):
+            solve_fp_conservative(prob, np.ones((g.nt + 1, 2, *g.shape)))
+
+    def test_congestion_audit_refines_on_the_fourier_solve(self, monkeypatch):
         from fbmfg import congestion_model, final_cost_convolution, picard_solve
         from fbmfg.torus_grid import gradient_values
 
@@ -708,7 +771,7 @@ class TestConservativeFP:
         prob = ParabolicProblem(
             g, diffusion=model.diffusion_values(g, "m"), initial=Field(g, m[0])
         )
-        assert checked_audit(monkeypatch, prob, drift) == 1
+        assert checked_audit(monkeypatch, prob, drift) == 0
 
     def test_rejects_a_nonfinite_initial_density(self):
         g = TorusGrid(dim=1, n=16, nt=4, T=0.01)
