@@ -24,8 +24,10 @@ Exit codes for ``run``: 0 the iteration converged and the converged pair
 sits strictly inside the truncation clamps; 2 it diverged, ran out of
 budget, or a sweep failed (the series up to that sweep is written); 3 it
 converged but the de-truncation check failed; 1 the configuration or an
-output path is bad.  ``sweep`` uses only 0 and 1:
-per-horizon failures are captured in their rows.
+output path is bad.  ``sweep`` uses only 0 and 1: per-horizon failures
+are captured in their rows, while a bad configuration or output path,
+an inadmissible ``truncation.K``/``truncation.delta``, or a time step
+``T / nt`` too small for the horizons exits 1 before any horizon runs.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .models import (
 )
 from .spectral import basis_function, critical_times, mode_eigenvalue
 from .torus_grid import Field, TorusGrid
+from .truncation import select_K
 
 __all__ = [
     "ConfigError",
@@ -503,7 +506,6 @@ def _manifest_text(
     wallclock: float,
     report=None,
     sweep_rows=None,
-    workers: Optional[int] = None,
     files: Sequence[tuple[str, str]] = (),
 ) -> str:
     lines = [
@@ -514,8 +516,6 @@ def _manifest_text(
     ]
     if report is not None and report.error:
         lines.append(f"error.message = {report.error}")
-    if workers is not None:
-        lines.append(f"workers = {workers}")
     if report is not None:
         lines.append(f"iterations = {report.iterations}")
         lines.append(f"resolved.K = {report.K!r}")
@@ -620,19 +620,6 @@ def execute_run(cfg: RunConfig) -> int:
     return exit_code
 
 
-def _thread_budget(n_jobs: int) -> int:
-    raw = os.environ.get("FBMFG_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"FBMFG_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"FBMFG_THREADS must be at least 1, got {cap}")
-    return min(cap, n_jobs)
-
-
 def _sweep_text(rows) -> str:
     lines = [SWEEP_HEADER]
     for r in rows:
@@ -649,8 +636,10 @@ def execute_sweep(cfg: RunConfig, T_list: Sequence[float]) -> int:
 
     The configured grid fixes the time-step size (``dt = T / nt``) and
     the spatial layout; each horizon gets a grid with the nearest whole
-    number of steps.  Per-horizon failures land in their rows, so the
-    exit code is 0 whenever the sweep itself ran.
+    number of steps.  Inadmissible truncation parameters and an unusable
+    step are configuration errors, raised before the first horizon runs;
+    per-horizon failures land in their rows, so the exit code is 0
+    whenever the sweep itself ran.
     """
     T_values = [float(t) for t in T_list]
     if not T_values:
@@ -660,22 +649,30 @@ def execute_sweep(cfg: RunConfig, T_list: Sequence[float]) -> int:
     for a, b in zip(T_values, T_values[1:]):
         if not b > a:
             raise ConfigError("the horizon list must be strictly increasing")
-    workers = _thread_budget(len(T_values))
 
     start = time.perf_counter()
     try:
         grid = TorusGrid(dim=cfg.dim, n=cfg.n, nt=cfg.nt, T=cfg.T)
-        model, _, m0, rebuild_cost = _build_problem(cfg, grid)
+        model, cost, m0, rebuild_cost = _build_problem(cfg, grid)
     except ConfigError:
         raise
     except Exception as exc:  # noqa: BLE001 - surfaced as a config problem
         raise ConfigError(str(exc)) from exc
 
-    rows = horizon_sweep(
-        model, rebuild_cost, m0, T_values,
-        dt=cfg.T / cfg.nt, tol=cfg.tol, max_iter=cfg.max_iter,
-        delta=cfg.delta, K=cfg.K, p=cfg.p, workers=workers,
-    )
+    # K and delta depend only on m0 and the final cost's constants: check
+    # them once, before the first horizon, as picard_solve does for run.
+    delta = float(np.min(m0.values)) if cfg.delta is None else cfg.delta
+    try:
+        select_K(m0, cost.L_h, cost.C0, delta, cfg.K)
+        rows = horizon_sweep(
+            model, rebuild_cost, m0, T_values,
+            dt=grid.dt, tol=cfg.tol, max_iter=cfg.max_iter,
+            delta=cfg.delta, K=cfg.K, p=cfg.p,
+        )
+    except ValueError as exc:
+        # horizon_sweep raises only before its first horizon (an unusable
+        # step); failures inside a horizon are captured in its row.
+        raise ConfigError(str(exc)) from exc
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     sweep_path = os.path.join(cfg.out_dir, "sweep.csv")
@@ -683,7 +680,7 @@ def execute_sweep(cfg: RunConfig, T_list: Sequence[float]) -> int:
     manifest = _manifest_text(
         cfg, kind="sweep", status="done", exit_code=0,
         wallclock=time.perf_counter() - start, sweep_rows=rows,
-        workers=workers, files=[("sweep.csv", sweep_path)],
+        files=[("sweep.csv", sweep_path)],
     )
     _write_text(os.path.join(cfg.out_dir, "manifest.txt"), manifest)
     return 0

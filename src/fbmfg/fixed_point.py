@@ -476,8 +476,7 @@ class SweepRow:
     """Outcome of one horizon in :func:`horizon_sweep`.
 
     ``runtime`` is wall-clock seconds for the horizon and is excluded from
-    equality so that rows computed serially and in a thread pool compare
-    equal.
+    equality so that two sweeps of one problem compare equal.
     """
 
     T: float
@@ -504,7 +503,6 @@ def horizon_sweep(
     delta: Optional[float] = None,
     K: Optional[float] = None,
     p: Optional[float] = None,
-    workers: int = 1,
 ) -> list[SweepRow]:
     """Run the iteration across horizons at a fixed time-step size.
 
@@ -512,9 +510,12 @@ def horizon_sweep(
     to a whole number of steps) the same ``dt``, so the per-horizon
     contraction factors are comparable.  ``final_cost`` is either a
     :class:`FinalCost` or a callable ``grid -> FinalCost`` for costs whose
-    kernel depends on the grid.  A failure inside one horizon is captured
-    into its row (status ``"error"``) instead of aborting the sweep; rows
-    come back in the order of ``T_list`` regardless of ``workers``.
+    kernel depends on the grid.  Every horizon's grid is built before the
+    first one runs, so an unusable step (``T / dt`` not finite, or a
+    per-horizon step that underflows) raises ``ValueError`` up front.  The
+    horizons then run one after another; a failure inside one is captured
+    into its row (status ``"error"``) instead of aborting the sweep, and
+    rows come back in the order of ``T_list``.
     """
     if not T_list:
         raise ValueError("T_list must not be empty")
@@ -522,12 +523,16 @@ def horizon_sweep(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not all(0 < T < math.inf for T in T_list):
         raise ValueError(f"every horizon must be positive and finite, got {list(T_list)}")
-    dim, n = m0.grid.dim, m0.grid.n
+    steps = [T / dt for T in T_list]
+    if not all(math.isfinite(s) for s in steps):
+        raise ValueError(f"the time step {dt!r} is too small for the horizons {list(T_list)}")
+    grids = [
+        TorusGrid(dim=m0.grid.dim, n=m0.grid.n, nt=max(2, int(round(s))), T=float(T))
+        for T, s in zip(T_list, steps)
+    ]
 
-    def run_one(T: float) -> SweepRow:
+    def run_one(grid: TorusGrid) -> SweepRow:
         start = time.perf_counter()
-        nt = max(2, int(round(T / dt)))
-        grid = TorusGrid(dim=dim, n=n, nt=nt, T=float(T))
         cost = final_cost if isinstance(final_cost, FinalCost) else final_cost(grid)
         try:
             report = picard_solve(
@@ -536,13 +541,13 @@ def horizon_sweep(
             )
         except Exception as exc:  # noqa: BLE001 - captured into the row
             return SweepRow(
-                T=float(T), nt=nt, status="error", iterations=0,
+                T=grid.T, nt=grid.nt, status="error", iterations=0,
                 final_distance=math.nan, max_gamma=math.nan, min_m=math.nan,
                 detrunc_ok=False, error=f"{type(exc).__name__}: {exc}",
                 runtime=time.perf_counter() - start,
             )
         return SweepRow(
-            T=float(T), nt=nt, status=report.status,
+            T=grid.T, nt=grid.nt, status=report.status,
             iterations=report.iterations,
             final_distance=report.final_distance,
             max_gamma=report.max_gamma,
@@ -552,9 +557,4 @@ def horizon_sweep(
             runtime=time.perf_counter() - start,
         )
 
-    if workers <= 1 or len(T_list) == 1:
-        return [run_one(T) for T in T_list]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, T_list))
+    return [run_one(grid) for grid in grids]

@@ -39,6 +39,7 @@ solver that needs several norms of one iterate evaluates each stencil once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -80,7 +81,8 @@ class TorusGrid:
         Number of time steps (``>= 2``); slice ``j`` lives at ``t = j*dt``
         with ``dt = T/nt``.
     T : float
-        Time horizon (``> 0``).
+        Time horizon (``> 0``), large enough that ``T/nt`` does not
+        underflow to 0.
     """
 
     dim: int
@@ -91,15 +93,18 @@ class TorusGrid:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if int(self.n) != self.n or self.n < 8:
+        # NaN and infinity fail the range test before int() sees them.
+        if not (8 <= self.n < math.inf and int(self.n) == self.n):
             raise ValueError(f"n must be an integer >= 8, got {self.n}")
-        if int(self.nt) != self.nt or self.nt < 2:
+        if not (2 <= self.nt < math.inf and int(self.nt) == self.nt):
             raise ValueError(f"nt must be an integer >= 2, got {self.nt}")
         # Integral floats (n=32.0) are stored as ints: they size arrays.
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "nt", int(self.nt))
         if not (self.T > 0 and np.isfinite(self.T)):
             raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not self.dt > 0:
+            raise ValueError(f"time step T/nt underflows to 0 (T={self.T!r}, nt={self.nt})")
 
     @property
     def h(self) -> float:
@@ -170,9 +175,6 @@ class Field:
         """Sample ``fn(x)`` (1D) or ``fn(x, y)`` (2D) on the grid."""
         return cls(grid, np.asarray(fn(*grid.coordinates()), dtype=float) + np.zeros(grid.shape))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def with_grid(self, grid: TorusGrid) -> "Field":
         """Rebind to a grid with the same spatial layout (time axis may differ)."""
         if (grid.dim, grid.n) != (self.grid.dim, self.grid.n):
@@ -220,9 +222,6 @@ class SpaceTimeField:
 
     def slice_field(self, j: int) -> Field:
         return Field(self.grid, self.values[j].copy())
-
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.values.copy())
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))

@@ -77,6 +77,17 @@ DECOUPLED = """\
 """
 
 
+# The tiny quadratic configuration the CI's console-script step runs.
+TINY_QUADRATIC = """\
+    model = quadratic-mfg
+    grid.dim = 1
+    grid.n = 16
+    grid.nt = 8
+    grid.T = 0.01
+    params.modes = 0=1.0; 1=0.1
+"""
+
+
 class TestParsing:
     def test_minimal_config_and_defaults(self):
         cfg = parse_config(DECOUPLED)
@@ -411,28 +422,59 @@ class TestSweepCommand:
         assert "row.2.status = converged" in manifest
         assert "files.sweep.csv = sha256:" in manifest
 
-    def test_thread_cap_changes_workers_not_results(self, tmp_path, monkeypatch):
+    def test_thread_environment_changes_nothing(self, tmp_path, monkeypatch):
+        # The sweep is serial: a thread setting in the environment, even a
+        # malformed one, neither fails it nor shows up in its outputs.
         cfg_path = write(tmp_path / "run.cfg", DECOUPLED)
-        serial_out, pooled_out = tmp_path / "serial", tmp_path / "pooled"
+        first, second = tmp_path / "first", tmp_path / "second"
         assert main(["sweep", cfg_path, "--T-list", "0.01,0.02,0.04",
-                     "--out", str(serial_out)]) == 0
-        monkeypatch.setenv("FBMFG_THREADS", "3")
+                     "--out", str(first)]) == 0
+        monkeypatch.setenv("FBMFG_THREADS", "many")
         assert main(["sweep", cfg_path, "--T-list", "0.01,0.02,0.04",
-                     "--out", str(pooled_out)]) == 0
+                     "--out", str(second)]) == 0
 
         def data_columns(path):
             rows = (path / "sweep.csv").read_text().splitlines()[1:]
             return [row.split(",")[:5] for row in rows]
 
-        assert data_columns(serial_out) == data_columns(pooled_out)
-        assert "workers = 1" in (serial_out / "manifest.txt").read_text()
-        assert "workers = 3" in (pooled_out / "manifest.txt").read_text()
+        assert data_columns(first) == data_columns(second)
+        for out in (first, second):
+            assert "workers" not in (out / "manifest.txt").read_text()
 
-    def test_bad_thread_cap_is_a_config_error(self, tmp_path, monkeypatch, capsys):
-        cfg_path = write(tmp_path / "run.cfg", DECOUPLED)
-        monkeypatch.setenv("FBMFG_THREADS", "many")
-        assert main(["sweep", cfg_path, "--T-list", "0.01,0.02"]) == 1
-        assert "FBMFG_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize("line, fragment", [
+        ("truncation.K = 0.5", "K=0.5 must reach the admissible threshold"),
+        ("truncation.delta = 0.95", "initial density violates its floor"),
+    ])
+    def test_inadmissible_truncation_exits_1_under_run_and_sweep(
+        self, tmp_path, capsys, line, fragment
+    ):
+        cfg_path = write(tmp_path / "run.cfg", TINY_QUADRATIC + line + "\n")
+        errors = []
+        for command in (["run"], ["sweep", "--T-list", "0.005,0.01"]):
+            out = tmp_path / command[0]
+            assert main([command[0], cfg_path, *command[1:], "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+        assert fragment in errors[0]
+
+    @pytest.mark.parametrize("T, fragment", [
+        # T / dt overflows for every horizon.
+        ("1e-320", "is too small for the horizons"),
+        # dt = T / nt underflows to zero on the configured grid.
+        ("5e-324", "underflows to 0"),
+    ])
+    def test_unusable_time_step_exits_1(self, tmp_path, capsys, T, fragment):
+        cfg_path = write(
+            tmp_path / "run.cfg", TINY_QUADRATIC.replace("grid.T = 0.01", f"grid.T = {T}")
+        )
+        out = tmp_path / "o"
+        assert main(["sweep", cfg_path, "--T-list", "0.005,0.01", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+        assert not out.exists()
 
     def test_horizon_list_validation(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", DECOUPLED)

@@ -850,19 +850,6 @@ class TestHorizonSweep:
         assert rows[0].detrunc_ok
         assert rows[0].max_gamma < 1.0
 
-    def test_thread_pool_gives_identical_rows(self):
-        grid = TorusGrid(dim=1, n=32, nt=8, T=T_CRIT)
-        m0 = cosine_density(grid, 0.25)
-        args = (
-            linear_counterexample_model(alpha=-3.0, dim=1),
-            final_cost_scaled_identity(-3.0), m0,
-            [0.5 * T_CRIT, 1.2 * T_CRIT],
-        )
-        kwargs = dict(dt=T_CRIT / 256.0, tol=1e-4, max_iter=80)
-        serial = horizon_sweep(*args, workers=1, **kwargs)
-        threaded = horizon_sweep(*args, workers=2, **kwargs)
-        assert serial == threaded
-
     def test_grid_dependent_final_cost_is_rebuilt_per_horizon(self):
         grid = TorusGrid(dim=1, n=32, nt=8, T=0.04)
         m0 = cosine_density(grid, 0.25)
@@ -898,6 +885,13 @@ class TestHorizonSweep:
             horizon_sweep(model, cost, m0, [], dt=0.01)
         with pytest.raises(ValueError, match="dt"):
             horizon_sweep(model, cost, m0, [0.01], dt=0.0)
+        # 1e308 / dt overflows: the sweep raises before the first horizon
+        # runs, not with an OverflowError on the second.
+        with pytest.raises(ValueError, match="too small"):
+            horizon_sweep(model, cost, m0, [0.01, 1e308], dt=0.0025)
+        # dt is positive, but the horizon's own step T/nt underflows to 0.
+        with pytest.raises(ValueError, match="underflows"):
+            horizon_sweep(model, cost, m0, [5e-324], dt=5e-324)
         # An infinite dt used to run every horizon at nt=2, and an infinite
         # horizon to overflow int(round(T / dt)) after the finite ones ran.
         with pytest.raises(ValueError, match="dt must be positive and finite"):

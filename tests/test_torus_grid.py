@@ -67,6 +67,12 @@ class TestTorusGrid:
             dict(dim=1, n=32.5, nt=8, T=1.0),
             dict(dim=1, n=32, nt=8.5, T=1.0),
             dict(dim=1, n=16, nt=4, T=-1.0),
+            # A non-finite size is a ValueError, not int()'s OverflowError.
+            dict(dim=1, n=float("inf"), nt=8, T=1.0),
+            dict(dim=1, n=16, nt=float("inf"), T=1.0),
+            dict(dim=1, n=float("nan"), nt=8, T=1.0),
+            # T is positive but T/nt underflows to a zero time step.
+            dict(dim=1, n=16, nt=8, T=5e-324),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
