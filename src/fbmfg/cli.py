@@ -58,7 +58,6 @@ from .models import (
 )
 from .spectral import basis_function, critical_times, mode_eigenvalue
 from .torus_grid import Field, TorusGrid
-from .truncation import select_K
 
 __all__ = [
     "ConfigError",
@@ -89,6 +88,8 @@ _MODEL_PARAMS = {
 }
 
 SERIES_HEADER = "iter,d,gamma,norm_u_w21p,norm_u_c10,norm_m_c10,min_m,max_Du"
+# The field CSVs' coordinate columns; their number bounds grid.dim.
+AXIS_NAMES = ("x", "y", "z")
 SWEEP_HEADER = "T,converged,iterations,max_gamma,min_m,runtime"
 
 
@@ -226,8 +227,8 @@ def _config_from_entries(entries: dict[str, str]) -> RunConfig:
                 f"model {model!r} does not accept params: {', '.join(extra)}"
             )
 
-    if dim not in (1, 2):
-        raise ConfigError(f"grid.dim must be 1 or 2, got {dim}")
+    if not 1 <= dim <= len(AXIS_NAMES):
+        raise ConfigError(f"grid.dim must be from 1 to {len(AXIS_NAMES)}, got {dim}")
     if not T > 0:
         raise ConfigError(f"grid.T must be positive, got {T}")
     if K is not None and not K > 0:
@@ -283,7 +284,7 @@ def format_config(cfg: RunConfig) -> str:
 
 
 def _parse_modes(text: str, dim: int) -> list[tuple[tuple[int, ...], float]]:
-    """Parse ``params.modes`` such as ``0=1.0; 1=0.25`` (2D: ``1,-2=0.1``)."""
+    """Parse ``params.modes`` such as ``0=1.0; 1=0.25`` (one index per axis: ``1,-2=0.1``)."""
     terms: list[tuple[tuple[int, ...], float]] = []
     seen: set[tuple[int, ...]] = set()
     for chunk in text.split(";"):
@@ -318,7 +319,7 @@ def _parse_modes(text: str, dim: int) -> list[tuple[tuple[int, ...], float]]:
 
 def _density_from_modes(cfg: RunConfig, grid: TorusGrid) -> Field:
     params = dict(cfg.params)
-    default = "0=1.0" if cfg.dim == 1 else "0,0=1.0"
+    default = ",".join(["0"] * cfg.dim) + "=1.0"
     terms = _parse_modes(params.get("modes", default), cfg.dim)
     coords = grid.coordinates()
     values = np.zeros(grid.shape)
@@ -451,22 +452,10 @@ def _series_text(rows) -> str:
 
 
 def _fields_text(grid: TorusGrid, state, j: int) -> str:
-    u = state.u.values[j]
-    m = state.m.values[j]
-    coords = grid.coordinates()
-    if grid.dim == 1:
-        lines = ["x,u,m"]
-        x = coords[0]
-        for i in range(grid.n):
-            lines.append(f"{_f17(x[i])},{_f17(u[i])},{_f17(m[i])}")
-    else:
-        lines = ["x,y,u,m"]
-        X, Y = coords
-        for i in range(grid.n):
-            for l in range(grid.n):
-                lines.append(
-                    f"{_f17(X[i, l])},{_f17(Y[i, l])},{_f17(u[i, l])},{_f17(m[i, l])}"
-                )
+    """One line per grid point in index order: its coordinates, then ``u`` and ``m``."""
+    columns = [c.ravel() for c in (*grid.coordinates(), state.u.values[j], state.m.values[j])]
+    lines = [",".join(AXIS_NAMES[:grid.dim] + ("u", "m"))]
+    lines += [",".join(map(_f17, point)) for point in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -653,25 +642,21 @@ def execute_sweep(cfg: RunConfig, T_list: Sequence[float]) -> int:
     start = time.perf_counter()
     try:
         grid = TorusGrid(dim=cfg.dim, n=cfg.n, nt=cfg.nt, T=cfg.T)
-        model, cost, m0, rebuild_cost = _build_problem(cfg, grid)
+        model, _, m0, rebuild_cost = _build_problem(cfg, grid)
     except ConfigError:
         raise
     except Exception as exc:  # noqa: BLE001 - surfaced as a config problem
         raise ConfigError(str(exc)) from exc
 
-    # K and delta depend only on m0 and the final cost's constants: check
-    # them once, before the first horizon, as picard_solve does for run.
-    delta = float(np.min(m0.values)) if cfg.delta is None else cfg.delta
     try:
-        select_K(m0, cost.L_h, cost.C0, delta, cfg.K)
         rows = horizon_sweep(
             model, rebuild_cost, m0, T_values,
             dt=grid.dt, tol=cfg.tol, max_iter=cfg.max_iter,
             delta=cfg.delta, K=cfg.K, p=cfg.p,
         )
     except ValueError as exc:
-        # horizon_sweep raises only before its first horizon (an unusable
-        # step); failures inside a horizon are captured in its row.
+        # horizon_sweep raises only before its first horizon runs; failures
+        # inside a horizon are captured in its row.
         raise ConfigError(str(exc)) from exc
 
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -326,42 +326,70 @@ def _detrunc_check(state: IterateState, K: float) -> tuple[bool, tuple[str, ...]
     return not failures, tuple(failures), bounds
 
 
-def _pde_residuals(
-    model: CouplingModel, state: IterateState
-) -> dict:
-    """Sup residuals of the *untruncated* equations on the final pair.
+def _pde_residual_stacks(model: CouplingModel, state: IterateState) -> tuple[np.ndarray, ...]:
+    """Residual stacks ``(u, m)`` of the *untruncated* equations on a pair.
 
     Each equation is evaluated with the grid's own difference operators at
     its march's implicit level: the value equation at slices ``0 .. nt-1``
     against the forward difference, the density equation at slices
     ``1 .. nt`` against the backward difference.  At an exact fixed point
-    both residuals are round-off.  A model whose sources reject the final
-    pair (a ``ValueError`` or ``ArithmeticError``, e.g. a density that left
-    its domain after divergence) yields NaN residuals and a ``"reason"``
-    entry naming the error; any other exception propagates.
+    both are round-off.
     """
     grid = state.grid
     u, m = state.u.values, state.m.values
     Du, Dm, D2u = state.Du, state.Dm, state.D2u
-    with np.errstate(all="ignore"):
-        x, t = grid.space_time_coordinates()
-        D2m = hessian_values(m, grid.h, grid.dim)
-        c_u, c_m = (
-            ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
-            for eq in ("u", "m")
-        )
-        try:
-            F = model.F(u, m, Du, Dm, x, t)
-            G = model.G(u, m, Du, Dm, D2u, x, t)
-        except (ValueError, ArithmeticError) as exc:
-            return {"u": math.nan, "m": math.nan,
-                    "reason": f"{type(exc).__name__}: {exc}"}
-        # time_derivative's slice j - 1 is the backward difference at j.
-        res_u = (-time_derivative(state.u) - np.sum(c_u * D2u, axis=(0, 1)) + F)[:-1]
-        res_m = (
-            time_derivative(state.m)[:-1] - np.sum(c_m * D2m, axis=(0, 1))[1:] + G[1:]
-        )
+    x, t = grid.space_time_coordinates()
+    D2m = hessian_values(m, grid.h, grid.dim)
+    c_u, c_m = (
+        ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
+        for eq in ("u", "m")
+    )
+    F = model.F(u, m, Du, Dm, x, t)
+    G = model.G(u, m, Du, Dm, D2u, x, t)
+    # time_derivative's slice j - 1 is the backward difference at j.
+    res_u = (-time_derivative(state.u) - np.sum(c_u * D2u, axis=(0, 1)) + F)[:-1]
+    res_m = time_derivative(state.m)[:-1] - np.sum(c_m * D2m, axis=(0, 1))[1:] + G[1:]
+    return res_u, res_m
+
+
+def _pde_residuals(model: CouplingModel, state: IterateState) -> dict:
+    """Sups of :func:`_pde_residual_stacks` on the final pair.
+
+    Sources that reject the pair (``ValueError`` or ``ArithmeticError``, e.g.
+    a density that left its domain after divergence) yield NaN residuals and
+    a ``"reason"`` naming the error; any other exception propagates.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            res_u, res_m = _pde_residual_stacks(model, state)
+    except (ValueError, ArithmeticError) as exc:
+        return {"u": math.nan, "m": math.nan, "reason": f"{type(exc).__name__}: {exc}"}
     return {"u": float(np.max(np.abs(res_u))), "m": float(np.max(np.abs(res_m)))}
+
+
+def _checked_inputs(final_cost: FinalCost, m0: Field, grid: TorusGrid, tol: float, max_iter: int,
+                    delta: Optional[float], K: Optional[float], p: Optional[float],
+                    ) -> tuple[float, float, TruncationParams]:
+    """``(delta, p, truncation)`` of a solve with defaults filled in, or ``ValueError``."""
+    if m0.values.shape != grid.shape:
+        raise ValueError(
+            f"initial density shape {m0.values.shape} does not match grid {grid.shape}"
+        )
+    if not np.all(m0.values > 0.0):
+        raise ValueError("initial density must be strictly positive")
+    if not np.all(np.isfinite(m0.values)):
+        raise ValueError("initial density must be finite")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if p is None:
+        p = grid.dim + 3.0
+    elif not 2 <= p < math.inf:
+        raise ValueError(f"exponent p must be >= 2 and finite, got {p}")
+    if delta is None:
+        delta = float(np.min(m0.values))
+    return delta, p, select_K(m0, final_cost.L_h, final_cost.C0, delta, K)
 
 
 def picard_solve(
@@ -387,26 +415,8 @@ def picard_solve(
     ``max_iter`` sweeps are exhausted.  Inadmissible inputs raise
     ``ValueError`` before the first sweep.
     """
-    if m0.values.shape != grid.shape:
-        raise ValueError(
-            f"initial density shape {m0.values.shape} does not match grid {grid.shape}"
-        )
-    if not np.all(m0.values > 0.0):
-        raise ValueError("initial density must be strictly positive")
-    if not np.all(np.isfinite(m0.values)):
-        raise ValueError("initial density must be finite")
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    if p is None:
-        p = grid.dim + 3.0
-    elif not 2 <= p < math.inf:
-        raise ValueError(f"exponent p must be >= 2 and finite, got {p}")
-    if delta is None:
-        delta = float(np.min(m0.values))
+    delta, p, trunc = _checked_inputs(final_cost, m0, grid, tol, max_iter, delta, K, p)
     m0 = m0.with_grid(grid)
-    trunc = select_K(m0, final_cost.L_h, final_cost.C0, delta, K)
     M1 = 3.0 * ((final_cost.L_h + 1.0) * trunc.m0_norm_C1 + final_cost.C0)
     # A callable diffusion depends only on the grid: evaluate it once here.
     model = replace(model, diffusion_u=model.diffusion_values(grid, "u"),
@@ -510,12 +520,13 @@ def horizon_sweep(
     to a whole number of steps) the same ``dt``, so the per-horizon
     contraction factors are comparable.  ``final_cost`` is either a
     :class:`FinalCost` or a callable ``grid -> FinalCost`` for costs whose
-    kernel depends on the grid.  Every horizon's grid is built before the
-    first one runs, so an unusable step (``T / dt`` not finite, or a
-    per-horizon step that underflows) raises ``ValueError`` up front.  The
-    horizons then run one after another; a failure inside one is captured
-    into its row (status ``"error"``) instead of aborting the sweep, and
-    rows come back in the order of ``T_list``.
+    kernel depends on the grid.  Before any horizon runs, every grid is
+    built and the first gets the checks :func:`picard_solve` makes before
+    its first sweep, so inadmissible data or an unusable step (``T / dt``
+    not finite, or a per-horizon step that underflows) raise ``ValueError``
+    up front.  The horizons then run one after another; a failure inside one
+    is captured into its row (status ``"error"``) instead of aborting the
+    sweep, and rows come back in the order of ``T_list``.
     """
     if not T_list:
         raise ValueError("T_list must not be empty")
@@ -530,6 +541,8 @@ def horizon_sweep(
         TorusGrid(dim=m0.grid.dim, n=m0.grid.n, nt=max(2, int(round(s))), T=float(T))
         for T, s in zip(T_list, steps)
     ]
+    first_cost = final_cost if isinstance(final_cost, FinalCost) else final_cost(grids[0])
+    _checked_inputs(first_cost, m0, grids[0], tol, max_iter, delta, K, p)
 
     def run_one(grid: TorusGrid) -> SweepRow:
         start = time.perf_counter()

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -262,8 +263,6 @@ def build_mfg_coupling(
     :class:`HamiltonianSpec`, and the build raises ``ValueError`` naming
     the first one that disagrees.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
     H_mp = spec.H_mp or (lambda x, t, p, m: np.zeros((dim,) + np.shape(m)))
     H_xp_div = spec.H_xp_div or (lambda x, t, p, m: np.zeros(np.shape(m)))
     A_is_callable = callable(spec.A)
@@ -353,8 +352,6 @@ def build_congestion_coupling(
     points.  A is a constant matrix (scalar or
     ``(dim, dim)``).
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
     if not alpha >= 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     custom_H1 = H1 is not None
@@ -502,7 +499,7 @@ def periodic_gaussian_kernel(grid: TorusGrid, sigma: Optional[float] = None) -> 
     profile = np.zeros(grid.n)
     for r in range(-3, 4):
         profile += np.exp(-0.5 * ((x + r) / sigma) ** 2)
-    kern = profile if grid.dim == 1 else np.outer(profile, profile)
+    kern = reduce(np.multiply.outer, [profile] * grid.dim)
     kern = kern / (kern.sum() * grid.h**grid.dim)
     return kern
 

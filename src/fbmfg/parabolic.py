@@ -37,8 +37,8 @@ march is checked against its discrete equation: the relative residual of
 every step must stay below ``RESIDUAL_TOL``.
 
 Sparse matrices come from one fixed-pattern assembler: the sorted structure
-of a periodic 5-point (3-point in 1D, 9-point with a mixed term) stencil is
-built once per grid, and a matrix is per-offset data summed into it.
+of a periodic ``1 + 2d``-point stencil (plus four corners per axis pair with
+a mixed term) is built once per grid; a matrix is per-offset data summed in.
 
 SciPy's sparse modules are imported by the sparse paths on first use, not
 by this module, so a constant-diffusion run or audit never loads them:
@@ -73,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
@@ -122,10 +123,12 @@ class SolverError(RuntimeError):
 def _shifted_points(n: int, dim: int, cross: bool, sign: int) -> np.ndarray:
     """``(offsets, n**dim)`` flat index of ``q + sign * offset_k`` for every point ``q``.
 
-    The offsets are 0, ``-e_i, +e_i`` per axis, then if ``cross`` ``(1, 1),
-    (-1, -1), (1, -1), (-1, 1)``."""
+    The offsets are 0, ``-e_i, +e_i`` per axis, then if ``cross`` ``e_i + e_j,
+    -e_i - e_j, e_i - e_j, -e_i + e_j`` per axis pair ``i < j``."""
     units = [tuple(s * (k == i) for k in range(dim)) for i in range(dim) for s in (-1, 1)]
-    corners = [(1, 1), (-1, -1), (1, -1), (-1, 1)] if cross else []
+    corners = [tuple(s * (k == i) + t * (k == j) for k in range(dim))
+               for i, j in combinations(range(dim), 2) if cross
+               for s, t in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
     points = np.arange(n**dim).reshape((n,) * dim)
     return np.stack([np.roll(points, [-sign * o for o in offset], axis=tuple(range(dim))).ravel()
                      for offset in [(0,) * dim] + units + corners])
@@ -275,12 +278,13 @@ class ParabolicProblem:
         if not np.all(np.isfinite(self.diffusion)):
             raise ValueError("coefficients must be finite")
         c = self.coefficients()
-        if self.grid.dim == 1:
-            min_eig = np.min(c[0, 0])
-        else:
-            a, d, b = c[0, 0], c[1, 1], c[0, 1]
-            min_eig = np.min(0.5 * ((a + d) - np.sqrt((a - d) ** 2 + 4.0 * b * b)))
-        if min_eig < ELLIPTICITY_FLOOR:
+        # c reaches the floor when every LDLᵀ pivot of c - ELLIPTICITY_FLOOR I is >= 0.
+        a = c - ELLIPTICITY_FLOOR * np.eye(len(c)).reshape(c.shape[:2] + (1,) * (c.ndim - 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while a.shape[0] and np.all(a[0, 0] >= 0.0):
+                a = a[1:, 1:] - a[1:, :1] * a[:1, 1:] / a[0, 0]
+        if a.shape[0]:
+            min_eig = np.min(np.linalg.eigvalsh(np.moveaxis(c, (0, 1), (-2, -1))))
             raise ValueError(
                 f"diffusion is not uniformly elliptic: "
                 f"min eigenvalue {min_eig} < {ELLIPTICITY_FLOOR}"
@@ -296,15 +300,15 @@ def _fourier_symbol(problem: ParabolicProblem) -> np.ndarray:
     """Symbol of ``L`` on the ``rfftn`` modes.
 
     ``-c_ii`` times the 3-point stencil has symbol ``c_ii 4 sin^2(θ_i/2) / h^2``;
-    ``-2 c_01`` times the 4-point cross stencil has ``2 c_01 sin θ_0 sin θ_1 / h^2``.
+    ``-2 c_ij`` (``i < j``) times the cross stencil has ``2 c_ij sin θ_i sin θ_j / h^2``.
     """
     g = problem.grid
     c = problem.diffusion
     freqs = [np.fft.fftfreq(g.n)] * (g.dim - 1) + [np.fft.rfftfreq(g.n)]
     theta = np.meshgrid(*(2.0 * np.pi * f for f in freqs), indexing="ij", sparse=True)
     symbol = sum(c[i, i] * 4.0 * np.sin(0.5 * theta[i]) ** 2 for i in range(g.dim)) / g.h**2
-    if g.dim == 2:
-        symbol = symbol + 2.0 * c[0, 1] * np.sin(theta[0]) * np.sin(theta[1]) / g.h**2
+    for i, j in combinations(range(g.dim), 2):
+        symbol = symbol + 2.0 * c[i, j] * np.sin(theta[i]) * np.sin(theta[j]) / g.h**2
     return symbol
 
 
@@ -330,18 +334,19 @@ def _fourier_march(problem: ParabolicProblem, out: np.ndarray) -> None:
 
 
 def _spatial_operator(grid: TorusGrid, c: np.ndarray) -> sp.csr_matrix:
-    """``L v = -c_ij v_ij`` for one slice of ``c``; 9-point if ``c_01`` is nonzero."""
+    """``L v = -c_ij v_ij`` for one slice of ``c``, with every pair's corners if any is mixed."""
     n, dim, h2 = grid.n, grid.dim, grid.h**2
-    cross = dim == 2 and bool(np.any(c[0, 1] != 0.0))
-    data = np.zeros((1 + 2 * dim + 4 * cross, n**dim))
+    cross = bool(np.any(c[np.triu_indices(dim, 1)] != 0.0))
+    pairs = list(combinations(range(dim), 2)) if cross else []
+    data = np.zeros((1 + 2 * dim + 4 * len(pairs), n**dim))
     for i in range(dim):
         side = np.ravel(c[i, i]) / h2
         data[0] += 2.0 * side
         data[1 + 2 * i] = data[2 + 2 * i] = -side
-    if cross:
-        corner = np.ravel(c[0, 1]) / (2.0 * h2)
-        data[5] = data[6] = -corner
-        data[7] = data[8] = corner
+    for (i, j), quad in zip(pairs, data[1 + 2 * dim:].reshape(len(pairs), 4, n**dim)):
+        corner = np.ravel(c[i, j]) / (2.0 * h2)
+        quad[:2] = -corner
+        quad[2:] = corner
     return _stencil_matrix("csr", n, dim, cross, data)
 
 
@@ -544,9 +549,9 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
         The divergence-form drift ``b`` with shape ``(nt+1, dim) + spatial``
         (the transport velocity of the density is ``-b``).
 
-    A nonzero mixed coefficient ``c_01`` raises ``ValueError``: an implicit
-    mixed term would break the M-matrix structure that keeps the density
-    nonnegative.
+    A nonzero mixed coefficient ``c_ij`` (``i < j``) raises ``ValueError``:
+    an implicit mixed term would break the M-matrix structure that keeps the
+    density nonnegative.
 
     Each step's matrix is applied matrix-free, from its rows gathered once
     per audit, and each step is refined (:func:`_refine`) on an approximate
@@ -576,8 +581,8 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
         )
     if not np.all(np.isfinite(drift)):
         raise ValueError("drift contains non-finite values")
-    if g.dim == 2 and np.any(problem.coefficients()[0, 1] != 0.0):
-        raise ValueError("solve_fp_conservative takes no mixed coefficient c_01")
+    if np.any(problem.coefficients()[np.triu_indices(g.dim, 1)] != 0.0):
+        raise ValueError("solve_fp_conservative takes no mixed coefficient c_ij")
 
     out = np.empty((g.nt + 1, *g.shape))
     out[0] = problem.initial.values

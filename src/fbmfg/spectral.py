@@ -69,8 +69,8 @@ __all__ = [
 DEFAULT_TOL_DENOM = 1e-8
 
 # A mode key is a signed integer per axis: k > 0 selects cos(2*pi*k*x),
-# k < 0 selects sin(2*pi*|k|*x), k = 0 the constant; in 2D the basis
-# function is the product of the two 1D factors.
+# k < 0 selects sin(2*pi*|k|*x), k = 0 the constant; the basis function
+# is the product of the one-axis factors.
 ModeKey = Union[int, tuple[int, ...]]
 
 
@@ -78,8 +78,8 @@ def _normalize_key(key: ModeKey) -> tuple[int, ...]:
     if isinstance(key, (int, np.integer)):
         return (int(key),)
     key = tuple(int(k) for k in key)
-    if len(key) not in (1, 2):
-        raise ValueError(f"mode key must have 1 or 2 axes, got {key}")
+    if not key:
+        raise ValueError("mode key must have at least one axis")
     return key
 
 

@@ -1,7 +1,7 @@
 """Periodic space-time grids, finite-difference operators, and discrete norms.
 
 Everything downstream works on the flat torus: the unit cube ``[0, 1)^d``
-(``d`` = 1 or 2) with periodic identification, crossed with a uniform time
+(any ``d >= 1``) with periodic identification, crossed with a uniform time
 axis ``[0, T]``.  This module owns
 
 - :class:`TorusGrid` — the discretization record (``n`` points per spatial
@@ -74,7 +74,7 @@ class TorusGrid:
     Parameters
     ----------
     dim : int
-        Spatial dimension, 1 or 2.
+        Spatial dimension, an integer ``>= 1``.
     n : int
         Grid points per spatial axis (``>= 8``); the spacing is ``h = 1/n``.
     nt : int
@@ -82,7 +82,7 @@ class TorusGrid:
         with ``dt = T/nt``.
     T : float
         Time horizon (``> 0``), large enough that ``T/nt`` does not
-        underflow to 0.
+        underflow to 0 or to a subnormal number.
     """
 
     dim: int
@@ -91,20 +91,21 @@ class TorusGrid:
     T: float
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         # NaN and infinity fail the range test before int() sees them.
+        if not (1 <= self.dim < math.inf and int(self.dim) == self.dim):
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim}")
         if not (8 <= self.n < math.inf and int(self.n) == self.n):
             raise ValueError(f"n must be an integer >= 8, got {self.n}")
         if not (2 <= self.nt < math.inf and int(self.nt) == self.nt):
             raise ValueError(f"nt must be an integer >= 2, got {self.nt}")
         # Integral floats (n=32.0) are stored as ints: they size arrays.
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "nt", int(self.nt))
+        for name in ("dim", "n", "nt"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not (self.T > 0 and np.isfinite(self.T)):
             raise ValueError(f"T must be positive and finite, got {self.T}")
-        if not self.dt > 0:
-            raise ValueError(f"time step T/nt underflows to 0 (T={self.T!r}, nt={self.nt})")
+        if not self.dt >= np.finfo(float).tiny:
+            raise ValueError(f"time step T/nt underflows to 0 or to a subnormal number "
+                             f"(T={self.T!r}, nt={self.nt})")
 
     @property
     def h(self) -> float:
@@ -118,7 +119,7 @@ class TorusGrid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """Spatial array shape: ``(n,)`` or ``(n, n)``."""
+        """Spatial array shape: ``(n,) * dim``."""
         return (self.n,) * self.dim
 
     @property
@@ -128,8 +129,6 @@ class TorusGrid:
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays broadcast to the spatial shape (``ij`` indexing)."""
         axes = [np.arange(self.n) / self.n for _ in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     def times(self) -> np.ndarray:
@@ -172,7 +171,7 @@ class Field:
 
     @classmethod
     def from_function(cls, grid: TorusGrid, fn: Callable[..., np.ndarray]) -> "Field":
-        """Sample ``fn(x)`` (1D) or ``fn(x, y)`` (2D) on the grid."""
+        """Sample ``fn(*coordinates)``, one coordinate array per axis, on the grid."""
         return cls(grid, np.asarray(fn(*grid.coordinates()), dtype=float) + np.zeros(grid.shape))
 
     def with_grid(self, grid: TorusGrid) -> "Field":
@@ -382,8 +381,8 @@ def subtract_second_order(values: np.ndarray, coeffs: np.ndarray, h: float, dim:
     """``out -= Σ_ij c_ij (D^2 f)_ij`` without building the Hessian.
 
     ``coeffs`` has axes ``(dim, dim) + ...`` broadcasting against ``values``
-    and is taken as symmetric; the cross stencil runs only where ``c_01`` is
-    nonzero.  The 3-point terms are accumulated as
+    and is taken as symmetric; the cross stencil of a pair ``i < j`` runs
+    only where ``c_ij`` is nonzero.  The 3-point terms are accumulated as
     ``2 w f - w (f(x + e_i) + f(x - e_i))`` with ``w = c_ii / h^2``: one
     scratch array, no second differences, and the same value as with
     :func:`hessian_values` up to rounding.
@@ -397,10 +396,11 @@ def subtract_second_order(values: np.ndarray, coeffs: np.ndarray, h: float, dim:
         _neighbour_sum(periodic, i, scratch)
         scratch *= weights[i]
         out -= scratch
-    if dim == 2 and np.any(coeffs[0, 1] != 0.0):
-        _cross_difference(periodic, 0, 1, scratch)
-        scratch *= coeffs[0, 1] / (2.0 * h2)
-        out -= scratch
+    for i, j in itertools.combinations(range(dim), 2):
+        if np.any(coeffs[i, j] != 0.0):
+            _cross_difference(periodic, i, j, scratch)
+            scratch *= coeffs[i, j] / (2.0 * h2)
+            out -= scratch
 
 
 def gradient(f: Field) -> np.ndarray:

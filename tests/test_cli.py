@@ -125,6 +125,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(DECOUPLED + mutation + "\n")
 
+    @pytest.mark.parametrize("dim", ["0", "4", "1.5"])
+    def test_grid_dim_runs_over_the_field_columns(self, dim):
+        # x, y, z: one coordinate column per axis in the field CSVs.
+        with pytest.raises(ConfigError, match="grid.dim"):
+            parse_config(DECOUPLED.replace("grid.dim = 1", f"grid.dim = {dim}"))
+
     def test_required_keys_and_model_names(self):
         with pytest.raises(ConfigError, match="missing required key"):
             parse_config("model = decoupled-heat\n")
@@ -241,6 +247,39 @@ class TestRunCommand:
         assert lines[0] == "x,y,u,m"
         assert len(lines) == 1 + 64
 
+    def test_three_dimensional_run_and_fields_layout(self, tmp_path):
+        # The tiny 3D quadratic run of the CI's console-script step; the
+        # density defaults to the constant mode 0,0,0 = 1.
+        cfg_path = write(
+            tmp_path / "run.cfg",
+            TINY_QUADRATIC.replace("grid.dim = 1", "grid.dim = 3")
+            .replace("grid.n = 16", "grid.n = 8").replace("params.modes = 0=1.0; 1=0.1", ""),
+        )
+        out = tmp_path / "three_d"
+        assert main(["run", cfg_path, "--out", str(out)]) == 0
+        lines = (out / "fields_tT.csv").read_text().splitlines()
+        assert lines[0] == "x,y,z,u,m"
+        assert len(lines) == 1 + 512
+        # Points in index order: the last axis runs fastest.
+        assert [line.split(",")[:3] for line in lines[1:3]] == [["0", "0", "0"],
+                                                                ["0", "0", "0.125"]]
+        assert all(float(line.split(",")[4]) == 1.0 for line in lines[1:])
+
+    @pytest.mark.parametrize("modes", ["params.modes = 0=1.0; 1=0.1", ""])
+    def test_subnormal_time_step_exits_1(self, tmp_path, capsys, modes):
+        # dt = 1e-320 / 8 is subnormal: with data the W21p distance used to
+        # overflow (exit 2), with a constant density the run "converged".
+        cfg_path = write(
+            tmp_path / "run.cfg",
+            TINY_QUADRATIC.replace("grid.T = 0.01", "grid.T = 1e-320")
+            .replace("params.modes = 0=1.0; 1=0.1", modes),
+        )
+        out = tmp_path / "o"
+        assert main(["run", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "subnormal" in err
+        assert not out.exists()
+
     def test_near_critical_counterexample_exits_2_with_a_note(self, tmp_path):
         cfg_path = write(
             tmp_path / "run.cfg",
@@ -348,11 +387,14 @@ class TestRunCommand:
         # the positivity floor defaults to its minimum.
         assert "resolved.delta = 2.5" in manifest
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("factory, fragment", [
         ("nan_cost_factory", "L_h and C0 must be nonnegative"),
         ("infinite_density_factory", "initial density must be finite"),
     ])
-    def test_factory_data_the_solver_cannot_run_exits_1(self, tmp_path, capsys, factory, fragment):
+    def test_factory_data_the_solver_cannot_run_exits_1(
+        self, tmp_path, capsys, factory, fragment, command
+    ):
         cfg_path = write(
             tmp_path / "run.cfg",
             f"""\
@@ -365,7 +407,8 @@ class TestRunCommand:
             """,
         )
         out = tmp_path / "o"
-        assert main(["run", cfg_path, "--out", str(out)]) == 1
+        horizons = ["--T-list", "0.005,0.01"] if command == "sweep" else []
+        assert main([command, cfg_path, *horizons, "--out", str(out)]) == 1
         assert fragment in capsys.readouterr().err
         assert not out.exists()
 
@@ -460,8 +503,9 @@ class TestSweepCommand:
         assert fragment in errors[0]
 
     @pytest.mark.parametrize("T, fragment", [
-        # T / dt overflows for every horizon.
-        ("1e-320", "is too small for the horizons"),
+        # dt = T / nt is subnormal on the configured grid (T / dt would
+        # overflow for every horizon).
+        ("1e-320", "underflows to 0 or to a subnormal number"),
         # dt = T / nt underflows to zero on the configured grid.
         ("5e-324", "underflows to 0"),
     ])

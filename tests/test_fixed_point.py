@@ -138,14 +138,15 @@ class TestApplyT:
 
     @pytest.mark.parametrize(
         "model",
-        [quadratic_mfg_model(dim=1), quadratic_mfg_model(dim=2), congestion_model(dim=2)],
-        ids=["quadratic-1d", "quadratic-2d", "congestion-2d"],
+        [quadratic_mfg_model(dim=1), quadratic_mfg_model(dim=2), congestion_model(dim=2),
+         congestion_model(dim=3)],
+        ids=["quadratic-1d", "quadratic-2d", "congestion-2d", "congestion-3d"],
     )
     def test_stacked_sources_match_slice_loop(self, model):
         # apply_T evaluates each truncated source once on the whole stack;
         # that must reproduce a slice-by-slice evaluation bit for bit.  The
         # rough pair drives every clamp past its level somewhere.
-        grid = TorusGrid(dim=model.dim, n=16, nt=8, T=0.05)
+        grid = TorusGrid(dim=model.dim, n=16 if model.dim < 3 else 8, nt=8, T=0.05)
         trunc = select_K(Field.full(grid, 1.0), 0.0, 0.0, 0.5)  # K = 4
         F_hat, G_hat = wrap_model(model.F, model.G, trunc)
         rng = np.random.default_rng(11)
@@ -386,9 +387,9 @@ class TestPicardBasics:
         assert d_ab > 0.0
         assert d_ab == pytest.approx(iterate_distance(b, a, 4.0), rel=1e-12)
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_iterate_distance_equals_the_public_norms_exactly(self, dim):
-        grid = TorusGrid(dim=dim, n=16, nt=8, T=0.01)
+        grid = TorusGrid(dim=dim, n=16 if dim < 3 else 8, nt=8, T=0.01)
         rng = np.random.default_rng(9)
         shape = (grid.nt + 1, *grid.shape)
         # Nearby iterates, as in a converging run: the difference of the
@@ -406,9 +407,9 @@ class TestPicardBasics:
         p = dim + 3.0
         assert iterate_distance(a, b, p) == norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_last_row_norms_equal_the_public_norms(self, dim):
-        grid = TorusGrid(dim=dim, n=16, nt=8, T=0.01)
+        grid = TorusGrid(dim=dim, n=16 if dim < 3 else 8, nt=8, T=0.01)
         m0 = Field.from_function(
             grid, lambda *x: 1.0 + 0.2 * np.prod([np.cos(2.0 * np.pi * xi) for xi in x], axis=0)
         )
@@ -613,6 +614,18 @@ class TestQuadraticCoupling:
             assert report.status == "converged"
             assert report.residuals["u"] < 1e-9
             assert report.residuals["m"] < 1e-9
+
+    @pytest.mark.parametrize("model", [quadratic_mfg_model(dim=3), congestion_model(dim=3)],
+                             ids=["quadratic", "congestion"])
+    def test_3d_solve_converges_inside_the_clamps(self, model):
+        grid = TorusGrid(dim=3, n=8, nt=16, T=0.02)
+        m0 = Field.from_function(grid, lambda x, y, z: 1.0 + 0.2 * np.cos(2.0 * np.pi * x)
+                                 * np.sin(2.0 * np.pi * z) + 0.1 * np.cos(2.0 * np.pi * y))
+        report = picard_solve(model, final_cost_convolution(grid), m0, grid)
+        assert report.status == "converged" and report.is_contraction
+        assert report.detrunc_ok and report.p == 6.0
+        assert report.residuals["u"] < 1e-11
+        assert report.residuals["m"] < 1e-8
 
 
 class TestResiduals:
@@ -898,3 +911,29 @@ class TestHorizonSweep:
             horizon_sweep(model, cost, m0, [0.01], dt=math.inf)
         with pytest.raises(ValueError, match="every horizon must be positive and finite"):
             horizon_sweep(model, cost, m0, [0.01, math.inf], dt=0.01)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(tol=-1.0), "tol must be nonnegative"),
+        (dict(max_iter=0), "max_iter must be an integer"),
+        (dict(p=1.5), "exponent p must be >= 2"),
+        (dict(K=0.5), "must reach the admissible threshold"),
+        (dict(delta=2.0), "initial density violates its floor"),
+        (dict(m0=np.inf), "initial density must be finite"),
+        (dict(m0=0.0), "initial density must be strictly positive"),
+    ])
+    def test_rejects_what_picard_solve_rejects_before_any_horizon(self, kwargs, message):
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        m0 = cosine_density(grid, 0.25)
+        if "m0" in kwargs:
+            m0.values[3] = kwargs.pop("m0")
+        costs = []
+
+        def cost(g):
+            costs.append(g)
+            return final_cost_convolution(g)
+
+        with pytest.raises(ValueError, match=message):
+            horizon_sweep(decoupled_heat_model(dim=1), cost, m0, [0.01, 0.02], dt=0.0025,
+                          **kwargs)
+        # Only the first horizon's cost was built, for the checks.
+        assert [g.T for g in costs] == [0.01]

@@ -436,11 +436,17 @@ class TestDerivativeProbes:
 
 class TestFinalCostConvolution:
     def test_kernel_mass_and_sign(self):
-        for dim in (1, 2):
-            grid = TorusGrid(dim=dim, n=32, nt=2, T=0.1)
+        for dim in (1, 2, 3):
+            grid = TorusGrid(dim=dim, n=32 if dim < 3 else 8, nt=2, T=0.1)
             kern = periodic_gaussian_kernel(grid)
             assert np.all(kern >= 0)
             assert abs(np.sum(kern) * grid.h**dim - 1.0) < 1e-13
+
+    def test_kernel_is_a_product_of_one_axis_profiles(self):
+        profile = periodic_gaussian_kernel(TorusGrid(dim=1, n=8, nt=2, T=0.1))
+        kern = periodic_gaussian_kernel(TorusGrid(dim=3, n=8, nt=2, T=0.1))
+        expected = np.einsum("i,j,k->ijk", profile, profile, profile)
+        assert np.allclose(kern, expected, rtol=1e-14, atol=0.0)
 
     def test_fft_matches_direct_sum(self):
         grid = TorusGrid(dim=1, n=32, nt=2, T=0.1)

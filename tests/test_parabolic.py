@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import reduce
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -191,6 +193,9 @@ class TestTwoDimensional:
         [
             ([[1.0, 0.0], [0.0, 0.6]], 0),
             ([[1.0, 0.25], [0.25, 1.0]], 1),
+            # One cross stencil per axis pair with a nonzero coefficient.
+            ([[1.0, 0.0, 0.0], [0.0, 0.8, 0.2], [0.0, 0.2, 0.9]], 1),
+            ([[1.0, 0.1, -0.2], [0.1, 0.8, 0.2], [-0.2, 0.2, 0.9]], 3),
         ],
     )
     def test_march_check_builds_the_cross_stencil_only_when_needed(
@@ -204,7 +209,7 @@ class TestTwoDimensional:
             return cross(*args)
 
         monkeypatch.setattr(torus_grid, "_cross_difference", counted)
-        g = TorusGrid(dim=2, n=16, nt=8, T=0.001)
+        g = TorusGrid(dim=len(C), n=16 if len(C) == 2 else 8, nt=8, T=0.001)
         v0 = np.random.default_rng(29).normal(size=g.shape)
         solve_forward(ParabolicProblem(grid=g, diffusion=np.array(C), initial=Field(g, v0)))
         assert len(calls) == crosses
@@ -279,10 +284,9 @@ class TestMarchCheck:
 def reference_shift(n, dim, axis, s):
     rows = np.arange(n)
     s1 = sp.csr_matrix((np.ones(n), (rows, (rows - s) % n)), shape=(n, n))
-    if dim == 1:
-        return s1
     eye = sp.identity(n, format="csr")
-    return sp.kron(s1, eye, format="csr") if axis == 0 else sp.kron(eye, s1, format="csr")
+    factors = [s1 if k == axis else eye for k in range(dim)]
+    return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors).tocsr()
 
 
 def reference_second_diff(n, dim, axis, h):
@@ -298,9 +302,9 @@ def reference_spatial_operator(n, dim, h, c):
     L = sp.csr_matrix((n**dim, n**dim))
     for i in range(dim):
         L = L - sp.diags(np.ravel(c[i, i])) @ reference_second_diff(n, dim, i, h)
-    if dim == 2:
-        cross = reference_first_diff(n, 2, 0, h) @ reference_first_diff(n, 2, 1, h)
-        L = L - 2.0 * sp.diags(np.ravel(c[0, 1])) @ cross
+    for i, j in combinations(range(dim), 2):
+        cross = reference_first_diff(n, dim, i, h) @ reference_first_diff(n, dim, j, h)
+        L = L - 2.0 * sp.diags(np.ravel(c[i, j])) @ cross
     return L
 
 
@@ -332,8 +336,8 @@ def random_diffusion(rng, dim, n, mixed, lead=()):
     c = np.zeros((dim, dim) + lead + (n,) * dim)
     for i in range(dim):
         c[i, i] = rng.uniform(0.5, 1.5, lead + (n,) * dim)
-    if mixed:
-        c[0, 1] = c[1, 0] = rng.uniform(-0.2, 0.2, lead + (n,) * dim)
+    for i, j in combinations(range(dim), 2) if mixed else ():
+        c[i, j] = c[j, i] = rng.uniform(-0.2, 0.2, lead + (n,) * dim)
     return c
 
 
@@ -346,7 +350,8 @@ class TestStencilAssembler:
 
     CASES = [(1, 2, False), (1, 3, False), (1, 8, False),
              (2, 2, False), (2, 3, False), (2, 8, False),
-             (2, 2, True), (2, 3, True), (2, 8, True)]
+             (2, 2, True), (2, 3, True), (2, 8, True),
+             (3, 2, False), (3, 3, True), (3, 8, False), (3, 8, True)]
 
     @pytest.mark.parametrize("dim, n, mixed", CASES)
     def test_spatial_operator_matches_reference(self, dim, n, mixed):
@@ -390,14 +395,14 @@ class TestStencilAssembler:
             expected = ref @ x
             assert np.max(np.abs(new - expected)) <= 1e-15 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_conservative_columns_sum_to_one(self, dim):
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 16), (3, 8)])
+    def test_conservative_columns_sum_to_one(self, dim, n):
         rng = np.random.default_rng(7 + dim)
-        grid = small_grid(dim, 16, dt=2e-4)
-        c = random_diffusion(rng, dim, 16, False, lead=(1,))
+        grid = small_grid(dim, n, dt=2e-4)
+        c = random_diffusion(rng, dim, n, False, lead=(1,))
         velocity = rng.normal(scale=3.0, size=(2, dim) + grid.shape)
         for column in parabolic._conservative_rates(grid, c, velocity):
-            dense = parabolic._stencil_matrix("csc", 16, dim, False, column).toarray()
+            dense = parabolic._stencil_matrix("csc", n, dim, False, column).toarray()
             assert np.max(np.abs(dense.sum(axis=0) - 1.0)) <= 1e-15
             off = dense - np.diag(np.diag(dense))
             # An M-matrix: the generator D + adv moves mass only outwards.
@@ -490,16 +495,17 @@ class TestFourierAgainstSplu:
 
     MIXED = [[1.0, 0.25], [0.25, 1.0]]
     CASES = {
-        "1d": (1, [[1.0]]),
-        "2d-diagonal": (2, [[1.0, 0.0], [0.0, 0.6]]),
-        "2d-mixed": (2, MIXED),
+        "1d": (1, 16, [[1.0]]),
+        "2d-diagonal": (2, 16, [[1.0, 0.0], [0.0, 0.6]]),
+        "2d-mixed": (2, 16, MIXED),
+        "3d-mixed": (3, 8, [[1.0, 0.2, -0.3], [0.2, 0.8, 0.25], [-0.3, 0.25, 0.9]]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_paths_agree(self, case):
-        dim, C = self.CASES[case]
+        dim, n, C = self.CASES[case]
         C = np.array(C)
-        g = TorusGrid(dim=dim, n=16, nt=16, T=0.01)
+        g = TorusGrid(dim=dim, n=n, nt=16, T=0.01)
         stack = np.broadcast_to(
             C.reshape((1, dim, dim) + (1,) * dim), (g.nt + 1, dim, dim, *g.shape)
         )
@@ -679,6 +685,21 @@ class TestConservativeFP:
         assert np.all(np.abs(mass - mass[0]) <= 1e-12 * np.abs(mass[0]))
         assert np.min(sol.values) >= 0.0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mass_conserved_and_positive_with_a_drift_along_every_axis(self, dim):
+        g = TorusGrid(dim=dim, n=8 if dim == 3 else 16, nt=8, T=0.02)
+        x = g.coordinates()
+        prob = ParabolicProblem(
+            grid=g,
+            diffusion=np.diag([1.0, 0.7, 0.5][:dim]),
+            initial=Field(g, 1.0 + 0.4 * np.cos(TWO_PI * x[0]) * np.sin(TWO_PI * x[-1])),
+        )
+        drift = np.stack([3.0 * np.sin(TWO_PI * x[(i + 1) % dim]) for i in range(dim)])
+        sol = solve_fp_conservative(prob, np.broadcast_to(drift, (g.nt + 1, *drift.shape)))
+        mass = np.sum(sol.values, axis=tuple(range(1, dim + 1)))
+        assert np.max(np.abs(np.diff(mass))) <= 1e-12 * mass[0]
+        assert np.min(sol.values) > 0.0
+
     @pytest.mark.parametrize("kind", ["constant", "x-dependent"])
     def test_rejects_a_mixed_coefficient(self, kind):
         # The audit has no mixed term; the marches treat it implicitly, so
@@ -692,6 +713,13 @@ class TestConservativeFP:
         with pytest.raises(ValueError, match="mixed coefficient"):
             solve_fp_conservative(prob, np.zeros((g.nt + 1, 2, g.n, g.n)))
         assert np.allclose(solve_forward(prob).values, 1.0, rtol=0, atol=1e-12)
+
+    def test_rejects_a_mixed_coefficient_of_any_axis_pair(self):
+        g = TorusGrid(dim=3, n=8, nt=4, T=0.1)
+        C = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3], [0.0, 0.3, 1.0]])
+        prob = ParabolicProblem(grid=g, diffusion=C, initial=Field.full(g, 1.0))
+        with pytest.raises(ValueError, match="mixed coefficient"):
+            solve_fp_conservative(prob, np.zeros((g.nt + 1, 3, *g.shape)))
 
     def test_time_dependent_diagonal_diffusion_conserves_mass(self, monkeypatch):
         g = TorusGrid(dim=2, n=16, nt=12, T=0.01)
@@ -722,10 +750,10 @@ class TestConservativeFP:
         # No Fourier solve fits an x-dependent diffusion: the first step is factored.
         assert checked_audit(monkeypatch, prob, drift) == 1
 
-    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 15), (2, 16)])
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 15), (2, 16), (3, 9)])
     def test_constant_diffusion_step_keeps_its_mass_on_one_fourier_update(self, dim, n):
         g = TorusGrid(dim=dim, n=n, nt=4, T=0.01)
-        prob = ParabolicProblem(grid=g, diffusion=np.diag([1.0, 0.6][:dim]))
+        prob = ParabolicProblem(grid=g, diffusion=np.diag([1.0, 0.6, 0.8][:dim]))
         y = np.random.default_rng(23).uniform(0.5, 1.5, g.num_points)
         v = parabolic._fourier_inverse(prob)(y)
         assert abs(np.sum(v) - np.sum(y)) <= 1e-14 * np.sum(y)
@@ -803,6 +831,7 @@ class TestFourierMarchLoop:
         (1, 17, [[1.0]]),
         (2, 16, [[1.0, 0.0], [0.0, 0.6]]),
         (2, 15, [[1.0, 0.3], [0.3, 0.8]]),
+        (3, 9, [[1.0, 0.3, -0.1], [0.3, 0.8, 0.2], [-0.1, 0.2, 0.7]]),
     ])
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_march_is_bitwise_the_complex_loop(self, dim, n, C, symmetric):
@@ -831,6 +860,31 @@ class TestValidation:
         g = TorusGrid(dim=2, n=8, nt=2, T=0.1)
         C = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1, 3
         with pytest.raises(ValueError, match="elliptic"):
+            ParabolicProblem(grid=g, diffusion=C)
+
+    def test_ellipticity_holds_down_to_the_floor(self):
+        g = TorusGrid(dim=1, n=8, nt=2, T=0.1)
+        floor = parabolic.ELLIPTICITY_FLOOR
+        ParabolicProblem(grid=g, diffusion=np.array([[floor]]))
+        with pytest.raises(ValueError, match=f"min eigenvalue {0.5 * floor} < {floor}"):
+            ParabolicProblem(grid=g, diffusion=np.array([[0.5 * floor]]))
+
+    @pytest.mark.parametrize("where", ["constant", "one point", "one slice"])
+    def test_rejects_a_3d_diffusion_whose_leading_minors_are_positive(self, where):
+        # Positive diagonal and 2x2 leading minor, but the determinant is
+        # negative: the smallest eigenvalue is 1 - 2 * 0.9 = -0.8.
+        g = TorusGrid(dim=3, n=8, nt=2, T=0.1)
+        bad = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        assert np.linalg.eigvalsh(bad)[0] < 0.0 < np.linalg.det(bad[:2, :2])
+        C = bad
+        if where == "one point":
+            C = np.repeat(np.eye(3)[:, :, None], g.num_points, axis=2)
+            C[:, :, 17] = bad
+            C = C.reshape(3, 3, *g.shape)
+        elif where == "one slice":
+            C = np.repeat(np.eye(3)[None], g.nt + 1, axis=0)
+            C[1] = bad
+        with pytest.raises(ValueError, match=r"min eigenvalue -0\.[78]"):
             ParabolicProblem(grid=g, diffusion=C)
 
     def test_rejects_bad_source_shape(self):

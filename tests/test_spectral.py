@@ -243,6 +243,15 @@ class TestBasis:
         assert abs(mode_eigenvalue(1) - LAM1) < 1e-12
         assert abs(mode_eigenvalue(-3) - 9.0 * LAM1) < 1e-11
         assert abs(mode_eigenvalue((1, -2)) - 5.0 * LAM1) < 1e-11
+        assert abs(mode_eigenvalue((1, -2, 3)) - 14.0 * LAM1) < 1e-11
+        with pytest.raises(ValueError, match="at least one axis"):
+            mode_eigenvalue(())
+
+    def test_three_axis_basis_is_a_product(self):
+        coords = np.meshgrid(*[np.arange(8) / 8.0] * 3, indexing="ij")
+        phi = basis_function((1, 0, -2), coords)
+        expected = np.cos(2 * np.pi * coords[0]) * np.sin(4 * np.pi * coords[2])
+        assert np.array_equal(phi, expected)
 
     def test_discrete_orthogonality(self):
         x = np.arange(64) / 64.0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ class TestTorusGrid:
         assert g.h == 1.0 / 64
         assert g.shape == (64,)
         assert grid2d(n=32).shape == (32, 32)
+        g3 = TorusGrid(dim=3, n=8, nt=4, T=1.0)
+        assert g3.shape == (8, 8, 8) and g3.num_points == 512
+
+    def test_coordinates_in_three_dimensions(self):
+        g = TorusGrid(dim=3, n=8, nt=4, T=1.0)
+        x, y, z = g.coordinates()
+        assert x.shape == y.shape == z.shape == (8, 8, 8)
+        assert x[3, 0, 5] == y[0, 3, 5] == z[5, 0, 3] == 3 / 8
+        f = Field.from_function(g, lambda x, y, z: x + 10 * y + 100 * z)
+        assert f.values[1, 2, 3] == (1 + 20 + 300) / 8
+        assert np.array_equal(grid1d(n=16).coordinates()[0], np.arange(16) / 16)
 
     def test_time_axis(self):
         g = grid1d(nt=10, T=0.5)
@@ -61,7 +74,7 @@ class TestTorusGrid:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(dim=3, n=16, nt=4, T=1.0),
+            dict(dim=0, n=16, nt=4, T=1.0),
             dict(dim=1, n=4, nt=4, T=1.0),
             dict(dim=1, n=16, nt=1, T=1.0),
             dict(dim=1, n=32.5, nt=8, T=1.0),
@@ -73,6 +86,9 @@ class TestTorusGrid:
             dict(dim=1, n=float("nan"), nt=8, T=1.0),
             # T is positive but T/nt underflows to a zero time step.
             dict(dim=1, n=16, nt=8, T=5e-324),
+            dict(dim=1.5, n=16, nt=4, T=1.0),
+            # T/nt = 1.25e-321 is subnormal: 1/dt overflows in the norms.
+            dict(dim=1, n=16, nt=8, T=1e-320),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -83,6 +99,7 @@ class TestTorusGrid:
     def test_integral_sizes_are_stored_as_int(self, n, nt):
         g = TorusGrid(dim=2, n=n, nt=nt, T=0.1)
         assert type(g.n) is int and type(g.nt) is int
+        assert type(TorusGrid(dim=2.0, n=n, nt=nt, T=0.1).dim) is int
         assert g == TorusGrid(dim=2, n=32, nt=8, T=0.1)
         assert hash(g) == hash(TorusGrid(dim=2, n=32, nt=8, T=0.1))
         assert Field.zeros(g).values.shape == (32, 32)
@@ -211,6 +228,8 @@ class TestGhostLayerStencils:
         "2d-slice": (2, (16, 16)),
         "2d-stack": (2, (9, 16, 16)),
         "2d-leading-3x5-nonsquare": (2, (3, 5, 12, 10)),
+        "3d-stack": (3, (5, 8, 8, 8)),
+        "3d-nonsquare": (3, (9, 10, 8)),
     }
 
     @pytest.mark.parametrize("case", list(SHAPES))
@@ -275,7 +294,7 @@ class TestFlatStencils:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_equal_to_np_roll(self, dim, lead, layout):
         values = self.values(dim, lead, layout)
         assert values.shape == lead + (8,) * dim
@@ -288,13 +307,13 @@ class TestFlatStencils:
         assert np.array_equal(hessian_values(copy, h, dim), hess)
 
     @pytest.mark.parametrize("mixed", [False, True])
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_subtract_second_order_against_the_hessian(self, dim, mixed):
         rng = np.random.default_rng(13 + dim + mixed)
         values = rng.normal(size=(5,) + (8,) * dim)
         coeffs = rng.uniform(0.5, 1.5, size=(dim, dim, 5) + (8,) * dim)
-        if dim == 2:
-            coeffs[1, 0] = coeffs[0, 1] = 0.3 * coeffs[0, 1] if mixed else 0.0
+        for i, j in itertools.combinations(range(dim), 2):
+            coeffs[j, i] = coeffs[i, j] = 0.3 * coeffs[i, j] if mixed else 0.0
         hess = hessian_values(values, 0.125, dim)
         expected = 1.0 - np.einsum("ij...,ij...->...", coeffs, hess)
         out = np.ones_like(values)
