@@ -33,7 +33,16 @@ monitors and the final checks, and so are the gradient magnitudes: the
 clamps read them instead of recomputing them, and a clamp that cuts
 nothing passes its argument through, so the clamps of a de-truncated run
 copy nothing.  The distance takes the stencils of the differences
-themselves, once each.  Divergence is declared after five
+themselves, once each, through the norm kernel
+:func:`~fbmfg.torus_grid.stack_norms` that the row norms share: it builds
+only the gradient and Hessian magnitudes of ``du`` and the gradient
+magnitude of ``dm``, one component or entry at a time, the Hessian on
+slices ``0 .. nt-1`` only, with no gradient or Hessian tensor of the
+differences.  A sweep holds little else: the old pair's derivatives go
+before the distance, the old pair before the row, and the final residual
+certificate contracts its diffusion terms term by term, the density's
+Hessian entries straight from the stencils.  Every row, report and iterate
+is bitwise what the tensor formulas give.  Divergence is declared after five
 consecutive increases of ``d`` (or any non-finite value); exhausting the
 iteration budget without meeting the tolerance is reported as its own
 status, since near a critical horizon the factors hover just below one and
@@ -55,22 +64,22 @@ import numpy as np
 from .models import CouplingModel, FinalCost
 from .parabolic import ParabolicProblem, SolverError, solve_backward, solve_forward
 
-# norm_C1, norm_C10 and norm_W21p are not called here; they stay imported
-# because benchmark/tracing.py wraps the torus_grid names it finds in this
-# module.
+# norm_C1, norm_C10, norm_W21p and time_derivative are not called here; they
+# stay imported because benchmark/tracing.py wraps the torus_grid names it
+# finds in this module.
 from .torus_grid import (
     Field,
     SpaceTimeField,
     TorusGrid,
     gradient_magnitude,
     gradient_values,
+    hessian_contraction,
     hessian_magnitude,
     hessian_values,
     norm_C1,
     norm_C10,
-    norm_C10_values,
     norm_W21p,
-    norm_W21p_values,
+    stack_norms,
     time_derivative,
 )
 from .truncation import TruncationParams, select_K, wrap_model
@@ -142,28 +151,17 @@ def initial_state(grid: TorusGrid, m0: Field, Dm0: Optional[np.ndarray] = None) 
     return state
 
 
-def _pair_norms(state: IterateState, p: float) -> tuple[float, float, float]:
-    """``(|u|_W21p, |u|_C1, |m|_C1)`` of a pair, from its cached derivatives."""
-    u, m = state.u.values, state.m.values
-    Du_mag = state.Du_mag
-    return (
-        norm_W21p_values(u, Du_mag[:-1], hessian_magnitude(state.D2u[:, :, :-1]), state.grid, p),
-        norm_C10_values(u, Du_mag),
-        norm_C10_values(m, state.Dm_mag),
-    )
-
-
 def iterate_distance(a: IterateState, b: IterateState, p: float) -> float:
     """The contraction metric ``|du|_W21p + |du|_C1 + |dm|_C1``.
 
-    Equal to ``norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)``: the sum of
-    :func:`_pair_norms` of the difference pair, whose stencils are
-    evaluated once each.
+    Equal to ``norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)``: the norm
+    kernel takes the stencils of the differences themselves, once each,
+    and builds only their magnitudes.
     """
     grid = a.grid
-    diff = IterateState(u=SpaceTimeField(grid, a.u.values - b.u.values),
-                        m=SpaceTimeField(grid, a.m.values - b.m.values))
-    return sum(_pair_norms(diff, p))
+    (c10_m,) = stack_norms(a.m.values - b.m.values, grid)
+    c10_u, w21p_u = stack_norms(a.u.values - b.u.values, grid, p)
+    return w21p_u + c10_u + c10_m
 
 
 def apply_T(
@@ -172,6 +170,8 @@ def apply_T(
     m0: Field,
     state: IterateState,
     trunc: TruncationParams,
+    *,
+    coordinates: Optional[tuple] = None,
 ) -> IterateState:
     """One sweep of the solution operator: forward density, backward value.
 
@@ -183,10 +183,13 @@ def apply_T(
     ``u(T) = h[m(T)]`` hold exactly on the output.  The incoming pair's
     derivatives and gradient magnitudes come from its cache; the new
     density's gradient and its magnitude are handed on to the returned pair.
+    ``coordinates`` is the grid's ``(x, t)``, built here unless given; a
+    solve hands the same pair to every sweep, so a model may keep what it
+    derives from them.
     """
     grid = state.grid
     F_hat, G_hat = wrap_model(model.F, model.G, trunc)
-    x, t = grid.space_time_coordinates()
+    x, t = grid.space_time_coordinates() if coordinates is None else coordinates
     u_old, m_old = state.u.values, state.m.values
 
     # Each problem (and so its source stack) is dropped once its march ends.
@@ -230,8 +233,12 @@ def _iteration_row(
     k: int, d: float, gamma: float, state: IterateState, p: float
 ) -> IterationRow:
     """The row of sweep ``k``; the norms read the new pair's cached derivatives."""
+    grid = state.grid
+    c10_u, w21p_u = stack_norms(state.u.values, grid, p, grad_mag=state.Du_mag,
+                                hess_mag=hessian_magnitude(state.D2u[:, :, :-1]))
+    (c10_m,) = stack_norms(state.m.values, grid, grad_mag=state.Dm_mag)
     return IterationRow(
-        k, d, gamma, *_pair_norms(state, p),
+        k, d, gamma, w21p_u, c10_u, c10_m,
         min_m=float(np.min(state.m.values)),
         max_Du=float(np.max(state.Du_mag)),
     )
@@ -303,13 +310,15 @@ class IterationReport:
         return bool(self.gamma_history) and all(g < 1.0 for g in self.gamma_history)
 
 
-def _detrunc_check(state: IterateState, K: float) -> tuple[bool, tuple[str, ...], dict]:
+def _detrunc_check(state: IterateState, K: float,
+                   row: Optional[IterationRow] = None) -> tuple[bool, tuple[str, ...], dict]:
+    """The clamp bounds of the final pair; ``row``, the pair's own row, lends its reductions."""
     u, m = state.u.values, state.m.values
     bounds = {
         "max_abs_u": float(np.max(np.abs(u))),
-        "min_m": float(np.min(m)),
+        "min_m": float(np.min(m)) if row is None else row.min_m,
         "max_m": float(np.max(m)),
-        "max_Du": float(np.max(state.Du_mag)),
+        "max_Du": float(np.max(state.Du_mag)) if row is None else row.max_Du,
         "max_Dm": float(np.max(state.Dm_mag)),
     }
     failures = []
@@ -326,33 +335,50 @@ def _detrunc_check(state: IterateState, K: float) -> tuple[bool, tuple[str, ...]
     return not failures, tuple(failures), bounds
 
 
-def _pde_residual_stacks(model: CouplingModel, state: IterateState) -> tuple[np.ndarray, ...]:
+def _pde_residual_stacks(
+    model: CouplingModel, state: IterateState, coordinates: Optional[tuple] = None,
+) -> tuple[np.ndarray, ...]:
     """Residual stacks ``(u, m)`` of the *untruncated* equations on a pair.
 
     Each equation is evaluated with the grid's own difference operators at
     its march's implicit level: the value equation at slices ``0 .. nt-1``
     against the forward difference, the density equation at slices
     ``1 .. nt`` against the backward difference.  At an exact fixed point
-    both are round-off.
+    both are round-off.  The diffusion terms are contracted term by term on
+    those slices only; the density's Hessian entries come straight from its
+    stencils.  ``coordinates`` is the grid's ``(x, t)``, built here unless
+    given.
     """
     grid = state.grid
     u, m = state.u.values, state.m.values
-    Du, Dm, D2u = state.Du, state.Dm, state.D2u
-    x, t = grid.space_time_coordinates()
-    D2m = hessian_values(m, grid.h, grid.dim)
+    x, t = grid.space_time_coordinates() if coordinates is None else coordinates
     c_u, c_m = (
         ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
         for eq in ("u", "m")
     )
-    F = model.F(u, m, Du, Dm, x, t)
-    G = model.G(u, m, Du, Dm, D2u, x, t)
-    # time_derivative's slice j - 1 is the backward difference at j.
-    res_u = (-time_derivative(state.u) - np.sum(c_u * D2u, axis=(0, 1)) + F)[:-1]
-    res_m = time_derivative(state.m)[:-1] - np.sum(c_m * D2m, axis=(0, 1))[1:] + G[1:]
+    F = model.F(u, m, state.Du, state.Dm, x, t)
+    res_u = u[1:] - u[:-1]
+    res_u /= grid.dt
+    np.negative(res_u, out=res_u)
+    res_u -= hessian_contraction(_time_slices(c_u, slice(None, -1)), u[:-1], grid.h, grid.dim,
+                                 hess=state.D2u[:, :, :-1])
+    res_u += F[:-1]
+    del F
+    G = model.G(u, m, state.Du, state.Dm, state.D2u, x, t)
+    res_m = m[1:] - m[:-1]
+    res_m /= grid.dt
+    res_m -= hessian_contraction(_time_slices(c_m, slice(1, None)), m[1:], grid.h, grid.dim)
+    res_m += G[1:]
     return res_u, res_m
 
 
-def _pde_residuals(model: CouplingModel, state: IterateState) -> dict:
+def _time_slices(c: np.ndarray, times: slice) -> np.ndarray:
+    """The slices ``times`` of coefficients with axes ``(dim, dim, time) + ...``."""
+    return c[:, :, times] if c.shape[2] > 1 else c
+
+
+def _pde_residuals(model: CouplingModel, state: IterateState,
+                   coordinates: Optional[tuple] = None) -> dict:
     """Sups of :func:`_pde_residual_stacks` on the final pair.
 
     Sources that reject the pair (``ValueError`` or ``ArithmeticError``, e.g.
@@ -361,7 +387,7 @@ def _pde_residuals(model: CouplingModel, state: IterateState) -> dict:
     """
     try:
         with np.errstate(all="ignore"):
-            res_u, res_m = _pde_residual_stacks(model, state)
+            res_u, res_m = _pde_residual_stacks(model, state, coordinates)
     except (ValueError, ArithmeticError) as exc:
         return {"u": math.nan, "m": math.nan, "reason": f"{type(exc).__name__}: {exc}"}
     return {"u": float(np.max(np.abs(res_u))), "m": float(np.max(np.abs(res_m)))}
@@ -423,6 +449,7 @@ def picard_solve(
                     diffusion_m=model.diffusion_values(grid, "m"))
 
     state = initial_state(grid, m0, trunc.m0_gradient)
+    coordinates = grid.space_time_coordinates()
     rows: list[IterationRow] = []
     m1_violations: list[int] = []
     status = "max_iter"
@@ -430,20 +457,27 @@ def picard_solve(
     increases = 0
     for k in range(1, max_iter + 1):
         try:
-            candidate = apply_T(model, final_cost, m0, state, trunc)
+            candidate = apply_T(model, final_cost, m0, state, trunc, coordinates=coordinates)
         except (ValueError, ArithmeticError, SolverError) as exc:
             status = "error"
             error = f"sweep {k}: {type(exc).__name__}: {exc}"
             break
-        # Only the sweep reads the old pair's derivatives; release them.
+        # Only the sweep reads the old pair's derivatives, and only the
+        # distance its values: release each as soon as it is done.
         state = IterateState(u=state.u, m=state.m)
         d = iterate_distance(candidate, state, p)
+        # The new pair's derivatives, which the row and the next sweep read,
+        # first take the room the distance left; then the old pair goes,
+        # before the row.  Released before them, the old values let the
+        # heap top be trimmed and regrown every sweep: six times the minor
+        # page faults per solve.
+        candidate.Du_mag, candidate.D2u
+        state = candidate
         gamma = d / rows[-1].distance if rows else math.nan
-        row = _iteration_row(k, d, gamma, candidate, p)
+        row = _iteration_row(k, d, gamma, state, p)
         rows.append(row)
         if row.norm_u_c10 > M1 or row.norm_m_c10 > M1:
             m1_violations.append(k)
-        state = candidate
         if not math.isfinite(d):
             status = "diverged"
             break
@@ -458,8 +492,11 @@ def picard_solve(
         else:
             increases = 0
 
-    detrunc_ok, failures, bounds = _detrunc_check(state, trunc.K)
-    residuals = _pde_residuals(model, state)
+    # The final pair is the one of the last row, if any sweep succeeded.
+    detrunc_ok, failures, bounds = _detrunc_check(state, trunc.K, rows[-1] if rows else None)
+    for name in ("Du_mag", "Dm_mag"):  # the residuals read no magnitude
+        vars(state).pop(name, None)
+    residuals = _pde_residuals(model, state, coordinates)
     return IterationReport(
         status=status,
         rows=tuple(rows),

@@ -126,6 +126,18 @@ def _eye_like(dim: int, spatial: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(eye, (dim, dim) + tuple(spatial))
 
 
+def _half_square(p: np.ndarray) -> np.ndarray:
+    """``|p|^2 / 2`` along the leading axis, with one component squared at a time.
+
+    The components are summed in order, which is bitwise what
+    ``0.5 * np.sum(p * p, axis=0)`` gives, without its ``p``-sized temporary.
+    """
+    total = p[0] * p[0]
+    for component in p[1:]:
+        total += component * component
+    return 0.5 * total
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian-driven mean-field couplings
 # ---------------------------------------------------------------------------
@@ -280,6 +292,18 @@ def build_mfg_coupling(
     def F(u, m, Du, Dm, x, t):
         return np.asarray(spec.H(x, t, Du, m), dtype=float)
 
+    # (x, t, A_div1, A_div2) of the last coordinates G saw: a solve hands the
+    # same (x, t) objects to every sweep, so they are evaluated once per solve.
+    held = None
+
+    def divergences(x, t):
+        nonlocal held
+        current = held  # one read, so a concurrent caller cannot swap it midway
+        if current is None or current[0] is not x or current[1] is not t:
+            current = held = (x, t, np.asarray(spec.A_div1(x, t), dtype=float),
+                              np.asarray(spec.A_div2(x, t), dtype=float))
+        return current[2:]
+
     # Terms the spec leaves undeclared are zero and are skipped.
     def G(u, m, Du, Dm, D2u, x, t):
         Hp = np.asarray(spec.H_p(x, t, Du, m), dtype=float)
@@ -294,8 +318,9 @@ def build_mfg_coupling(
             )
         out = out - m * div_term
         if spec.A_div1 is not None:
-            out = out - 2.0 * np.sum(np.asarray(spec.A_div1(x, t), dtype=float) * Dm, axis=0)
-            out = out - np.asarray(spec.A_div2(x, t), dtype=float) * m
+            div1, div2 = divergences(x, t)
+            out = out - 2.0 * np.sum(div1 * Dm, axis=0)
+            out = out - div2 * m
         return out
 
     def drift(u, m, Du, Dm, x, t):
@@ -358,7 +383,7 @@ def build_congestion_coupling(
     if custom_H1 and (H1_p is None or H1_pp is None):
         raise ValueError("a custom H1 needs H1_p and H1_pp as well")
     if not custom_H1:
-        H1 = lambda q: 0.5 * np.sum(q * q, axis=0)
+        H1 = _half_square
         H1_p = lambda q: q
     if f is None:
         f = lambda x, t, m: m
@@ -425,7 +450,7 @@ def quadratic_mfg_model(dim: int = 1) -> CouplingModel:
     ``G = -Du . Dm - m Lap u``.
     """
     spec = HamiltonianSpec(
-        H=lambda x, t, p, m: 0.5 * np.sum(p * p, axis=0) - m,
+        H=lambda x, t, p, m: _half_square(p) - m,
         H_p=lambda x, t, p, m: p,
         H_pp=lambda x, t, p, m: _eye_like(p.shape[0], p.shape[1:]),
         A=0.5 * np.eye(dim),

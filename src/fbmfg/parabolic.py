@@ -8,8 +8,10 @@ marched forward in time from ``v(x, 0)``, or the backward-in-time variant
 
     -u_t - c_ij u_{x_i x_j} + g = 0,     u(x, T) given,
 
-which is solved by the substitution ``t -> T - t``: reverse the coefficient
-and source slices, run the forward march, reverse the output.  That makes
+which is solved by the substitution ``t -> T - t``: the forward march runs
+on time-reversed views of the coefficient and source slices and writes
+through a time-reversed view of its output, and its check reads the same
+views in memory order, so no slice is copied to reverse it.  That makes
 the backward solver an exact mirror of the forward one (an index
 bookkeeping identity, tested as such).
 
@@ -26,7 +28,8 @@ coefficients' values, not the shape they arrive in, choose one of two paths:
 - a constant ``(dim, dim)`` matrix makes ``I + dt * L`` circulant, so the
   march is one scalar recursion per discrete Fourier mode,
   ``v̂_j = (v̂_{j-1} - dt ĝ_j) / (1 + dt λ̂_k)``, with ``λ̂_k`` the symbol of
-  exactly those stencils (mixed term included);
+  exactly those stencils (mixed term included), computed once per grid and
+  matrix;
 - x- or t-dependent coefficients assemble ``L_j`` as a sparse matrix and
   solve each step by a direct ``splu`` factorization (once per march, or
   once per step when the coefficients change in time) under the
@@ -58,12 +61,14 @@ Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Its implicit system
 matrix is an M-matrix with unit column sums, so densities stay nonnegative
 and the discrete total mass is conserved exactly (up to the linear-solver
 residual).  The step matrices are applied matrix-free: the columns of every
-step come from one pass and are gathered once into rows over a fixed
-neighbour index, so a product is one gather and one contraction.  Each step
+step come from one pass and are gathered in place into rows over a fixed
+neighbour index, one offset at a time, so a product is one gather and one
+contraction and only the rows are held.  Each step
 is refined to round-off, with its mass exact, on an approximate inverse: for
 constant diffusion the per-mode solve of the step without its drift,
 otherwise the factors of an earlier step.  Only a step that refinement
-cannot finish is assembled as a sparse matrix and factored, and its factors
+cannot finish has its columns gathered back from its rows, is assembled
+as a sparse matrix and factored, and its factors
 serve the steps that follow; a constant-diffusion audit along a gentle drift
 (``|v| dt / h`` far below one) factors nothing.  It takes no mixed
 coefficient, so every path that accepts one treats it implicitly.
@@ -296,14 +301,12 @@ class ParabolicProblem:
 # ---------------------------------------------------------------------------
 
 
-def _fourier_symbol(problem: ParabolicProblem) -> np.ndarray:
-    """Symbol of ``L`` on the ``rfftn`` modes.
+def _fourier_symbol(g: TorusGrid, c: np.ndarray) -> np.ndarray:
+    """Symbol of ``L`` for the constant ``(dim, dim)`` diffusion ``c`` on the ``rfftn`` modes.
 
     ``-c_ii`` times the 3-point stencil has symbol ``c_ii 4 sin^2(θ_i/2) / h^2``;
     ``-2 c_ij`` (``i < j``) times the cross stencil has ``2 c_ij sin θ_i sin θ_j / h^2``.
     """
-    g = problem.grid
-    c = problem.diffusion
     freqs = [np.fft.fftfreq(g.n)] * (g.dim - 1) + [np.fft.rfftfreq(g.n)]
     theta = np.meshgrid(*(2.0 * np.pi * f for f in freqs), indexing="ij", sparse=True)
     symbol = sum(c[i, i] * 4.0 * np.sin(0.5 * theta[i]) ** 2 for i in range(g.dim)) / g.h**2
@@ -312,11 +315,24 @@ def _fourier_symbol(problem: ParabolicProblem) -> np.ndarray:
     return symbol
 
 
+@lru_cache(maxsize=16)
+def _fourier_denominator(grid: TorusGrid, diffusion: bytes) -> np.ndarray:
+    """``1 + dt λ̂_k`` for the constant diffusion with bytes ``diffusion``, read-only.
+
+    Computed once per grid and diffusion matrix, so every march of a solve
+    shares it.
+    """
+    c = np.frombuffer(diffusion).reshape(grid.dim, grid.dim)
+    denom = 1.0 + grid.dt * _fourier_symbol(grid, c)
+    denom.flags.writeable = False
+    return denom
+
+
 def _fourier_march(problem: ParabolicProblem, out: np.ndarray) -> None:
     """Fill slices ``1..nt`` of ``out`` by the per-mode backward-Euler recursion."""
     g = problem.grid
     axes = tuple(range(1, g.dim + 1))
-    denom = 1.0 + g.dt * _fourier_symbol(problem)
+    denom = _fourier_denominator(g, problem.diffusion.tobytes())
     # One complex stack: source modes, overwritten in place by solution modes.
     # ``(-dt ĝ_j) + v̂_{j-1}`` is bitwise ``v̂_{j-1} - dt ĝ_j``.
     hat = np.fft.rfftn(problem.source, axes=axes)
@@ -371,18 +387,29 @@ def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
     Step ``j`` must satisfy ``(I + dt L_j) v_j = v_{j-1} - dt g_j`` to a
     relative residual below ``RESIDUAL_TOL``; ``L`` is applied through the
     grid's own stencils (:func:`~fbmfg.torus_grid.subtract_second_order`),
-    the cross stencil only where the mixed coefficient is nonzero.
+    the cross stencil only where the mixed coefficient is nonzero.  A
+    backward march's ``v`` and time-indexed inputs are time-reversed views:
+    its steps are checked in memory order (step ``j`` then reads slice
+    ``j + 1``), so the stencils take no copy.
     """
     g = problem.grid
     if not np.all(np.isfinite(v)):
         raise SolverError("non-finite values produced by the march")
-    c = problem.coefficients()[:, :, 1:] if problem.time_dependent else problem.coefficients()
-    rhs = v[:-1] - g.dt * problem.source[1:]
-    res = v[1:] - rhs
-    subtract_second_order(v[1:], g.dt * c, g.h, g.dim, out=res)
+    c, source, new, old = problem.coefficients(), problem.source, slice(1, None), slice(None, -1)
+    backward = v.strides[0] < 0
+    if backward:
+        v, source, c, new, old = v[::-1], source[::-1], c[:, :, ::-1], old, new
+    if problem.time_dependent:
+        c = c[:, :, new]
+    rhs = g.dt * source[new]
+    np.subtract(v[old], rhs, out=rhs)
+    res = v[new] - rhs
+    subtract_second_order(v[new], g.dt * c, g.h, g.dim, out=res)
     rhs, res = rhs.reshape(g.nt, -1), res.reshape(g.nt, -1)
     scale = np.maximum(np.sqrt(np.einsum("ij,ij->i", rhs, rhs)), 1e-300)
     rel = np.sqrt(np.einsum("ij,ij->i", res, res)) / scale
+    if backward:
+        rel = rel[::-1]
     worst = int(np.argmax(rel))
     if rel[worst] > RESIDUAL_TOL:
         raise SolverError(
@@ -392,45 +419,49 @@ def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
 
 def solve_forward(problem: ParabolicProblem) -> SpaceTimeField:
     """March the problem from its initial slice to ``T``."""
-    g = problem.grid
     if problem.initial is None:
         raise ValueError("solve_forward needs an initial slice")
+    return _march(problem, slice(None))
+
+
+def solve_backward(problem: ParabolicProblem) -> SpaceTimeField:
+    """Solve ``-u_t - c_ij u_ij + g = 0`` down from the final slice.
+
+    Implemented by time reversal: the forward march runs on time-reversed
+    views of every time-indexed input and of the output, so no slice is
+    copied to reverse it.  Slice ``nt`` of the result equals the supplied
+    final slice exactly.
+    """
+    if problem.final is None:
+        raise ValueError("solve_backward needs a final slice")
+    return _march(_reverse_in_time(problem), slice(None, None, -1))
+
+
+def _reverse_in_time(problem: ParabolicProblem) -> ParabolicProblem:
+    """The problem with time reversed: views of its time-indexed inputs, the final slice first."""
+    diffusion = problem.diffusion[::-1] if problem.time_dependent else problem.diffusion
+    return replace(problem, diffusion=diffusion, source=problem.source[::-1],
+                   initial=problem.final, final=None)
+
+
+def _march(problem: ParabolicProblem, time: slice) -> SpaceTimeField:
+    """March ``problem`` forward into a new stack seen through ``time``, and check it.
+
+    The march and its check see the stack's slices in march order; they
+    are stored in the order ``time`` gives (``::-1`` for a backward solve).
+    """
+    g = problem.grid
     if not problem.initial.is_finite():
         raise ValueError("initial slice contains non-finite values")
-    out = np.empty((g.nt + 1, *g.shape))
+    values = np.empty((g.nt + 1, *g.shape))
+    out = values[time]
     out[0] = problem.initial.values
     if problem.diffusion.shape == (g.dim, g.dim):
         _fourier_march(problem, out)
     else:
         _splu_march(problem, out)
     _check_march(problem, out)
-    return SpaceTimeField(g, out)
-
-
-def _reverse_in_time(problem: ParabolicProblem) -> ParabolicProblem:
-    diffusion = problem.diffusion
-    if problem.time_dependent:
-        diffusion = np.ascontiguousarray(diffusion[::-1])
-    return replace(
-        problem,
-        diffusion=diffusion,
-        source=np.ascontiguousarray(problem.source[::-1]),
-        initial=problem.final,
-        final=None,
-    )
-
-
-def solve_backward(problem: ParabolicProblem) -> SpaceTimeField:
-    """Solve ``-u_t - c_ij u_ij + g = 0`` down from the final slice.
-
-    Implemented by time reversal: reverse every time-indexed input, run the
-    forward march, reverse the output slices.  Slice ``nt`` of the result
-    equals the supplied final slice exactly.
-    """
-    if problem.final is None:
-        raise ValueError("solve_backward needs a final slice")
-    w = solve_forward(_reverse_in_time(problem))
-    return SpaceTimeField(problem.grid, np.ascontiguousarray(w.values[::-1]))
+    return SpaceTimeField(g, values)
 
 
 # ---------------------------------------------------------------------------
@@ -459,29 +490,43 @@ def _conservative_rates(grid: TorusGrid, c: np.ndarray, velocity: np.ndarray) ->
     n, dim, h, dt = grid.n, grid.dim, grid.h, grid.dt
     steps, size = velocity.shape[0], n**dim
     rate = np.zeros((steps, 1 + 2 * dim, size))  # the columns of D + adv
+    # entry[k]: entry k of every column, on the (steps,) + spatial layout.
+    entry = rate.reshape((steps, 1 + 2 * dim) + velocity.shape[2:]).swapaxes(0, 1)
     for i in range(dim):
         v = velocity[:, i]
-        cii = np.broadcast_to(c[i, i], v.shape).reshape(steps, size) / (h * h)
-        face = 0.5 * (v + np.roll(v, -1, axis=1 + i))  # the velocity at q + e_i / 2
-        out = np.maximum(face, 0.0).reshape(steps, size)
-        into = np.roll(np.minimum(face, 0.0), 1, axis=1 + i).reshape(steps, size)
-        rate[:, 0] -= 2.0 * cii + (out - into) / h
-        rate[:, 1 + 2 * i] = cii - into / h
-        rate[:, 2 + 2 * i] = cii + out / h
-    rate *= -dt  # in place: the audit's largest temporary
+        cii = c[i, i] / (h * h)
+        face = np.roll(v, -1, axis=1 + i)
+        face += v
+        face *= 0.5  # the velocity at q + e_i / 2
+        out = np.maximum(face, 0.0)
+        into = np.roll(np.minimum(face, 0.0, out=face), 1, axis=1 + i)
+        del face
+        # The operations of 2 cii + (out - into) / h, cii - into / h and
+        # cii + out / h, with one temporary where those take six.
+        diagonal = np.subtract(out, into)
+        diagonal /= h
+        diagonal += 2.0 * cii
+        entry[0] -= diagonal
+        del diagonal
+        np.subtract(cii, np.divide(into, h, out=entry[1 + 2 * i]), out=entry[1 + 2 * i])
+        np.divide(out, h, out=entry[2 + 2 * i])
+        entry[2 + 2 * i] += cii
+    rate *= -dt  # in place: the audit's largest array
     rate[:, 0] += 1.0
     return rate
 
 
 def _stencil_rows(columns: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
-    """Stencil column data ``(..., offsets, n**dim)`` turned into row data.
+    """Stencil column data ``(..., offsets, n**dim)`` turned into row data, in place.
 
     Column ``q`` holds entry ``k`` at row ``q + offset_k``, so row ``p`` meets
     column ``neighbours[k, p] = p - offset_k`` in that column's entry ``k``.
+    One offset is gathered at a time, so only a slice of the data is copied.
+    Gathering rows with the neighbours ``p + offset_k`` gives the columns back.
     """
-    offsets, size = neighbours.shape
-    flat = neighbours + size * np.arange(offsets)[:, np.newaxis]
-    return np.take(columns.reshape(*columns.shape[:-2], -1), flat, axis=-1)
+    for k, index in enumerate(neighbours):
+        columns[..., k, :] = np.take(columns[..., k, :], index, axis=-1)
+    return columns
 
 
 def _gathered_apply(rows: np.ndarray, neighbours: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -496,7 +541,7 @@ def _fourier_inverse(problem: ParabolicProblem) -> Callable[[np.ndarray], np.nda
     """
     g = problem.grid
     axes = tuple(range(g.dim))
-    denom = 1.0 + g.dt * _fourier_symbol(problem)
+    denom = _fourier_denominator(g, problem.diffusion.tobytes())
 
     def solve(y: np.ndarray) -> np.ndarray:
         hat = np.fft.rfftn(y.reshape(g.shape))
@@ -588,16 +633,16 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     out[0] = problem.initial.values
     m = np.ravel(out[0])
     c = problem.coefficients()[:, :, 1:] if problem.time_dependent else problem.coefficients()
-    columns = _conservative_rates(g, c, -drift[1:])
     neighbours = _shifted_points(g.n, g.dim, False, -1)
-    rows = _stencil_rows(columns, neighbours)
+    rows = _stencil_rows(_conservative_rates(g, c, -drift[1:]), neighbours)
     inverse = _fourier_inverse(problem) if problem.diffusion.shape == (g.dim, g.dim) else None
     for j in range(1, g.nt + 1):
         apply = partial(_gathered_apply, rows[j - 1], neighbours)
         rhs = m
         step = None if inverse is None else _refine(inverse, apply, rhs)
         if step is None:
-            lu = _factor(_stencil_matrix("csc", g.n, g.dim, False, columns[j - 1]))
+            columns = _stencil_rows(rows[j - 1].copy(), _shifted_points(g.n, g.dim, False, 1))
+            lu = _factor(_stencil_matrix("csc", g.n, g.dim, False, columns))
             inverse = lu.solve
             m = lu.solve(rhs)
             res = rhs - apply(m)

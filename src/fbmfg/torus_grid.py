@@ -29,11 +29,16 @@ stencil bookkeeping; no floating-point coordinate wrapping is involved.
 
 All operators here are linear and act on plain ``numpy`` arrays under the
 hood; the ``*_values`` variants are the array-level work functions and are
-reused by the solver modules on stacked slices.  The norms are split the
-same way: :func:`norm_C10_values` and :func:`norm_W21p_values` take the
-pointwise magnitudes (:func:`gradient_magnitude`,
-:func:`hessian_magnitude`) of derivatives a caller already holds, so a
-solver that needs several norms of one iterate evaluates each stencil once.
+reused by the solver modules on stacked slices.  Every norm goes through
+one kernel, :func:`stack_norms`.  It takes the pointwise magnitudes
+(:func:`gradient_magnitude`, :func:`hessian_magnitude`) of derivatives a
+caller already holds, so a solver that needs several norms of one iterate
+evaluates each stencil once; a magnitude it is not given it builds straight
+from the stencils, one component or entry at a time, with no gradient or
+Hessian tensor.  :func:`hessian_contraction` sums ``c_ij (D^2 f)_ij`` the
+same way.  All of these are bitwise equal to the tensor formulas they
+replace: the same operations on the same operands, summed in the same
+order.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,6 +59,7 @@ __all__ = [
     "gradient_values",
     "hessian",
     "hessian_values",
+    "hessian_contraction",
     "subtract_second_order",
     "time_derivative",
     "gradient_magnitude",
@@ -62,6 +68,7 @@ __all__ = [
     "norm_C10_values",
     "norm_W21p",
     "norm_W21p_values",
+    "stack_norms",
     "norm_C1",
     "norm_C2",
 ]
@@ -355,6 +362,18 @@ def gradient_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     return out
 
 
+def _hessian_entry(periodic: _Periodic, i: int, j: int, h: float, out: np.ndarray) -> np.ndarray:
+    """``out = (D^2 f)_ij``: the 3-point stencil on the diagonal, the 4-point cross stencil off it."""
+    h2 = h * h
+    if i == j:
+        _second_difference(periodic, i, out)
+        out /= h2
+    else:
+        _cross_difference(periodic, i, j, out)
+        out /= 4.0 * h2
+    return out
+
+
 def hessian_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     """Second-order Hessian along the trailing ``dim`` axes.
 
@@ -364,16 +383,50 @@ def hessian_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     """
     periodic = _Periodic(values, dim)
     out = np.empty((dim, dim, *values.shape))
-    h2 = h * h
     for i in range(dim):
-        _second_difference(periodic, i, out[i, i])
-        out[i, i] /= h2
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            _cross_difference(periodic, i, j, out[i, j])
-            out[i, j] /= 4.0 * h2
-            out[j, i] = out[i, j]
+        _hessian_entry(periodic, i, i, h, out[i, i])
+    for i, j in itertools.combinations(range(dim), 2):
+        out[j, i] = _hessian_entry(periodic, i, j, h, out[i, j])
     return out
+
+
+def _row_order(dim: int, entry: Callable[[int, int], np.ndarray]):
+    """Yield ``(i, j, (D^2 f)_ij)`` row by row, each mixed entry from one ``entry(i, j)``, ``i < j``.
+
+    The entry of a pair is held from ``(i, j)`` until its mirror ``(j, i)``
+    is yielded, then dropped.
+    """
+    held = {}
+    for i, j in itertools.product(range(dim), repeat=2):
+        value = held.pop((j, i)) if j < i else entry(i, j)
+        if i < j:
+            held[i, j] = value
+        yield i, j, value
+
+
+def hessian_contraction(coeffs: np.ndarray, values: np.ndarray, h: float, dim: int,
+                        hess: Optional[np.ndarray] = None) -> np.ndarray:
+    """``Σ_ij c_ij (D^2 f)_ij`` with no product stack: bitwise ``np.sum(coeffs * hess, axis=(0, 1))``.
+
+    ``coeffs`` has axes ``(dim, dim) + ...`` broadcasting against ``values``.
+    The terms are added one by one, row by row, the order that numpy's
+    reduction over the two leading axes takes them in.  ``hess`` is the
+    :func:`hessian_values` output of ``values`` when the caller holds it;
+    otherwise each entry comes straight from the stencils (a mixed entry
+    once, for both of its terms) and no Hessian tensor is built.
+    """
+    if hess is None:
+        periodic = _Periodic(values, dim)
+        entry = lambda i, j: _hessian_entry(periodic, i, j, h, np.empty(periodic.values.shape))
+    else:
+        entry = lambda i, j: hess[i, j]
+    terms = ((coeffs[i, j], value) for i, j, value in _row_order(dim, entry))
+    c, value = next(terms)
+    total, term = c * value, None
+    for c, value in terms:
+        term = np.multiply(c, value, out=term)
+        total += term
+    return total
 
 
 def subtract_second_order(values: np.ndarray, coeffs: np.ndarray, h: float, dim: int,
@@ -390,8 +443,8 @@ def subtract_second_order(values: np.ndarray, coeffs: np.ndarray, h: float, dim:
     periodic = _Periodic(values, dim)
     h2 = h * h
     weights = [coeffs[i, i] / h2 for i in range(dim)]
-    out += (2.0 * sum(weights)) * periodic.values
-    scratch = np.empty_like(periodic.values)
+    scratch = np.multiply(periodic.values, 2.0 * sum(weights))
+    out += scratch
     for i in range(dim):
         _neighbour_sum(periodic, i, scratch)
         scratch *= weights[i]
@@ -464,16 +517,81 @@ def norm_C10_values(values: np.ndarray, grad_mag: np.ndarray) -> float:
     return float(np.max(np.abs(values)) + np.max(grad_mag))
 
 
+def _stencil_gradient_magnitude(periodic: _Periodic, h: float, dim: int) -> np.ndarray:
+    """``|Df|`` straight from the stencils, with no ``(dim,)`` + stack tensor.
+
+    Each component is scaled and squared in place, then summed in order:
+    bitwise ``gradient_magnitude(gradient_values(f, h, dim))``.
+    """
+    total = np.empty(periodic.values.shape)
+    part = np.empty_like(total) if dim > 1 else None
+    for i in range(dim):
+        target = part if i else total
+        _centered_difference(periodic, i, target)
+        target /= 2.0 * h
+        target *= target
+        if i:
+            total += part
+    return np.sqrt(total, out=total)
+
+
+def _stencil_hessian_magnitude(periodic: _Periodic, h: float, dim: int) -> np.ndarray:
+    """``|D^2 f|`` straight from the stencils, with no ``(dim, dim)`` + stack tensor.
+
+    The squared entries are summed row by row, bitwise
+    ``hessian_magnitude(hessian_values(f, h, dim))``; the square of a mixed
+    entry is taken once and held until its mirror is summed.
+    """
+    shape = periodic.values.shape
+    free: list[np.ndarray] = []
+
+    def square(i: int, j: int) -> np.ndarray:
+        value = _hessian_entry(periodic, i, j, h, free.pop() if free else np.empty(shape))
+        return np.multiply(value, value, out=value)
+
+    squares = _row_order(dim, square)
+    total = next(squares)[2]
+    for i, j, value in squares:
+        total += value
+        if i >= j:  # not held for a mirror any more
+            free.append(value)
+    return np.sqrt(total, out=total)
+
+
+def stack_norms(
+    values: np.ndarray, grid: TorusGrid, p: Optional[float] = None, *,
+    grad_mag: Optional[np.ndarray] = None, hess_mag: Optional[np.ndarray] = None,
+) -> tuple[float, ...]:
+    """``(|f|_C10,)`` of samples ``values``, or ``(|f|_C10, ||f||_W21p)`` given ``p``.
+
+    The norm kernel behind :func:`norm_C10`, :func:`norm_C1`,
+    :func:`norm_W21p` and the solver's distance and row norms.  A magnitude
+    the caller does not hold is built straight from the stencils of
+    ``values``: the gradient magnitude on every slice, the Hessian
+    magnitude (for ``p`` only) on slices ``0 .. nt-1``, which the
+    quadrature samples.  Given, ``grad_mag`` covers every slice and
+    ``hess_mag`` slices ``0 .. nt-1``.  Either way the result is bitwise
+    that of the magnitudes of :func:`gradient_values` and
+    :func:`hessian_values`.
+    """
+    if grad_mag is None:
+        grad_mag = _stencil_gradient_magnitude(_Periodic(values, grid.dim), grid.h, grid.dim)
+    c10 = norm_C10_values(values, grad_mag)
+    if p is None:
+        return (c10,)
+    if hess_mag is None:
+        hess_mag = _stencil_hessian_magnitude(_Periodic(values[:-1], grid.dim), grid.h, grid.dim)
+    return c10, norm_W21p_values(values, grad_mag[:-1], hess_mag, grid, p)
+
+
 def norm_C10(f: SpaceTimeField) -> float:
     """Sup norm of ``f`` plus sup norm of its spatial gradient over all slices."""
-    g = f.grid
-    return norm_C10_values(f.values, gradient_magnitude(gradient_values(f.values, g.h, g.dim)))
+    return stack_norms(f.values, f.grid)[0]
 
 
 def norm_C1(f: Field) -> float:
     """Single-slice analogue of :func:`norm_C10`."""
-    g = f.grid
-    return norm_C10_values(f.values, gradient_magnitude(gradient_values(f.values, g.h, g.dim)))
+    return stack_norms(f.values, f.grid)[0]
 
 
 def norm_C2(f: Field) -> float:
@@ -489,32 +607,35 @@ def norm_W21p_values(
     """:func:`norm_W21p` of the ``(nt + 1,) + shape`` stack ``values``.
 
     ``grad_mag`` and ``hess_mag`` are the gradient and Hessian magnitudes of
-    slices ``0 .. nt-1`` (the slices the quadrature samples).
+    slices ``0 .. nt-1`` (the slices the quadrature samples).  The four
+    powers are raised into one reused buffer and summed in the order
+    ``|f|^p + |Df|^p + |D^2 f|^p + |∂_t f|^p``.
     """
     if not p >= 2:
         raise ValueError(f"exponent p must be >= 2, got {p}")
     vals = values[:-1]
     ft = values[1:] - vals
     ft /= grid.dt
-    integrand = _power(np.abs(vals), p)
-    integrand += _power(grad_mag, p)
-    integrand += _power(hess_mag, p)
-    integrand += _power(np.abs(ft, out=ft), p)
+    power = np.abs(vals)
+    integrand = _power(power, p, np.empty_like(power))
+    integrand += _power(grad_mag, p, power)
+    integrand += _power(hess_mag, p, power)
+    integrand += _power(np.abs(ft, out=ft), p, power)
     total = float(np.sum(integrand)) * grid.dt * grid.h**grid.dim
     return total ** (1.0 / p)
 
 
-def _power(base: np.ndarray, p: float) -> np.ndarray:
-    """``base ** p`` for a nonnegative ``base`` and ``p >= 2``, as a new array.
+def _power(base: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """``base ** p`` into ``out`` (not ``base``) for a nonnegative ``base`` and ``p >= 2``.
 
     An integer ``p`` is raised by repeated squaring over its bits, left to
     right: within a few ulp of ``**`` and about four times faster than
     numpy's float power.  Any other ``p`` takes ``**``.
     """
     if not float(p).is_integer():
-        return base**p
+        return np.power(base, p, out=out)
     bits = bin(int(p))[3:]  # the bits after the leading one; p >= 2 leaves one
-    out = base * base
+    np.multiply(base, base, out=out)
     if bits[0] == "1":
         out *= base
     for bit in bits[1:]:
@@ -537,11 +658,4 @@ def norm_W21p(f: SpaceTimeField, p: float) -> float:
     ``∂_t f`` the forward difference — exactly the slices the left-endpoint
     rule samples.
     """
-    g = f.grid
-    vals = f.values[:-1]
-    return norm_W21p_values(
-        f.values,
-        gradient_magnitude(gradient_values(vals, g.h, g.dim)),
-        hessian_magnitude(hessian_values(vals, g.h, g.dim)),
-        g, p,
-    )
+    return stack_norms(f.values, f.grid, p)[1]

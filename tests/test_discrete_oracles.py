@@ -48,7 +48,7 @@ def discrete_gain(grid: TorusGrid, alpha: float) -> np.ndarray:
     ``rho^(N-j) alpha m_k(T)``; forced by ``G = -Lap u`` it adds
     ``-alpha dt lambda sum_i rho^(2i+1) m_k(T)`` to the next ``m_k(T)``.
     """
-    lam = parabolic._fourier_symbol(ParabolicProblem(grid, np.eye(grid.dim)))
+    lam = parabolic._fourier_symbol(grid, np.eye(grid.dim))
     rho = 1.0 / (1.0 + grid.dt * lam)
     return -alpha * (1.0 - rho ** (2 * grid.nt)) / (1.0 + rho)
 

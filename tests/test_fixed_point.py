@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from fbmfg import parabolic, torus_grid
 from fbmfg.fixed_point import (
     IterateState,
+    _pde_residual_stacks,
     _pde_residuals,
     apply_T,
     horizon_sweep,
@@ -42,6 +44,7 @@ from fbmfg.torus_grid import (
     norm_C1,
     norm_C10,
     norm_W21p,
+    time_derivative,
 )
 from fbmfg.truncation import select_K, wrap_model
 
@@ -387,13 +390,16 @@ class TestPicardBasics:
         assert d_ab > 0.0
         assert d_ab == pytest.approx(iterate_distance(b, a, 4.0), rel=1e-12)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_iterate_distance_equals_the_public_norms_exactly(self, dim):
+    @staticmethod
+    def nearby_pairs(dim):
+        """Two nearby iterates, as in a converging run, and their differences.
+
+        The difference of the iterates' derivatives would round differently
+        from the derivatives of the difference.
+        """
         grid = TorusGrid(dim=dim, n=16 if dim < 3 else 8, nt=8, T=0.01)
         rng = np.random.default_rng(9)
         shape = (grid.nt + 1, *grid.shape)
-        # Nearby iterates, as in a converging run: the difference of the
-        # iterates' derivatives would round differently.
         u, m = 10.0 * rng.standard_normal(shape), 10.0 * rng.standard_normal(shape)
         a, b = (
             IterateState(
@@ -404,7 +410,19 @@ class TestPicardBasics:
         )
         du = SpaceTimeField(grid, a.u.values - b.u.values)
         dm = SpaceTimeField(grid, a.m.values - b.m.values)
+        return a, b, du, dm
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_iterate_distance_equals_the_public_norms_exactly(self, dim):
+        a, b, du, dm = self.nearby_pairs(dim)
         p = dim + 3.0
+        assert iterate_distance(a, b, p) == norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)
+
+    @pytest.mark.parametrize("p", [2.5, 4.75])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_iterate_distance_equals_the_public_norms_at_non_integer_p(self, dim, p):
+        # A non-integer exponent takes np.power, not repeated squaring.
+        a, b, du, dm = self.nearby_pairs(dim)
         assert iterate_distance(a, b, p) == norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -427,6 +445,7 @@ class TestPicardBasics:
         Du = gradient_values(state.u.values, grid.h, grid.dim)
         assert row.max_Du == float(np.max(np.sqrt(np.sum(Du * Du, axis=0))))
         assert report.bounds["max_Du"] == row.max_Du
+        assert report.bounds["min_m"] == row.min_m
 
 
 class TestStencilCount:
@@ -500,6 +519,31 @@ class TestStencilCount:
         report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=1, K=K)
         assert report.iterations == 1 and report.K == K
         assert counts["stencils"] == 10
+
+
+class TestMemoryBudget:
+    """What one 2D solve holds at its peak, in stacks of ``(nt + 1) n^2`` floats.
+
+    Measured 21.7 stacks for both models at n=16, nt=32 (the tensor
+    formulas and the reversal copies took 25.4 and 26.4); the budget is
+    that in whole stacks plus one.  The peak is in the backward march,
+    which holds the old pair with its derivatives (12 stacks), the new
+    density with its gradient (4) and the march's own arrays.
+    """
+
+    BUDGET = 23
+
+    @pytest.mark.parametrize("model", [quadratic_mfg_model(2), congestion_model(dim=2)],
+                             ids=["quadratic", "congestion"])
+    def test_2d_solve_peak_within_budget(self, model, traced_peak):
+        grid = TorusGrid(dim=2, n=16, nt=32, T=0.02)
+        m0 = Field.from_function(grid, lambda x, y: 1.0 + 0.1 * np.cos(2.0 * np.pi * x)
+                                 * np.cos(2.0 * np.pi * (y - 0.2)) + 0.05 * np.sin(4.0 * np.pi * y))
+        cost = final_cost_convolution(grid)
+        report, peak = traced_peak(lambda: picard_solve(model, cost, m0, grid))
+        assert report.status == "converged" and report.iterations >= 5
+        stack = (grid.nt + 1) * grid.num_points * 8
+        assert peak <= self.BUDGET * stack, f"peak {peak / stack:.2f} stacks"
 
 
 class TestAgainstClosedForm:
@@ -660,8 +704,8 @@ class TestResiduals:
         assert report.residuals["m"] < 1e-9
 
     @staticmethod
-    def x_dependent_hamiltonian_model(A_calls=None) -> CouplingModel:
-        """A callable A with a mixed entry; ``A_calls`` counts its calls."""
+    def x_dependent_hamiltonian_model(A_calls=None, div_calls=None) -> CouplingModel:
+        """A callable A with a mixed entry; ``A_calls``, ``div_calls`` count calls."""
         tau = 2.0 * np.pi
 
         def A(x, t):
@@ -672,6 +716,8 @@ class TestResiduals:
             return np.stack([np.stack([a, b]), np.stack([b, a])])
 
         def A_div1(x, t):
+            if div_calls is not None:
+                div_calls.append(np.shape(x[0]))
             b_x = 0.05 * tau * np.cos(tau * (x[0] + x[1]))
             return np.stack([
                 0.1 * tau * np.cos(tau * x[0]) + b_x,
@@ -728,6 +774,65 @@ class TestResiduals:
             assert all(shape == (grid.nt + 1, *grid.shape) for shape in calls)
             per_solve.append(len(calls))
         assert per_solve[0] == per_solve[1] <= 2
+
+    def test_divergences_are_evaluated_once_per_solve(self):
+        # Every sweep and the residual certificate get the solve's one (x, t),
+        # so G evaluates A_div1 and A_div2 on the first sweep only.
+        grid, m0, cost = self.hamiltonian_problem()
+        calls = []
+        model = self.x_dependent_hamiltonian_model(div_calls=calls)
+        reports = []
+        for sweeps in (1, 4):
+            calls.clear()  # the build-time probes, or the solve before
+            reports.append(picard_solve(model, cost, m0, grid, tol=0.0, max_iter=sweeps))
+            assert calls == [(grid.nt + 1, *grid.shape)]
+        # The first sweep of either solve is the same sweep.
+        assert reports[0].rows[0] == reports[1].rows[0]
+
+    @staticmethod
+    def reference_residual_stacks(model, state):
+        """The residual stacks by the tensor formulas: a full ``D2m``, one product stack each."""
+        grid = state.grid
+        u, m = state.u.values, state.m.values
+        x, t = grid.space_time_coordinates()
+        D2m = hessian_values(m, grid.h, grid.dim)
+        c_u, c_m = (
+            ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
+            for eq in ("u", "m")
+        )
+        F = model.F(u, m, state.Du, state.Dm, x, t)
+        G = model.G(u, m, state.Du, state.Dm, state.D2u, x, t)
+        res_u = (-time_derivative(state.u) - np.sum(c_u * state.D2u, axis=(0, 1)) + F)[:-1]
+        res_m = time_derivative(state.m)[:-1] - np.sum(c_m * D2m, axis=(0, 1))[1:] + G[1:]
+        return res_u, res_m
+
+    @pytest.mark.parametrize("case", ["quadratic-1d", "quadratic-2d", "quadratic-3d",
+                                      "congestion-2d", "x-dependent-mixed-2d", "t-dependent-1d"])
+    def test_residual_stacks_equal_the_tensor_formulas_bitwise(self, case):
+        # Term by term, on the slices each equation samples, with the
+        # density's Hessian entries from its stencils: the same bits.
+        kind, dim = case.rsplit("-", 1)
+        dim = int(dim[0])
+        grid = TorusGrid(dim=dim, n=16 if dim < 3 else 8, nt=8, T=0.01)
+        m0 = Field.from_function(grid, lambda *x: 1.0 + 0.2 * np.prod(
+            [np.cos(2.0 * np.pi * (xi + 0.1 * i)) for i, xi in enumerate(x)], axis=0))
+        model = {
+            "quadratic": lambda: quadratic_mfg_model(dim),
+            "congestion": lambda: congestion_model(dim=dim, alpha=0.5),
+            "x-dependent-mixed": self.x_dependent_hamiltonian_model,
+            "t-dependent": lambda: replace(
+                quadratic_mfg_model(1),
+                diffusion_u=lambda g: (1.0 + g.times())[:, None, None],
+                diffusion_m=lambda g: (1.0 + 2.0 * g.times())[:, None, None],
+            ),
+        }[kind]()
+        report = picard_solve(model, final_cost_convolution(grid), m0, grid, tol=0.0, max_iter=3)
+        assert report.iterations == 3
+        u, m = report.final_state.u, report.final_state.m
+        got = _pde_residual_stacks(model, IterateState(u, m))
+        expected = self.reference_residual_stacks(model, IterateState(u, m))
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert 0.0 < np.max(np.abs(got[1]))
 
     def test_callable_diffusion_is_factored_once_per_march(self, monkeypatch):
         # The model broadcasts A(x, t) over time; equal slices collapse, so

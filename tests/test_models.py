@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fbmfg import models
 from fbmfg.models import (
     HamiltonianSpec,
     build_congestion_coupling,
@@ -162,15 +163,20 @@ def test_the_package_exports_the_spec_its_factory_takes():
 
 
 class TestVariableDiffusionCoupling:
-    def _model(self):
+    def _model(self, div_calls=None):
+        """The 1D model; ``div_calls`` records each ``A_div1``/``A_div2`` call."""
         def A(x, t):
             a = 1.0 + 0.3 * np.sin(2.0 * np.pi * x[0])
             return a[np.newaxis, np.newaxis]
 
         def A_div1(x, t):
+            if div_calls is not None:
+                div_calls.append("A_div1")
             return (0.6 * np.pi * np.cos(2.0 * np.pi * x[0]))[np.newaxis]
 
         def A_div2(x, t):
+            if div_calls is not None:
+                div_calls.append("A_div2")
             return -1.2 * np.pi**2 * np.sin(2.0 * np.pi * x[0])
 
         spec = HamiltonianSpec(
@@ -222,6 +228,27 @@ class TestVariableDiffusionCoupling:
         assert fine > 0
         assert coarse / fine > 3.2
 
+    def test_G_reuses_its_divergences_for_the_same_coordinates(self):
+        # An identity check on the (x, t) objects: a solve hands the same
+        # pair to every sweep; equal values in new objects are evaluated anew.
+        calls = []
+        model = self._model(calls)
+        grid = TorusGrid(dim=1, n=16, nt=3, T=0.05)
+        rng = np.random.default_rng(4)
+        u = rng.normal(size=(grid.nt + 1, grid.n))
+        m = 1.0 + 0.1 * rng.random((grid.nt + 1, grid.n))
+        args = (u, m, gradient_values(u, grid.h, 1), gradient_values(m, grid.h, 1),
+                hessian_values(u, grid.h, 1))
+        x, t = grid.space_time_coordinates()
+        calls.clear()  # the build-time probes
+        first = model.G(*args, x, t)
+        assert calls == ["A_div1", "A_div2"]
+        assert np.array_equal(model.G(*args, x, t), first)
+        assert np.array_equal(model.G(2.0 * u, *args[1:], x, t), first)  # u does not enter G
+        assert len(calls) == 2
+        assert np.array_equal(model.G(*args, *grid.space_time_coordinates()), first)
+        assert len(calls) == 4
+
     def test_diffusion_values_stacks_time_slices(self):
         model = self._model()
         grid = TorusGrid(dim=1, n=16, nt=3, T=0.05)
@@ -229,6 +256,17 @@ class TestVariableDiffusionCoupling:
         assert arr.shape == (4, 1, 1, 16)
         (x,) = grid.coordinates()
         assert np.allclose(arr[0, 0, 0], 1.0 + 0.3 * np.sin(2 * np.pi * x))
+
+
+@pytest.mark.parametrize("shape", [(1, 9, 16), (2, 9, 8, 8), (3, 5, 4, 4, 4), (2,)])
+def test_half_square_is_the_numpy_sum_bitwise(shape):
+    # The quadratic H and the default congestion H1: components squared one
+    # at a time, summed in numpy's order.
+    rng = np.random.default_rng(len(shape))
+    p = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+    got = models._half_square(p)
+    assert np.array_equal(got, 0.5 * np.sum(p * p, axis=0))
+    assert np.shape(got) == shape[1:]
 
 
 class TestCongestion:

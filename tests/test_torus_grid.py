@@ -13,6 +13,7 @@ from fbmfg.torus_grid import (
     gradient_magnitude,
     gradient_values,
     hessian,
+    hessian_contraction,
     hessian_magnitude,
     hessian_values,
     norm_C1,
@@ -21,9 +22,11 @@ from fbmfg.torus_grid import (
     norm_C2,
     norm_W21p,
     norm_W21p_values,
+    stack_norms,
     subtract_second_order,
     time_derivative,
 )
+from fbmfg import torus_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -427,6 +430,80 @@ class TestNorms:
         f = Field.from_function(g, lambda x: np.cos(TWO_PI * x))
         assert abs(norm_C1(f) - (1.0 + TWO_PI)) <= 2e-2
         assert abs(norm_C2(f) - (1.0 + TWO_PI + TWO_PI**2)) <= 5e-2
+
+
+class TestNormKernel:
+    """``stack_norms`` and ``hessian_contraction`` against the tensor formulas, bit for bit.
+
+    The magnitudes and contractions built straight from the stencils must
+    be the same operations on the same operands, summed in the same order,
+    as those of the ``gradient_values``/``hessian_values`` tensors.
+    """
+
+    LAYOUTS = ["contiguous", "reversed"]
+
+    @staticmethod
+    def stack(dim, layout, seed=0, nt=5):
+        g = TorusGrid(dim=dim, n=8, nt=nt, T=0.3)
+        values = spread(np.random.default_rng(seed + dim), (g.nt + 1, *g.shape))
+        return g, (values if layout == "contiguous" else values[::-1].copy()[::-1])
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stencil_magnitudes_equal_the_tensor_magnitudes(self, dim, layout):
+        g, values = self.stack(dim, layout)
+        periodic = torus_grid._Periodic(values, dim)
+        assert np.array_equal(
+            torus_grid._stencil_gradient_magnitude(periodic, g.h, dim),
+            gradient_magnitude(gradient_values(values, g.h, dim)),
+        )
+        assert np.array_equal(
+            torus_grid._stencil_hessian_magnitude(periodic, g.h, dim),
+            hessian_magnitude(hessian_values(values, g.h, dim)),
+        )
+
+    @pytest.mark.parametrize("p", [2, 2.5, 5.0, 6])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_kernel_equals_the_tensor_norms(self, dim, p):
+        g, values = self.stack(dim, "contiguous", seed=int(4 * p))
+        grad_mag = gradient_magnitude(gradient_values(values, g.h, dim))
+        hess_mag = hessian_magnitude(hessian_values(values[:-1], g.h, dim))
+        expected = (norm_C10_values(values, grad_mag),
+                    norm_W21p_values(values, grad_mag[:-1], hess_mag, g, p))
+        assert stack_norms(values, g, p) == expected
+        assert stack_norms(values, g, p, grad_mag=grad_mag, hess_mag=hess_mag) == expected
+        assert stack_norms(values, g) == expected[:1]
+        f = SpaceTimeField(g, values)
+        assert (norm_C10(f), norm_W21p(f, p)) == expected
+
+    def test_single_slice_norm_equals_the_tensor_norm(self):
+        g = grid2d(n=16)
+        f = Field(g, spread(np.random.default_rng(3), g.shape))
+        grad = gradient_values(f.values, g.h, g.dim)
+        assert norm_C1(f) == norm_C10_values(f.values, gradient_magnitude(grad))
+
+    @pytest.mark.parametrize("shape", ["constant", "x", "t", "xt"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_contraction_equals_the_product_sum(self, dim, shape):
+        g, values = self.stack(dim, "contiguous", seed=7)
+        rng = np.random.default_rng(11 + dim)
+        lead = (g.nt + 1 if "t" in shape else 1,) + (g.shape if "x" in shape else (1,) * dim)
+        coeffs = spread(rng, (dim, dim) + lead)  # not symmetric: each term is its own
+        hess = hessian_values(values, g.h, dim)
+        expected = np.sum(coeffs * hess, axis=(0, 1))
+        assert np.array_equal(hessian_contraction(coeffs, values, g.h, dim), expected)
+        assert np.array_equal(hessian_contraction(coeffs, values, g.h, dim, hess=hess), expected)
+
+    def test_power_into_a_buffer(self):
+        base = spread(np.random.default_rng(5), (4, 6))
+        base = np.abs(base)
+        for p in (2, 3, 5, 6, 7, 2.5):
+            out = np.empty_like(base)
+            assert torus_grid._power(base, p, out) is out
+            if float(p).is_integer():
+                assert np.allclose(out, base**p, rtol=4 * np.finfo(float).eps, atol=0)
+            else:
+                assert np.array_equal(out, base**p)
 
 
 class TestTimeDerivative:
