@@ -393,10 +393,13 @@ def _pde_residuals(model: CouplingModel, state: IterateState,
     return {"u": float(np.max(np.abs(res_u))), "m": float(np.max(np.abs(res_m)))}
 
 
-def _checked_inputs(final_cost: FinalCost, m0: Field, grid: TorusGrid, tol: float, max_iter: int,
-                    delta: Optional[float], K: Optional[float], p: Optional[float],
-                    ) -> tuple[float, float, TruncationParams]:
-    """``(delta, p, truncation)`` of a solve with defaults filled in, or ``ValueError``."""
+def _checked_inputs(model: CouplingModel, final_cost: FinalCost, m0: Field, grid: TorusGrid,
+                    tol: float, max_iter: int, delta: Optional[float], K: Optional[float],
+                    p: Optional[float]) -> tuple[CouplingModel, float, float, TruncationParams]:
+    """``(model, delta, p, truncation)`` of a solve with defaults filled in, or ``ValueError``.
+
+    The model comes back with both diffusions evaluated on ``grid`` (a callable
+    depends on nothing else), each checked as a march takes it."""
     if m0.values.shape != grid.shape:
         raise ValueError(
             f"initial density shape {m0.values.shape} does not match grid {grid.shape}"
@@ -415,7 +418,11 @@ def _checked_inputs(final_cost: FinalCost, m0: Field, grid: TorusGrid, tol: floa
         raise ValueError(f"exponent p must be >= 2 and finite, got {p}")
     if delta is None:
         delta = float(np.min(m0.values))
-    return delta, p, select_K(m0, final_cost.L_h, final_cost.C0, delta, K)
+    model = replace(model, diffusion_u=model.diffusion_values(grid, "u"),
+                    diffusion_m=model.diffusion_values(grid, "m"))
+    for diffusion in (model.diffusion_u, model.diffusion_m):
+        ParabolicProblem(grid, diffusion)
+    return model, delta, p, select_K(m0, final_cost.L_h, final_cost.C0, delta, K)
 
 
 def picard_solve(
@@ -438,15 +445,14 @@ def picard_solve(
     appends one :class:`IterationRow`; the loop stops on convergence
     (``d <= tol``), on divergence (five consecutive increases of ``d`` or a
     non-finite value), on a failed sweep (status ``"error"``), or when
-    ``max_iter`` sweeps are exhausted.  Inadmissible inputs raise
+    ``max_iter`` sweeps are exhausted.  Inadmissible inputs, a diffusion
+    that is not symmetric or not uniformly elliptic among them, raise
     ``ValueError`` before the first sweep.
     """
-    delta, p, trunc = _checked_inputs(final_cost, m0, grid, tol, max_iter, delta, K, p)
+    model, delta, p, trunc = _checked_inputs(model, final_cost, m0, grid, tol, max_iter,
+                                             delta, K, p)
     m0 = m0.with_grid(grid)
     M1 = 3.0 * ((final_cost.L_h + 1.0) * trunc.m0_norm_C1 + final_cost.C0)
-    # A callable diffusion depends only on the grid: evaluate it once here.
-    model = replace(model, diffusion_u=model.diffusion_values(grid, "u"),
-                    diffusion_m=model.diffusion_values(grid, "m"))
 
     state = initial_state(grid, m0, trunc.m0_gradient)
     coordinates = grid.space_time_coordinates()
@@ -579,7 +585,7 @@ def horizon_sweep(
         for T, s in zip(T_list, steps)
     ]
     first_cost = final_cost if isinstance(final_cost, FinalCost) else final_cost(grids[0])
-    _checked_inputs(first_cost, m0, grids[0], tol, max_iter, delta, K, p)
+    _checked_inputs(model, first_cost, m0, grids[0], tol, max_iter, delta, K, p)
 
     def run_one(grid: TorusGrid) -> SweepRow:
         start = time.perf_counter()

@@ -98,7 +98,9 @@ class CouplingModel:
     diffusion_u, diffusion_m : ndarray or callable
         A coefficient array accepted by the stepper (a constant ``(dim,
         dim)`` matrix, say) or a callable mapping a :class:`TorusGrid` to
-        one; ``picard_solve`` evaluates a callable once per solve.
+        one; ``picard_solve`` evaluates a callable once per solve and
+        rejects a diffusion that is not symmetric or not uniformly
+        elliptic before the first sweep.
     optimal_drift : callable, optional
         Velocity ``b(u, m, Du, Dm, x, t)`` such that the forward equation
         is equivalent to ``m_t = d_ij (c_ij m) + div(m b)``; None when the

@@ -39,9 +39,9 @@ Both paths treat the mixed term implicitly.  Either way the finished
 march is checked against its discrete equation: the relative residual of
 every step must stay below ``RESIDUAL_TOL``.
 
-Sparse matrices come from one fixed-pattern assembler: the sorted structure
-of a periodic ``1 + 2d``-point stencil (plus four corners per axis pair with
-a mixed term) is built once per grid; a matrix is per-offset data summed in.
+Sparse matrices come from one CSR builder: every row of a periodic stencil
+matrix holds one entry per offset (``1 + 2d`` points, plus four corners per
+axis pair with a mixed term), taken straight from per-offset data arrays.
 
 SciPy's sparse modules are imported by the sparse paths on first use, not
 by this module, so a constant-diffusion run or audit never loads them:
@@ -63,14 +63,13 @@ and the discrete total mass is conserved exactly (up to the linear-solver
 residual).  The step matrices are applied matrix-free: the columns of every
 step come from one pass and are gathered in place into rows over a fixed
 neighbour index, one offset at a time, so a product is one gather and one
-contraction and only the rows are held.  Each step
-is refined to round-off, with its mass exact, on an approximate inverse: for
-constant diffusion the per-mode solve of the step without its drift,
-otherwise the factors of an earlier step.  Only a step that refinement
-cannot finish has its columns gathered back from its rows, is assembled
-as a sparse matrix and factored, and its factors
-serve the steps that follow; a constant-diffusion audit along a gentle drift
-(``|v| dt / h`` far below one) factors nothing.  It takes no mixed
+contraction and only the rows are held.  Each step is refined to
+round-off, with its mass exact, on an approximate inverse: for constant
+diffusion the per-mode solve of the step without its drift, otherwise the
+factors of an earlier step.  Only a step that refinement cannot finish is
+built as a sparse matrix from the rows already held and factored, and its
+factors serve the steps that follow; a constant-diffusion audit along a
+gentle drift (``|v| dt / h`` far below one) factors nothing.  It takes no mixed
 coefficient, so every path that accepts one treats it implicitly.
 """
 
@@ -121,7 +120,7 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-pattern assembly of periodic stencil matrices
+# Sparse periodic stencil matrices
 # ---------------------------------------------------------------------------
 
 
@@ -139,36 +138,18 @@ def _shifted_points(n: int, dim: int, cross: bool, sign: int) -> np.ndarray:
                      for offset in [(0,) * dim] + units + corners])
 
 
-@lru_cache(maxsize=8)
-def _stencil_pattern(n: int, dim: int, cross: bool) -> tuple[np.ndarray, ...]:
-    """Sorted ``(indptr, indices, order, starts)`` of a stencil on ``n**dim`` points.
+def _stencil_matrix(data: np.ndarray, columns: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix whose row ``q`` holds ``data[k, q]`` at column ``columns[k, q]``.
 
-    Line ``q`` (a CSR row, a CSC column) holds entry ``k`` at ``q + offset_k``
-    (offsets as in :func:`_shifted_points`).  ``order`` lists data positions
-    ``k*n**dim + q`` by nonzero; each sums its run from ``starts`` (runs > 1
-    only if n <= 2)."""
-    size = n**dim
-    keys = (np.arange(size) * size + _shifted_points(n, dim, cross, 1)).ravel()
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    keys = keys[order][starts]
-    indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
-    pattern = (indptr, (keys % size).astype(np.int32), order, starts)
-    for array in pattern:
-        array.flags.writeable = False
-    return pattern
-
-
-def _stencil_matrix(kind: str, n: int, dim: int, cross: bool, data: np.ndarray) -> sp.spmatrix:
-    """The ``kind`` (``"csr"``/``"csc"``) matrix of ``(offsets, n**dim)`` stencil ``data``."""
+    Both are ``(offsets, n**dim)``: the row pointer steps by the number of
+    offsets, and only the columns within each row need sorting."""
     import scipy.sparse as sp
 
-    matrix = sp.csr_matrix if kind == "csr" else sp.csc_matrix
-    indptr, indices, order, starts = _stencil_pattern(n, dim, cross)
-    values = np.ravel(data)[order]
-    if starts.size < order.size:
-        values = np.add.reduceat(values, starts)
-    return matrix((values, indices, indptr), shape=(n**dim,) * 2)
+    width, size = data.shape
+    matrix = sp.csr_matrix((np.ravel(data, order="F"), np.ravel(columns, order="F"),
+                            np.arange(0, width * size + 1, width)), shape=(size, size))
+    matrix.sort_indices()
+    return matrix
 
 
 def _factor(A: sp.csc_matrix) -> spla.SuperLU:
@@ -214,13 +195,14 @@ class ParabolicProblem:
         or with a leading ``nt + 1`` axis for time dependence.  A stack
         whose slices are all equal is replaced by its first slice, so a
         matrix constant in x and t takes the Fourier march whichever of
-        the two constant shapes it comes in.  The smallest eigenvalue
-        of ``(c_ij)`` must reach ``ELLIPTICITY_FLOOR`` (validated at
-        construction).
+        the two constant shapes it comes in.  ``(c_ij)`` must be
+        symmetric, as the marches read only ``c_ij`` with ``i <= j``, and
+        its smallest eigenvalue must reach ``ELLIPTICITY_FLOOR`` (both
+        validated at construction).
     source : ndarray, optional
         The inhomogeneity ``g`` with our sign convention
-        ``v_t - c_ij v_ij + g = 0``, shape ``(nt + 1,) + spatial``; zero
-        when omitted.
+        ``v_t - c_ij v_ij + g = 0``, shape ``(nt + 1,) + spatial``; a
+        read-only zero view when omitted.
     initial, final : Field, optional
         Data for the forward / backward march (whichever applies).
     """
@@ -244,7 +226,7 @@ class ParabolicProblem:
         if self.time_dependent and np.all(self.diffusion == self.diffusion[:1]):
             self.diffusion = self.diffusion[0]
         if self.source is None:
-            self.source = np.zeros((g.nt + 1, *g.shape))
+            self.source = np.broadcast_to(0.0, (g.nt + 1, *g.shape))
         self.source = np.asarray(self.source, float)
         if self.source.shape != (g.nt + 1, *g.shape):
             raise ValueError(
@@ -283,6 +265,9 @@ class ParabolicProblem:
         if not np.all(np.isfinite(self.diffusion)):
             raise ValueError("coefficients must be finite")
         c = self.coefficients()
+        if not np.array_equal(c, c.swapaxes(0, 1)):
+            gap = np.max(np.abs(c - c.swapaxes(0, 1)))
+            raise ValueError(f"diffusion is not symmetric: max |c_ij - c_ji| = {gap}")
         # c reaches the floor when every LDLᵀ pivot of c - ELLIPTICITY_FLOOR I is >= 0.
         a = c - ELLIPTICITY_FLOOR * np.eye(len(c)).reshape(c.shape[:2] + (1,) * (c.ndim - 2))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -363,7 +348,7 @@ def _spatial_operator(grid: TorusGrid, c: np.ndarray) -> sp.csr_matrix:
         corner = np.ravel(c[i, j]) / (2.0 * h2)
         quad[:2] = -corner
         quad[2:] = corner
-    return _stencil_matrix("csr", n, dim, cross, data)
+    return _stencil_matrix(data, _shifted_points(n, dim, cross, 1))
 
 
 def _splu_march(problem: ParabolicProblem, out: np.ndarray) -> None:
@@ -641,10 +626,8 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
         rhs = m
         step = None if inverse is None else _refine(inverse, apply, rhs)
         if step is None:
-            columns = _stencil_rows(rows[j - 1].copy(), _shifted_points(g.n, g.dim, False, 1))
-            lu = _factor(_stencil_matrix("csc", g.n, g.dim, False, columns))
-            inverse = lu.solve
-            m = lu.solve(rhs)
+            inverse = _factor(_stencil_matrix(rows[j - 1], neighbours).tocsc()).solve
+            m = inverse(rhs)
             res = rhs - apply(m)
             step = m, float(np.linalg.norm(res)) / max(float(np.linalg.norm(rhs)), 1e-300)
         m, rel = step

@@ -29,16 +29,17 @@ stencil bookkeeping; no floating-point coordinate wrapping is involved.
 
 All operators here are linear and act on plain ``numpy`` arrays under the
 hood; the ``*_values`` variants are the array-level work functions and are
-reused by the solver modules on stacked slices.  Every norm goes through
-one kernel, :func:`stack_norms`.  It takes the pointwise magnitudes
-(:func:`gradient_magnitude`, :func:`hessian_magnitude`) of derivatives a
-caller already holds, so a solver that needs several norms of one iterate
-evaluates each stencil once; a magnitude it is not given it builds straight
-from the stencils, one component or entry at a time, with no gradient or
-Hessian tensor.  :func:`hessian_contraction` sums ``c_ij (D^2 f)_ij`` the
-same way.  All of these are bitwise equal to the tensor formulas they
-replace: the same operations on the same operands, summed in the same
-order.
+reused by the solver modules on stacked slices.  Each pointwise magnitude
+has one routine, :func:`gradient_magnitude` and :func:`hessian_magnitude`,
+which takes its components either from a derivative tensor a caller holds
+or straight from the stencils, one component or entry at a time, with no
+gradient or Hessian tensor.  Every norm goes through one kernel,
+:func:`stack_norms`, which takes the magnitudes a caller already holds, so
+a solver that needs several norms of one iterate evaluates each stencil
+once, and builds any other from the stencils.  :func:`hessian_contraction`
+sums ``c_ij (D^2 f)_ij`` the same way.  All of these are bitwise equal to
+the tensor formulas they replace: the same operations on the same operands,
+summed in the same order.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -276,7 +277,7 @@ def _box(sizes: tuple[int, ...], band: tuple, moves: tuple) -> tuple:
 
 
 class _Periodic:
-    """One array on the torus, read through its flat contiguous buffer.
+    """One array on the torus with spacing ``h``, read through its flat contiguous buffer.
 
     Every stencil set (a gradient, a Hessian, one march check) takes one;
     an input that is not C-contiguous is copied once here.  A stencil
@@ -290,8 +291,9 @@ class _Periodic:
     copies (``np.roll``) give.
     """
 
-    def __init__(self, values: np.ndarray, dim: int) -> None:
+    def __init__(self, values: np.ndarray, h: float, dim: int) -> None:
         self.values = np.ascontiguousarray(values, dtype=float)
+        self.h = h
         self.flat = self.values.reshape(-1)
         lead = self.values.ndim - dim
         self.sizes = self.values.shape[lead:]
@@ -312,12 +314,14 @@ class _Periodic:
             stencil(lambda *moves: values[_box(sizes, band, moves)], out[_box(sizes, band, ())])
 
 
-def _centered_difference(periodic: _Periodic, i: int, out: np.ndarray) -> None:
-    """``out = f(x + e_i) - f(x - e_i)``."""
+def _gradient_entry(periodic: _Periodic, i: int, out: np.ndarray) -> np.ndarray:
+    """``out = (Df)_i = (f(x + e_i) - f(x - e_i)) / 2h``."""
     def stencil(shifted, target):
         np.subtract(shifted((i, 1)), shifted((i, -1)), out=target)
 
     periodic.apply(stencil, (i,), out)
+    out /= 2.0 * periodic.h
+    return out
 
 
 def _second_difference(periodic: _Periodic, i: int, out: np.ndarray) -> None:
@@ -354,17 +358,16 @@ def gradient_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     Returns an array of shape ``(dim,) + values.shape``; component ``i`` is
     ``(f(x + h e_i) - f(x - h e_i)) / (2h)`` with periodic wrap.
     """
-    periodic = _Periodic(values, dim)
+    periodic = _Periodic(values, h, dim)
     out = np.empty((dim, *values.shape))
     for i in range(dim):
-        _centered_difference(periodic, i, out[i])
-    out /= 2.0 * h
+        _gradient_entry(periodic, i, out[i])
     return out
 
 
-def _hessian_entry(periodic: _Periodic, i: int, j: int, h: float, out: np.ndarray) -> np.ndarray:
+def _hessian_entry(periodic: _Periodic, i: int, j: int, out: np.ndarray) -> np.ndarray:
     """``out = (D^2 f)_ij``: the 3-point stencil on the diagonal, the 4-point cross stencil off it."""
-    h2 = h * h
+    h2 = periodic.h * periodic.h
     if i == j:
         _second_difference(periodic, i, out)
         out /= h2
@@ -381,12 +384,12 @@ def hessian_values(values: np.ndarray, h: float, dim: int) -> np.ndarray:
     4-point cross stencil; the result has shape ``(dim, dim) + values.shape``
     and is exactly symmetric (the mixed entry is computed once and mirrored).
     """
-    periodic = _Periodic(values, dim)
+    periodic = _Periodic(values, h, dim)
     out = np.empty((dim, dim, *values.shape))
     for i in range(dim):
-        _hessian_entry(periodic, i, i, h, out[i, i])
+        _hessian_entry(periodic, i, i, out[i, i])
     for i, j in itertools.combinations(range(dim), 2):
-        out[j, i] = _hessian_entry(periodic, i, j, h, out[i, j])
+        out[j, i] = _hessian_entry(periodic, i, j, out[i, j])
     return out
 
 
@@ -416,8 +419,8 @@ def hessian_contraction(coeffs: np.ndarray, values: np.ndarray, h: float, dim: i
     once, for both of its terms) and no Hessian tensor is built.
     """
     if hess is None:
-        periodic = _Periodic(values, dim)
-        entry = lambda i, j: _hessian_entry(periodic, i, j, h, np.empty(periodic.values.shape))
+        periodic = _Periodic(values, h, dim)
+        entry = lambda i, j: _hessian_entry(periodic, i, j, np.empty(periodic.values.shape))
     else:
         entry = lambda i, j: hess[i, j]
     terms = ((coeffs[i, j], value) for i, j, value in _row_order(dim, entry))
@@ -440,7 +443,7 @@ def subtract_second_order(values: np.ndarray, coeffs: np.ndarray, h: float, dim:
     scratch array, no second differences, and the same value as with
     :func:`hessian_values` up to rounding.
     """
-    periodic = _Periodic(values, dim)
+    periodic = _Periodic(values, h, dim)
     h2 = h * h
     weights = [coeffs[i, i] / h2 for i in range(dim)]
     scratch = np.multiply(periodic.values, 2.0 * sum(weights))
@@ -485,69 +488,49 @@ def time_derivative(f: SpaceTimeField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gradient_magnitude(grad: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean magnitude of a :func:`gradient_values` output.
+def gradient_magnitude(grad: np.ndarray | _Periodic) -> np.ndarray:
+    """Pointwise Euclidean magnitude of a gradient.
 
-    The components are summed in order, which is bitwise what
-    ``np.sqrt(np.sum(grad * grad, axis=0))`` gives.
+    ``grad`` is a :func:`gradient_values` output, or the :class:`_Periodic`
+    samples whose components then come straight from the stencils, with no
+    ``(dim,)`` + stack tensor.  Either way the components are squared into
+    two buffers and summed in order: bitwise
+    ``np.sqrt(np.sum(grad * grad, axis=0))``.
     """
-    total = grad[0] * grad[0]
-    for component in grad[1:]:
-        total += component * component
+    if isinstance(grad, np.ndarray):
+        dim, shape, component = len(grad), grad.shape[1:], lambda i, out: grad[i]
+    else:
+        dim, shape, component = len(grad.sizes), grad.values.shape, partial(_gradient_entry, grad)
+    total, part = np.empty(shape), (np.empty(shape) if dim > 1 else None)
+    value = component(0, total)
+    np.multiply(value, value, out=total)
+    for i in range(1, dim):
+        value = component(i, part)
+        total += np.multiply(value, value, out=part)
     return np.sqrt(total, out=total)
 
 
-def hessian_magnitude(hess: np.ndarray) -> np.ndarray:
-    """Pointwise Frobenius magnitude of a :func:`hessian_values` output.
+def hessian_magnitude(hess: np.ndarray | _Periodic) -> np.ndarray:
+    """Pointwise Frobenius magnitude of a Hessian.
 
-    Entries are summed row by row, which is bitwise what
-    ``np.sqrt(np.sum(hess * hess, axis=(0, 1)))`` gives.
+    ``hess`` is a :func:`hessian_values` output (exactly symmetric), or the
+    :class:`_Periodic` samples whose entries then come straight from the
+    stencils, with no ``(dim, dim)`` + stack tensor.  Either way the squared
+    entries are summed row by row: bitwise
+    ``np.sqrt(np.sum(hess * hess, axis=(0, 1)))``.  The square of a mixed
+    entry is taken once and held until its mirror is summed; a buffer is
+    reused once its square is summed.
     """
-    dim = hess.shape[0]
-    total = hess[0, 0] * hess[0, 0]
-    for i in range(dim):
-        for j in range(dim):
-            if i or j:
-                total += hess[i, j] * hess[i, j]
-    return np.sqrt(total, out=total)
-
-
-def norm_C10_values(values: np.ndarray, grad_mag: np.ndarray) -> float:
-    """``max|f| + max|Df|`` from the samples and their gradient magnitude."""
-    return float(np.max(np.abs(values)) + np.max(grad_mag))
-
-
-def _stencil_gradient_magnitude(periodic: _Periodic, h: float, dim: int) -> np.ndarray:
-    """``|Df|`` straight from the stencils, with no ``(dim,)`` + stack tensor.
-
-    Each component is scaled and squared in place, then summed in order:
-    bitwise ``gradient_magnitude(gradient_values(f, h, dim))``.
-    """
-    total = np.empty(periodic.values.shape)
-    part = np.empty_like(total) if dim > 1 else None
-    for i in range(dim):
-        target = part if i else total
-        _centered_difference(periodic, i, target)
-        target /= 2.0 * h
-        target *= target
-        if i:
-            total += part
-    return np.sqrt(total, out=total)
-
-
-def _stencil_hessian_magnitude(periodic: _Periodic, h: float, dim: int) -> np.ndarray:
-    """``|D^2 f|`` straight from the stencils, with no ``(dim, dim)`` + stack tensor.
-
-    The squared entries are summed row by row, bitwise
-    ``hessian_magnitude(hessian_values(f, h, dim))``; the square of a mixed
-    entry is taken once and held until its mirror is summed.
-    """
-    shape = periodic.values.shape
+    if isinstance(hess, np.ndarray):
+        dim, shape, entry = len(hess), hess.shape[2:], lambda i, j, out: hess[i, j]
+    else:
+        dim, shape, entry = len(hess.sizes), hess.values.shape, partial(_hessian_entry, hess)
     free: list[np.ndarray] = []
 
     def square(i: int, j: int) -> np.ndarray:
-        value = _hessian_entry(periodic, i, j, h, free.pop() if free else np.empty(shape))
-        return np.multiply(value, value, out=value)
+        out = free.pop() if free else np.empty(shape)
+        value = entry(i, j, out)
+        return np.multiply(value, value, out=out)
 
     squares = _row_order(dim, square)
     total = next(squares)[2]
@@ -556,6 +539,11 @@ def _stencil_hessian_magnitude(periodic: _Periodic, h: float, dim: int) -> np.nd
         if i >= j:  # not held for a mirror any more
             free.append(value)
     return np.sqrt(total, out=total)
+
+
+def norm_C10_values(values: np.ndarray, grad_mag: np.ndarray) -> float:
+    """``max|f| + max|Df|`` from the samples and their gradient magnitude."""
+    return float(np.max(np.abs(values)) + np.max(grad_mag))
 
 
 def stack_norms(
@@ -575,12 +563,12 @@ def stack_norms(
     :func:`hessian_values`.
     """
     if grad_mag is None:
-        grad_mag = _stencil_gradient_magnitude(_Periodic(values, grid.dim), grid.h, grid.dim)
+        grad_mag = gradient_magnitude(_Periodic(values, grid.h, grid.dim))
     c10 = norm_C10_values(values, grad_mag)
     if p is None:
         return (c10,)
     if hess_mag is None:
-        hess_mag = _stencil_hessian_magnitude(_Periodic(values[:-1], grid.dim), grid.h, grid.dim)
+        hess_mag = hessian_magnitude(_Periodic(values[:-1], grid.h, grid.dim))
     return c10, norm_W21p_values(values, grad_mag[:-1], hess_mag, grid, p)
 
 
@@ -597,8 +585,7 @@ def norm_C1(f: Field) -> float:
 def norm_C2(f: Field) -> float:
     """``max|f| + max|Df| + max|D^2 f|`` on one slice (Frobenius norm for the Hessian)."""
     g = f.grid
-    hess = hessian_values(f.values, g.h, g.dim)
-    return norm_C1(f) + float(np.max(hessian_magnitude(hess)))
+    return norm_C1(f) + float(np.max(hessian_magnitude(_Periodic(f.values, g.h, g.dim))))
 
 
 def norm_W21p_values(

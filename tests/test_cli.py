@@ -62,6 +62,20 @@ def infinite_density_factory(grid, params):
     return decoupled_heat_model(dim=grid.dim), final_cost_convolution(grid), Field(grid, values)
 
 
+def nonsymmetric_diffusion_factory(grid, params):
+    """Factory whose value-equation diffusion is not symmetric."""
+    model = dataclasses.replace(decoupled_heat_model(dim=grid.dim),
+                                diffusion_u=np.array([[0.5, 0.4], [0.0, 0.5]]))
+    return model, final_cost_convolution(grid), Field.full(grid, 1.0)
+
+
+def nonelliptic_diffusion_factory(grid, params):
+    """Factory whose density-equation diffusion has a negative eigenvalue."""
+    model = dataclasses.replace(decoupled_heat_model(dim=grid.dim),
+                                diffusion_m=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    return model, final_cost_convolution(grid), Field.full(grid, 1.0)
+
+
 def write(path, text):
     path.write_text(textwrap.dedent(text))
     return str(path)
@@ -410,6 +424,33 @@ class TestRunCommand:
         horizons = ["--T-list", "0.005,0.01"] if command == "sweep" else []
         assert main([command, cfg_path, *horizons, "--out", str(out)]) == 1
         assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("factory, fragment", [
+        ("nonsymmetric_diffusion_factory", "diffusion is not symmetric"),
+        ("nonelliptic_diffusion_factory", "diffusion is not uniformly elliptic"),
+    ])
+    def test_inadmissible_diffusion_exits_1(self, tmp_path, capsys, factory, fragment, command):
+        # Both fail before the first sweep: the non-elliptic one used to end
+        # in status "error" (exit 2), the non-symmetric one to converge.
+        cfg_path = write(
+            tmp_path / "run.cfg",
+            f"""\
+            model = custom
+            grid.dim = 2
+            grid.n = 8
+            grid.nt = 4
+            grid.T = 0.01
+            params.factory = test_cli:{factory}
+            """,
+        )
+        out = tmp_path / "o"
+        horizons = ["--T-list", "0.005,0.01"] if command == "sweep" else []
+        assert main([command, cfg_path, *horizons, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
         assert not out.exists()
 
     def test_failed_sweep_keeps_the_series_and_exits_2(self, tmp_path):

@@ -374,6 +374,43 @@ class TestPicardBasics:
                          Field(grid, values), grid)
         assert calls == []
 
+    @pytest.mark.parametrize("equation", ["u", "m"])
+    @pytest.mark.parametrize("kind, fragment", [
+        ("non-symmetric", "diffusion is not symmetric"),
+        ("non-symmetric x-dependent callable", "diffusion is not symmetric"),
+        ("non-elliptic", "diffusion is not uniformly elliptic"),
+    ])
+    def test_rejects_an_inadmissible_diffusion_before_the_first_sweep(
+        self, equation, kind, fragment
+    ):
+        # Non-symmetric, the marches solved its upper triangle and the run
+        # reported "converged"; non-elliptic, it ended in status "error" at
+        # sweep 1.  Both solve and sweep now reject it up front.
+        grid = TorusGrid(dim=2, n=8, nt=4, T=0.01)
+        calls = []
+
+        def F(u, m, Du, Dm, x, t):
+            calls.append(np.shape(u))
+            return np.zeros(np.shape(u))
+
+        if kind == "non-elliptic":
+            diffusion = np.array([[1.0, 2.0], [2.0, 1.0]])
+        elif kind == "non-symmetric":
+            diffusion = np.array([[0.5, 0.4], [0.0, 0.5]])
+        else:
+            def diffusion(g):
+                c = np.broadcast_to(0.5 * np.eye(2)[:, :, None, None], (2, 2, *g.shape)).copy()
+                c[0, 1, 3, 5] = 0.1
+                return c
+
+        model = replace(model_with_sources(F=F, dim=2), **{f"diffusion_{equation}": diffusion})
+        cost, m0 = final_cost_convolution(grid), Field.full(grid, 1.0)
+        with pytest.raises(ValueError, match=fragment):
+            picard_solve(model, cost, m0, grid)
+        with pytest.raises(ValueError, match=fragment):
+            horizon_sweep(model, cost, m0, [grid.T, 2.0 * grid.T], dt=grid.dt)
+        assert calls == []
+
     def test_iterate_distance_is_a_metric_at_zero(self):
         grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
         rng = np.random.default_rng(7)

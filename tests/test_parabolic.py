@@ -278,8 +278,8 @@ class TestMarchCheck:
         assert v.strides[0] < 0 and reversed_problem.source.strides[0] < 0
         contiguous = []
         periodic = torus_grid._Periodic
-        monkeypatch.setattr(torus_grid, "_Periodic", lambda values, dim: (
-            contiguous.append(values.flags.c_contiguous) or periodic(values, dim)))
+        monkeypatch.setattr(torus_grid, "_Periodic", lambda values, h, dim: (
+            contiguous.append(values.flags.c_contiguous) or periodic(values, h, dim)))
         parabolic._check_march(reversed_problem, v)
         assert contiguous == [True]
 
@@ -368,17 +368,33 @@ def random_diffusion(rng, dim, n, mixed, lead=()):
     return c
 
 
-class TestStencilAssembler:
-    """The fixed-pattern matrices against the shift-matrix reference.
+def coo_assembly(data, rows, columns, size, kind):
+    """The canonical ``kind`` matrix that scipy's COO conversion makes of the entries."""
+    coo = sp.coo_matrix((np.ravel(data), (np.ravel(rows), np.ravel(columns))), shape=(size, size))
+    return coo.tocsr() if kind == "csr" else coo.tocsc()
 
-    ``n = 2`` puts the ``-e_i`` and ``+e_i`` entries of a line (and all four
-    corners) on one matrix entry, where they must be summed.
+
+def assert_same_arrays(new, ref):
+    assert new.format == ref.format
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestStencilAssembler:
+    """The stencil matrices against the shift-matrix reference.
+
+    ``n = 2`` puts the ``-e_i`` and ``+e_i`` entries of a row (and all four
+    corners) on one column: the builder keeps them as duplicate entries,
+    which every scipy operation (and ``splu``) sums.
     """
 
     CASES = [(1, 2, False), (1, 3, False), (1, 8, False),
              (2, 2, False), (2, 3, False), (2, 8, False),
              (2, 2, True), (2, 3, True), (2, 8, True),
              (3, 2, False), (3, 3, True), (3, 8, False), (3, 8, True)]
+    # Every entry on a column of its own.
+    DISTINCT = [case for case in CASES if case[1] > 2]
 
     @pytest.mark.parametrize("dim, n, mixed", CASES)
     def test_spatial_operator_matches_reference(self, dim, n, mixed):
@@ -388,6 +404,15 @@ class TestStencilAssembler:
         new = parabolic._spatial_operator(grid, c)
         assert new.format == "csr"
         assert relative_gap(new, reference_spatial_operator(n, dim, grid.h, c)) <= 1e-14
+
+    @pytest.mark.parametrize("dim, n, cross",
+                             DISTINCT + [(1, 9, False), (2, 9, True), (3, 9, True)])
+    def test_builder_equals_the_coo_assembly(self, dim, n, cross):
+        columns = parabolic._shifted_points(n, dim, cross, 1)
+        data = np.random.default_rng(500 * dim + n).normal(size=columns.shape)
+        rows = np.broadcast_to(np.arange(n**dim), columns.shape)
+        assert_same_arrays(parabolic._stencil_matrix(data, columns),
+                           coo_assembly(data, rows, columns, n**dim, "csr"))
 
     @staticmethod
     def conservative_case(dim, n, mixed, seed, steps=3):
@@ -400,14 +425,29 @@ class TestStencilAssembler:
                 for j in range(steps)]
         return rng, grid, parabolic._conservative_rates(grid, c, velocity), refs
 
+    @staticmethod
+    def step_matrices(columns, n, dim):
+        """The CSC matrix of every step, built from its rows as the audit factors it."""
+        neighbours = parabolic._shifted_points(n, dim, False, -1)
+        rows = parabolic._stencil_rows(columns.copy(), neighbours)
+        return [parabolic._stencil_matrix(row, neighbours).tocsc() for row in rows]
+
     @pytest.mark.parametrize("dim, n, mixed", CASES)
     def test_conservative_matrices_match_reference(self, dim, n, mixed):
         _, grid, columns, refs = self.conservative_case(dim, n, mixed, 200 * dim + n)
         assert len(columns) == len(refs)
-        for column, ref in zip(columns, refs):
-            new = parabolic._stencil_matrix("csc", n, dim, False, column)
+        for new, ref in zip(self.step_matrices(columns, n, dim), refs):
             assert new.format == "csc"
             assert relative_gap(new, ref) <= 1e-14
+
+    @pytest.mark.parametrize("dim, n, mixed", DISTINCT)
+    def test_step_matrix_equals_the_column_assembly(self, dim, n, mixed):
+        # Built from the rows, a step's matrix is bitwise the one its columns give.
+        _, grid, columns, _ = self.conservative_case(dim, n, mixed, 600 * dim + n)
+        targets = parabolic._shifted_points(n, dim, False, 1)
+        sources = np.broadcast_to(np.arange(n**dim), targets.shape)
+        for new, column in zip(self.step_matrices(columns, n, dim), columns):
+            assert_same_arrays(new, coo_assembly(column, targets, sources, n**dim, "csc"))
 
     @pytest.mark.parametrize("dim, n, mixed", CASES)
     def test_gathered_apply_matches_reference(self, dim, n, mixed):
@@ -424,8 +464,7 @@ class TestStencilAssembler:
 
     @pytest.mark.parametrize("dim, n, mixed", CASES)
     def test_rows_gather_back_to_the_columns(self, dim, n, mixed):
-        # The audit holds rows only; a step it factors gathers its columns
-        # back from them with the opposite neighbours.
+        # The gather loses nothing: the opposite neighbours give the columns back.
         _, grid, columns, _ = self.conservative_case(dim, n, mixed, 400 * dim + n)
         rows = parabolic._stencil_rows(columns.copy(), parabolic._shifted_points(n, dim, False, -1))
         forward = parabolic._shifted_points(n, dim, False, 1)
@@ -438,21 +477,14 @@ class TestStencilAssembler:
         grid = small_grid(dim, n, dt=2e-4)
         c = random_diffusion(rng, dim, n, False, lead=(1,))
         velocity = rng.normal(scale=3.0, size=(2, dim) + grid.shape)
-        for column in parabolic._conservative_rates(grid, c, velocity):
-            dense = parabolic._stencil_matrix("csc", n, dim, False, column).toarray()
+        columns = parabolic._conservative_rates(grid, c, velocity)
+        for matrix in self.step_matrices(columns, n, dim):
+            dense = matrix.toarray()
             assert np.max(np.abs(dense.sum(axis=0) - 1.0)) <= 1e-15
             off = dense - np.diag(np.diag(dense))
             # An M-matrix: the generator D + adv moves mass only outwards.
             assert np.all(off <= 0.0)
             assert np.all(np.diag(dense) > 0.0)
-
-    def test_pattern_is_fixed_per_grid_and_read_only(self):
-        pattern = parabolic._stencil_pattern(8, 2, False)
-        assert parabolic._stencil_pattern(8, 2, False) is pattern
-        indptr, indices, _, _ = pattern
-        assert indices.size == 5 * 64 and np.all(np.diff(indptr) == 5)
-        with pytest.raises(ValueError):
-            indices[0] = 0
 
 
 def reference_splu_march(problem):
@@ -803,6 +835,26 @@ class TestConservativeFP:
         # No Fourier solve fits an x-dependent diffusion: the first step is factored.
         assert checked_audit(monkeypatch, prob, drift) == 1
 
+    def test_factored_step_matrix_equals_the_column_assembly(self, monkeypatch):
+        # The audit factors the matrix of the rows it holds: bitwise the CSC
+        # matrix that the step's columns assemble to.
+        g = TorusGrid(dim=2, n=8, nt=3, T=0.01)
+        x, y = g.coordinates()
+        C = np.eye(2)[:, :, None, None] * (1.0 + 0.5 * np.sin(TWO_PI * x) * np.cos(TWO_PI * y))
+        drift = np.random.default_rng(37).normal(size=(g.nt + 1, 2, *g.shape))
+        prob = ParabolicProblem(grid=g, diffusion=C, initial=Field.full(g, 1.0))
+        factored = []
+        factor = parabolic._factor
+        monkeypatch.setattr(parabolic, "_factor", lambda A: factored.append(A) or factor(A))
+        solve_fp_conservative(prob, drift)
+        # A drift this sharp between steps defeats refinement: every step is factored.
+        assert len(factored) == g.nt
+        columns = parabolic._conservative_rates(g, prob.coefficients(), -drift[1:])
+        targets = parabolic._shifted_points(g.n, g.dim, False, 1)
+        sources = np.broadcast_to(np.arange(g.num_points), targets.shape)
+        for matrix, column in zip(factored, columns):
+            assert_same_arrays(matrix, coo_assembly(column, targets, sources, g.num_points, "csc"))
+
     @pytest.mark.parametrize("dim, n", [(1, 16), (2, 15), (2, 16), (3, 9)])
     def test_constant_diffusion_step_keeps_its_mass_on_one_fourier_update(self, dim, n):
         g = TorusGrid(dim=dim, n=n, nt=4, T=0.01)
@@ -967,6 +1019,47 @@ class TestValidation:
             C[1] = bad
         with pytest.raises(ValueError, match=r"min eigenvalue -0\.[78]"):
             ParabolicProblem(grid=g, diffusion=C)
+
+    @pytest.mark.parametrize("shape", ["constant", "x-dependent", "t-dependent"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rejects_a_nonsymmetric_diffusion(self, dim, shape):
+        # The marches read c_ij only for i <= j: a lower triangle that
+        # differs, even at one point or slice, would be solved as its mirror.
+        g = TorusGrid(dim=dim, n=8, nt=2, T=0.1)
+        C = 0.5 * np.eye(dim)
+        if shape == "constant":
+            C[0, dim - 1] = 0.2
+        elif shape == "x-dependent":
+            C = np.repeat(C[:, :, None], g.num_points, axis=2)
+            C[dim - 1, 0, 17] = 0.1
+            C = C.reshape(dim, dim, *g.shape)
+        else:
+            C = np.repeat(C[None], g.nt + 1, axis=0)
+            C[1, 1, 0] = -0.1
+        message = r"diffusion is not symmetric: max \|c_ij - c_ji\| = 0\.[12]"
+        with pytest.raises(ValueError, match=message):
+            ParabolicProblem(grid=g, diffusion=C)
+        mirrored = C.swapaxes(*((1, 2) if shape == "t-dependent" else (0, 1)))
+        ParabolicProblem(grid=g, diffusion=0.5 * (C + mirrored))
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("kind", ["constant", "x-dependent", "t-dependent"])
+    def test_omitted_source_is_a_zero_view_that_marches_as_explicit_zeros(self, kind, direction):
+        g = TorusGrid(dim=2, n=8, nt=4, T=0.01)
+        x, y = g.coordinates()
+        C = np.array([[1.0, 0.2], [0.2, 0.8]])
+        if kind == "x-dependent":
+            C = C[:, :, None, None] * (1.0 + 0.3 * np.sin(TWO_PI * x) * np.cos(TWO_PI * y))
+        elif kind == "t-dependent":
+            C = C * (1.0 + g.times())[:, None, None]
+        data = Field(g, 1.0 + 0.5 * np.cos(TWO_PI * x) * np.sin(TWO_PI * y))
+        slot, solve = (("initial", solve_forward) if direction == "forward"
+                       else ("final", solve_backward))
+        omitted = ParabolicProblem(grid=g, diffusion=C, **{slot: data})
+        assert not omitted.source.flags.writeable and omitted.source.strides == (0, 0, 0)
+        assert np.array_equal(omitted.source, np.zeros((g.nt + 1, *g.shape)))
+        explicit = replace(omitted, source=np.zeros((g.nt + 1, *g.shape)))
+        assert np.array_equal(solve(omitted).values, solve(explicit).values)
 
     def test_rejects_bad_source_shape(self):
         g = TorusGrid(dim=1, n=8, nt=2, T=0.1)
