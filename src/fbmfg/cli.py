@@ -14,6 +14,10 @@ dotted key names (``grid.n = 32``).  The two entry points are
     by the configured grid; writes ``sweep.csv`` with one row per
     horizon.
 
+Each decision is stated once: one table of config keys drives parsing
+and formatting, one registry names every model with its parameters and
+builder, and tables of record attributes lay out the manifest.
+
 Parsing is strict: unknown or duplicated keys are rejected, as are model
 parameters a model does not accept.  Numbers in the CSV outputs use 17
 significant digits so repeated runs of one configuration are
@@ -28,6 +32,8 @@ output path is bad.  ``sweep`` uses only 0 and 1: per-horizon failures
 are captured in their rows, while a bad configuration or output path,
 an inadmissible ``truncation.K``/``truncation.delta``, or a time step
 ``T / nt`` too small for the horizons exits 1 before any horizon runs.
+A non-finite ``truncation.K`` (whose clamps clamp nothing) or
+``iteration.tol`` is a configuration error too.
 """
 
 from __future__ import annotations
@@ -70,23 +76,6 @@ __all__ = [
     "main",
 ]
 
-MODEL_NAMES = (
-    "decoupled-heat",
-    "quadratic-mfg",
-    "congestion",
-    "linear-counterexample",
-    "custom",
-)
-
-# Model parameters each built-in model accepts; "custom" skips this check
-# but must name a factory.
-_MODEL_PARAMS = {
-    "decoupled-heat": frozenset({"modes"}),
-    "quadratic-mfg": frozenset({"modes", "sigma"}),
-    "congestion": frozenset({"modes", "sigma", "alpha"}),
-    "linear-counterexample": frozenset({"modes", "alpha"}),
-}
-
 SERIES_HEADER = "iter,d,gamma,norm_u_w21p,norm_u_c10,norm_m_c10,min_m,max_Du"
 # The field CSVs' coordinate columns; their number bounds grid.dim.
 AXIS_NAMES = ("x", "y", "z")
@@ -101,9 +90,10 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything one run needs, exactly as the config file states it.
 
-    ``params`` keeps the model parameters verbatim as sorted
-    ``(name, value)`` string pairs; they are interpreted only when the
-    problem is built, so the configuration round-trips losslessly
+    A field without a default is a required key; the others' defaults are
+    the config defaults.  ``params`` keeps the model parameters verbatim as
+    sorted ``(name, value)`` string pairs; they are interpreted only when
+    the problem is built, so the configuration round-trips losslessly
     through :func:`format_config`.
     """
 
@@ -120,6 +110,49 @@ class RunConfig:
     params: tuple[tuple[str, str], ...] = ()
     out_dir: str = "out"
     write_fields: bool = True
+
+
+# Every config key in the order format_config writes them: (key, RunConfig
+# field, type).  "params." stands for all params.<name> keys, kept verbatim.
+_CONFIG_KEYS = (
+    ("model", "model", str),
+    ("grid.dim", "dim", int),
+    ("grid.n", "n", int),
+    ("grid.nt", "nt", int),
+    ("grid.T", "T", float),
+    ("truncation.K", "K", float),
+    ("truncation.delta", "delta", float),
+    ("iteration.p", "p", float),
+    ("iteration.tol", "tol", float),
+    ("iteration.max_iter", "max_iter", int),
+    ("params.", "params", str),
+    ("outputs.dir", "out_dir", str),
+    ("outputs.write_fields", "write_fields", bool),
+)
+
+# How configs and manifests spell False and True.
+_BOOL_TEXT = ("false", "true")
+
+
+def _parse_value(key: str, text: str, kind: type):
+    """``text`` read as a ``kind`` (str, int, float or bool), or ``ConfigError``."""
+    if kind is bool:
+        if text not in _BOOL_TEXT:
+            raise ConfigError(
+                f"{key}: expected {_BOOL_TEXT[True]} or {_BOOL_TEXT[False]}, got {text!r}")
+        return text == _BOOL_TEXT[True]
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+
+
+def _text(value) -> str:
+    """``value`` as configs and manifests write it: str verbatim, bool spelled, else ``repr``."""
+    if isinstance(value, bool):
+        return _BOOL_TEXT[value]
+    return value if isinstance(value, str) else repr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -149,105 +182,48 @@ def parse_config(text: str) -> RunConfig:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value.strip()
-    return _config_from_entries(entries)
 
-
-def _need(entries: dict[str, str], key: str) -> str:
-    try:
-        return entries.pop(key)
-    except KeyError:
-        raise ConfigError(f"missing required key {key!r}") from None
-
-
-def _as_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-
-def _as_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-
-def _as_bool(key: str, value: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ConfigError(f"{key}: expected true or false, got {value!r}")
-
-
-def _config_from_entries(entries: dict[str, str]) -> RunConfig:
-    model = _need(entries, "model")
-    if model not in MODEL_NAMES:
-        known = ", ".join(MODEL_NAMES)
-        raise ConfigError(f"model: unknown model {model!r} (known: {known})")
-    dim = _as_int("grid.dim", _need(entries, "grid.dim"))
-    n = _as_int("grid.n", _need(entries, "grid.n"))
-    nt = _as_int("grid.nt", _need(entries, "grid.nt"))
-    T = _as_float("grid.T", _need(entries, "grid.T"))
-
-    def optional_float(key: str) -> Optional[float]:
-        value = entries.pop(key, None)
-        return None if value is None else _as_float(key, value)
-
-    K = optional_float("truncation.K")
-    delta = optional_float("truncation.delta")
-    p = optional_float("iteration.p")
-    tol = _as_float("iteration.tol", entries.pop("iteration.tol", "1e-8"))
-    max_iter = _as_int("iteration.max_iter", entries.pop("iteration.max_iter", "100"))
-    out_dir = entries.pop("outputs.dir", "out")
-    write_fields = _as_bool(
-        "outputs.write_fields", entries.pop("outputs.write_fields", "true")
-    )
-
-    params: dict[str, str] = {}
-    for key in [k for k in entries if k.startswith("params.")]:
-        name = key[len("params."):]
-        if not name:
-            raise ConfigError("params.: empty parameter name")
-        params[name] = entries.pop(key)
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    values = {}
+    for key, name, kind in _CONFIG_KEYS:
+        if name == "params":
+            keys = [k for k in entries if k.startswith(key)]
+            if key in keys:
+                raise ConfigError(f"{key}: empty parameter name")
+            values[name] = tuple(sorted((k[len(key):], entries.pop(k)) for k in keys))
+        elif key in entries:
+            values[name] = _parse_value(key, entries.pop(key), kind)
+        elif fields[name].default is dataclasses.MISSING:
+            raise ConfigError(f"missing required key {key!r}")
     if entries:
         raise ConfigError(f"unknown keys: {', '.join(sorted(entries))}")
+    cfg = RunConfig(**values)
 
-    allowed = _MODEL_PARAMS.get(model)
-    if allowed is None:
-        if "factory" not in params:
-            raise ConfigError(
-                "model 'custom' requires params.factory = module:function"
-            )
-    else:
-        extra = sorted(set(params) - allowed)
-        if extra:
-            raise ConfigError(
-                f"model {model!r} does not accept params: {', '.join(extra)}"
-            )
+    if cfg.model not in _MODELS:
+        raise ConfigError(f"model: unknown model {cfg.model!r} (known: {', '.join(MODEL_NAMES)})")
+    accepted, _ = _MODELS[cfg.model]
+    names = {name for name, _ in cfg.params}
+    if accepted is None and "factory" not in names:
+        raise ConfigError(f"model {cfg.model!r} requires params.factory = module:function")
+    extra = sorted(names - accepted) if accepted is not None else ()
+    if extra:
+        raise ConfigError(f"model {cfg.model!r} does not accept params: {', '.join(extra)}")
 
-    if not 1 <= dim <= len(AXIS_NAMES):
-        raise ConfigError(f"grid.dim must be from 1 to {len(AXIS_NAMES)}, got {dim}")
-    if not T > 0:
-        raise ConfigError(f"grid.T must be positive, got {T}")
-    if K is not None and not K > 0:
-        raise ConfigError(f"truncation.K must be positive, got {K}")
-    if delta is not None and not delta > 0:
-        raise ConfigError(f"truncation.delta must be positive, got {delta}")
-    if p is not None and not 2.0 <= p < math.inf:
-        raise ConfigError(f"iteration.p must be at least 2 and finite, got {p}")
-    if not tol > 0:
-        raise ConfigError(f"iteration.tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ConfigError(f"iteration.max_iter must be at least 1, got {max_iter}")
-
-    return RunConfig(
-        model=model, dim=dim, n=n, nt=nt, T=T, K=K, delta=delta, p=p,
-        tol=tol, max_iter=max_iter,
-        params=tuple(sorted(params.items())),
-        out_dir=out_dir, write_fields=write_fields,
-    )
+    if not 1 <= cfg.dim <= len(AXIS_NAMES):
+        raise ConfigError(f"grid.dim must be from 1 to {len(AXIS_NAMES)}, got {cfg.dim}")
+    if not cfg.T > 0:
+        raise ConfigError(f"grid.T must be positive, got {cfg.T}")
+    if cfg.K is not None and not 0 < cfg.K < math.inf:
+        raise ConfigError(f"truncation.K must be positive and finite, got {cfg.K}")
+    if cfg.delta is not None and not cfg.delta > 0:
+        raise ConfigError(f"truncation.delta must be positive, got {cfg.delta}")
+    if cfg.p is not None and not 2.0 <= cfg.p < math.inf:
+        raise ConfigError(f"iteration.p must be at least 2 and finite, got {cfg.p}")
+    if not 0 < cfg.tol < math.inf:
+        raise ConfigError(f"iteration.tol must be positive and finite, got {cfg.tol}")
+    if cfg.max_iter < 1:
+        raise ConfigError(f"iteration.max_iter must be at least 1, got {cfg.max_iter}")
+    return cfg
 
 
 def format_config(cfg: RunConfig) -> str:
@@ -256,25 +232,13 @@ def format_config(cfg: RunConfig) -> str:
     Floats are written with ``repr`` (shortest digits that round-trip),
     model parameters verbatim, optional keys only when set.
     """
-    lines = [
-        f"model = {cfg.model}",
-        f"grid.dim = {cfg.dim}",
-        f"grid.n = {cfg.n}",
-        f"grid.nt = {cfg.nt}",
-        f"grid.T = {cfg.T!r}",
-    ]
-    if cfg.K is not None:
-        lines.append(f"truncation.K = {cfg.K!r}")
-    if cfg.delta is not None:
-        lines.append(f"truncation.delta = {cfg.delta!r}")
-    if cfg.p is not None:
-        lines.append(f"iteration.p = {cfg.p!r}")
-    lines.append(f"iteration.tol = {cfg.tol!r}")
-    lines.append(f"iteration.max_iter = {cfg.max_iter}")
-    for name, value in cfg.params:
-        lines.append(f"params.{name} = {value}")
-    lines.append(f"outputs.dir = {cfg.out_dir}")
-    lines.append(f"outputs.write_fields = {'true' if cfg.write_fields else 'false'}")
+    lines = []
+    for key, name, _ in _CONFIG_KEYS:
+        value = getattr(cfg, name)
+        if name == "params":
+            lines += [f"{key}{param} = {text}" for param, text in value]
+        elif value is not None:
+            lines.append(f"{key} = {_text(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -305,7 +269,7 @@ def _parse_modes(text: str, dim: int) -> list[tuple[tuple[int, ...], float]]:
                 f"params.modes: mode key {key_text.strip()!r} has "
                 f"{len(key)} axes but grid.dim = {dim}"
             )
-        coeff = _as_float("params.modes", coeff_text.strip())
+        coeff = _parse_value("params.modes", coeff_text.strip(), float)
         if key in seen:
             raise ConfigError(
                 f"params.modes: duplicate mode key {key_text.strip()!r}"
@@ -333,11 +297,10 @@ def _density_from_modes(cfg: RunConfig, grid: TorusGrid) -> Field:
     return Field(grid, values)
 
 
-def _param_float(cfg: RunConfig, name: str, default: float) -> float:
-    params = dict(cfg.params)
-    if name not in params:
-        return default
-    return _as_float(f"params.{name}", params[name])
+def _float_param(cfg: RunConfig, name: str) -> dict[str, float]:
+    """``{name: value}`` if ``cfg`` sets the model parameter ``name``, else ``{}``."""
+    return {key: _parse_value(f"params.{key}", text, float)
+            for key, text in cfg.params if key == name}
 
 
 def _load_factory(spec_text: str) -> Callable:
@@ -378,40 +341,62 @@ def _invoke_factory(factory: Callable, grid: TorusGrid, params: dict[str, str]):
     return model, cost, m0
 
 
-def _build_problem(cfg: RunConfig, grid: TorusGrid):
-    """Build (model, cost, m0, cost rebuilder) for ``cfg`` on ``grid``.
+def _convolution_cost(cfg: RunConfig) -> Callable:
+    sigma = _float_param(cfg, "sigma")
+    return lambda g: final_cost_convolution(g, **sigma)
 
-    The rebuilder maps another grid with the same spatial layout to the
-    final cost on that grid; sweeps use it because convolution kernels
-    and constant final data are grid-bound.  Custom factories are called
-    once per grid, so their model must not depend on the grid they see.
-    """
-    if cfg.model == "custom":
-        params = dict(cfg.params)
-        factory = _load_factory(params.pop("factory"))
-        model, cost, m0 = _invoke_factory(factory, grid, params)
-        rebuild = lambda g: _invoke_factory(factory, g, params)[1]  # noqa: E731
-        return model, cost, m0, rebuild
 
-    m0 = _density_from_modes(cfg, grid)
+def _counterexample_alpha(cfg: RunConfig) -> float:
+    """The counterexample's ``alpha``: its coupling and its final-cost scale."""
+    return _float_param(cfg, "alpha").get("alpha", -3.0)
+
+
+def _linear_counterexample(cfg: RunConfig):
+    alpha = _counterexample_alpha(cfg)
+    model = linear_counterexample_model(alpha=alpha, dim=cfg.dim)
+    return model, lambda g: final_cost_scaled_identity(alpha)
+
+
+def _custom(cfg: RunConfig, grid: TorusGrid):
     params = dict(cfg.params)
-    sigma_kw = {}
-    if "sigma" in params:
-        sigma_kw["sigma"] = _as_float("params.sigma", params["sigma"])
-    if cfg.model == "decoupled-heat":
-        model = decoupled_heat_model(dim=cfg.dim)
-        rebuild = lambda g: final_cost_constant(Field.full(g, 0.0))  # noqa: E731
-    elif cfg.model == "quadratic-mfg":
-        model = quadratic_mfg_model(dim=cfg.dim)
-        rebuild = lambda g: final_cost_convolution(g, **sigma_kw)  # noqa: E731
-    elif cfg.model == "congestion":
-        model = congestion_model(dim=cfg.dim, alpha=_param_float(cfg, "alpha", 1.0))
-        rebuild = lambda g: final_cost_convolution(g, **sigma_kw)  # noqa: E731
-    else:  # linear-counterexample
-        alpha = _param_float(cfg, "alpha", -3.0)
-        model = linear_counterexample_model(alpha=alpha, dim=cfg.dim)
-        rebuild = lambda g: final_cost_scaled_identity(alpha)  # noqa: E731
-    return model, rebuild(grid), m0, rebuild
+    factory = _load_factory(params.pop("factory"))
+    model, cost, m0 = _invoke_factory(factory, grid, params)
+    return model, cost, m0, lambda g: _invoke_factory(factory, g, params)[1]
+
+
+# Model name -> (the params.* it accepts, builder).  A prebuilt model takes
+# m0 from params.modes; its builder maps cfg to (model, cost rebuilder), the
+# rebuilder a grid of the same spatial layout to its (grid-bound) final cost.
+# None accepts any params but needs params.factory; that builder maps (cfg,
+# grid) to (model, cost, m0, rebuilder) and calls the factory once per grid,
+# so the factory's model must not depend on the grid it sees.
+_MODELS = {
+    "decoupled-heat": (frozenset({"modes"}), lambda cfg: (
+        decoupled_heat_model(dim=cfg.dim), lambda g: final_cost_constant(Field.full(g, 0.0)))),
+    "quadratic-mfg": (frozenset({"modes", "sigma"}), lambda cfg: (
+        quadratic_mfg_model(dim=cfg.dim), _convolution_cost(cfg))),
+    "congestion": (frozenset({"modes", "sigma", "alpha"}), lambda cfg: (
+        congestion_model(dim=cfg.dim, **_float_param(cfg, "alpha")), _convolution_cost(cfg))),
+    "linear-counterexample": (frozenset({"modes", "alpha"}), _linear_counterexample),
+    "custom": (None, _custom),
+}
+MODEL_NAMES = tuple(_MODELS)
+
+
+def _setup(cfg: RunConfig):
+    """``(grid, model, final cost, m0, cost rebuilder)`` of ``cfg``, or ``ConfigError``."""
+    try:
+        grid = TorusGrid(dim=cfg.dim, n=cfg.n, nt=cfg.nt, T=cfg.T)
+        accepted, build = _MODELS[cfg.model]
+        if accepted is None:
+            return (grid, *build(cfg, grid))
+        m0 = _density_from_modes(cfg, grid)
+        model, rebuild = build(cfg)
+        return grid, model, rebuild(grid), m0, rebuild
+    except ConfigError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - surfaced as a config problem
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +450,9 @@ def _critical_horizon_note(cfg: RunConfig) -> Optional[str]:
     Only the scaled-identity coupling with ``alpha < -2`` has such
     horizons; for other configurations there is nothing to note.
     """
-    if cfg.model != "linear-counterexample":
+    if _MODELS[cfg.model][1] is not _linear_counterexample:
         return None
-    alpha = _param_float(cfg, "alpha", -3.0)
+    alpha = _counterexample_alpha(cfg)
     if alpha >= -2.0:
         return None
     best: Optional[tuple[float, int, float]] = None
@@ -486,6 +471,19 @@ def _critical_horizon_note(cfg: RunConfig) -> Optional[str]:
     )
 
 
+# Manifest lines of a report, of each of its iteration rows and of each sweep
+# row, in order: (name in the manifest, attribute).
+_RESOLVED_LINES = tuple((a, a) for a in ("K", "M1", "L_h", "C0", "delta", "p", "detrunc_ok"))
+_ITERATION_LINES = (("d", "distance"),) + tuple(
+    (a, a) for a in ("gamma", "norm_u_w21p", "norm_u_c10", "norm_m_c10"))
+_SWEEP_ROW_LINES = tuple(
+    (a, a) for a in ("T", "nt", "status", "iterations", "max_gamma", "min_m", "detrunc_ok"))
+
+
+def _field_lines(prefix: str, record, table) -> list[str]:
+    return [f"{prefix}.{name} = {_text(getattr(record, attr))}" for name, attr in table]
+
+
 def _manifest_text(
     cfg: RunConfig,
     *,
@@ -494,7 +492,7 @@ def _manifest_text(
     exit_code: int,
     wallclock: float,
     report=None,
-    sweep_rows=None,
+    sweep_rows=(),
     files: Sequence[tuple[str, str]] = (),
 ) -> str:
     lines = [
@@ -503,54 +501,29 @@ def _manifest_text(
         f"exit_code = {exit_code}",
         f"wallclock_seconds = {wallclock!r}",
     ]
-    if report is not None and report.error:
-        lines.append(f"error.message = {report.error}")
     if report is not None:
+        if report.error:
+            lines.append(f"error.message = {report.error}")
         lines.append(f"iterations = {report.iterations}")
-        lines.append(f"resolved.K = {report.K!r}")
-        lines.append(f"resolved.M1 = {report.M1!r}")
-        lines.append(f"resolved.L_h = {report.L_h!r}")
-        lines.append(f"resolved.C0 = {report.C0!r}")
-        lines.append(f"resolved.delta = {report.delta!r}")
-        lines.append(f"resolved.p = {report.p!r}")
-        lines.append(
-            f"resolved.detrunc_ok = {'true' if report.detrunc_ok else 'false'}"
-        )
+        lines += _field_lines("resolved", report, _RESOLVED_LINES)
         if report.detrunc_failures:
             lines.append(
                 "resolved.detrunc_failures = " + "; ".join(report.detrunc_failures)
             )
-        lines.append(f"resolved.residual_u = {report.residuals['u']!r}")
-        lines.append(f"resolved.residual_m = {report.residuals['m']!r}")
-        if "reason" in report.residuals:
-            lines.append(f"resolved.residual_reason = {report.residuals['reason']}")
+        # u and m, then the reason when they are NaN.
+        lines += [f"resolved.residual_{key} = {_text(value)}"
+                  for key, value in report.residuals.items()]
     note = _critical_horizon_note(cfg)
     if note is not None:
         lines.append(f"note.critical_horizon = {note}")
     for line in format_config(cfg).splitlines():
         lines.append(f"config.{line}")
-    if report is not None:
-        for r in report.rows:
-            prefix = f"iteration.{r.iteration}"
-            lines.append(f"{prefix}.d = {r.distance!r}")
-            lines.append(f"{prefix}.gamma = {r.gamma!r}")
-            lines.append(f"{prefix}.norm_u_w21p = {r.norm_u_w21p!r}")
-            lines.append(f"{prefix}.norm_u_c10 = {r.norm_u_c10!r}")
-            lines.append(f"{prefix}.norm_m_c10 = {r.norm_m_c10!r}")
-    if sweep_rows is not None:
-        for i, row in enumerate(sweep_rows, start=1):
-            prefix = f"row.{i}"
-            lines.append(f"{prefix}.T = {row.T!r}")
-            lines.append(f"{prefix}.nt = {row.nt}")
-            lines.append(f"{prefix}.status = {row.status}")
-            lines.append(f"{prefix}.iterations = {row.iterations}")
-            lines.append(f"{prefix}.max_gamma = {row.max_gamma!r}")
-            lines.append(f"{prefix}.min_m = {row.min_m!r}")
-            lines.append(
-                f"{prefix}.detrunc_ok = {'true' if row.detrunc_ok else 'false'}"
-            )
-            if row.error:
-                lines.append(f"{prefix}.error = {row.error}")
+    for r in report.rows if report is not None else ():
+        lines += _field_lines(f"iteration.{r.iteration}", r, _ITERATION_LINES)
+    for i, row in enumerate(sweep_rows, start=1):
+        lines += _field_lines(f"row.{i}", row, _SWEEP_ROW_LINES)
+        if row.error:
+            lines.append(f"row.{i}.error = {row.error}")
     for name, path in files:
         lines.append(f"files.{name} = {_digest(path)}")
     return "\n".join(lines) + "\n"
@@ -564,14 +537,7 @@ def _manifest_text(
 def execute_run(cfg: RunConfig) -> int:
     """Run one solve and write ``series.csv``, field slices, and the manifest."""
     start = time.perf_counter()
-    try:
-        grid = TorusGrid(dim=cfg.dim, n=cfg.n, nt=cfg.nt, T=cfg.T)
-        model, cost, m0, _ = _build_problem(cfg, grid)
-    except ConfigError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - surfaced as a config problem
-        raise ConfigError(str(exc)) from exc
-
+    grid, model, cost, m0, _ = _setup(cfg)
     try:
         report = picard_solve(
             model, cost, m0, grid,
@@ -612,9 +578,8 @@ def execute_run(cfg: RunConfig) -> int:
 def _sweep_text(rows) -> str:
     lines = [SWEEP_HEADER]
     for r in rows:
-        converged = "true" if r.status == "converged" else "false"
         lines.append(
-            f"{_f17(r.T)},{converged},{r.iterations},"
+            f"{_f17(r.T)},{_text(r.status == 'converged')},{r.iterations},"
             f"{_f17(r.max_gamma)},{_f17(r.min_m)},{_f17(r.runtime)}"
         )
     return "\n".join(lines) + "\n"
@@ -625,29 +590,17 @@ def execute_sweep(cfg: RunConfig, T_list: Sequence[float]) -> int:
 
     The configured grid fixes the time-step size (``dt = T / nt``) and
     the spatial layout; each horizon gets a grid with the nearest whole
-    number of steps.  Inadmissible truncation parameters and an unusable
-    step are configuration errors, raised before the first horizon runs;
-    per-horizon failures land in their rows, so the exit code is 0
-    whenever the sweep itself ran.
+    number of steps.  Horizons that do not strictly increase, and those
+    :func:`~fbmfg.fixed_point.horizon_sweep` rejects before its first
+    horizon runs, are configuration errors; per-horizon failures land in
+    their rows, so the exit code is 0 whenever the sweep itself ran.
     """
     T_values = [float(t) for t in T_list]
-    if not T_values:
-        raise ConfigError("sweep needs at least one horizon")
-    if any(not 0 < t < math.inf for t in T_values):
-        raise ConfigError("every horizon must be positive and finite")
-    for a, b in zip(T_values, T_values[1:]):
-        if not b > a:
-            raise ConfigError("the horizon list must be strictly increasing")
+    if any(not b > a for a, b in zip(T_values, T_values[1:])):
+        raise ConfigError("the horizon list must be strictly increasing")
 
     start = time.perf_counter()
-    try:
-        grid = TorusGrid(dim=cfg.dim, n=cfg.n, nt=cfg.nt, T=cfg.T)
-        model, _, m0, rebuild_cost = _build_problem(cfg, grid)
-    except ConfigError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - surfaced as a config problem
-        raise ConfigError(str(exc)) from exc
-
+    grid, model, _, m0, rebuild_cost = _setup(cfg)
     try:
         rows = horizon_sweep(
             model, rebuild_cost, m0, T_values,
@@ -677,10 +630,7 @@ def _parse_T_list(text: str) -> list[float]:
         part = part.strip()
         if not part:
             raise ConfigError(f"--T-list: empty entry in {text!r}")
-        try:
-            values.append(float(part))
-        except ValueError:
-            raise ConfigError(f"--T-list: bad number {part!r}") from None
+        values.append(_parse_value("--T-list", part, float))
     return values
 
 

@@ -32,6 +32,7 @@ value ``h[m]`` (bounded by ``L_h*|m0|^(1) + C0`` up to a factor 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -81,6 +82,10 @@ class TruncationParams:
             raise ValueError(
                 f"K={self.K} must reach the admissible threshold {required}"
             )
+        if not self.K < math.inf:
+            # Every clamp at an infinite level is the identity, so the
+            # de-truncation check would certify nothing.
+            raise ValueError(f"K={self.K} must be finite")
 
 
 def select_K(
@@ -96,7 +101,7 @@ def select_K(
     ValueError
         If ``m0`` dips below the declared floor ``delta`` (the positivity
         assumption on the initial density fails), or if an explicit ``K``
-        is below the admissible threshold.
+        is below the admissible threshold or not finite.
     """
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta}")

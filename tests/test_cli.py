@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fbmfg.cli import (
+    _CONFIG_KEYS,
     ConfigError,
     MODEL_NAMES,
     RunConfig,
@@ -76,6 +77,10 @@ def nonelliptic_diffusion_factory(grid, params):
     return model, final_cost_convolution(grid), Field.full(grid, 1.0)
 
 
+def manifest_keys(out):
+    return [line.split(" = ")[0] for line in (out / "manifest.txt").read_text().splitlines()]
+
+
 def write(path, text):
     path.write_text(textwrap.dedent(text))
     return str(path)
@@ -131,6 +136,8 @@ class TestParsing:
             ("iteration.relaxation = 0.5", "unknown keys"),
             ("iteration.p = 1.5", "iteration.p must be at least 2"),
             ("iteration.p = inf", "iteration.p must be at least 2 and finite"),
+            ("truncation.K = inf", "truncation.K must be positive and finite"),
+            ("iteration.tol = inf", "iteration.tol must be positive and finite"),
             ("params.sigma = 0.1", "does not accept"),
             ("just some words", "expected 'key = value'"),
         ],
@@ -167,6 +174,30 @@ class TestParsing:
         assert parse_config(format_config(cfg)) == cfg
         minimal = parse_config(DECOUPLED)
         assert parse_config(format_config(minimal)) == minimal
+        # One table names every RunConfig field once; a text that sets every
+        # key, in canonical form, comes back unchanged.
+        fields = [name for _, name, _ in _CONFIG_KEYS]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        every_key = textwrap.dedent("""\
+            model = linear-counterexample
+            grid.dim = 2
+            grid.n = 48
+            grid.nt = 300
+            grid.T = 0.013
+            truncation.K = 7.25
+            truncation.delta = 0.5
+            iteration.p = 4.5
+            iteration.tol = 3e-07
+            iteration.max_iter = 55
+            params.alpha = -3.0
+            params.modes = 0,0=1.0; 1,0=0.05
+            outputs.dir = some dir
+            outputs.write_fields = false
+        """)
+        keys = [line.split(" = ")[0] for line in every_key.splitlines()]
+        keys = list(dict.fromkeys("params." if k.startswith("params.") else k for k in keys))
+        assert keys == [key for key, _, _ in _CONFIG_KEYS]
+        assert format_config(parse_config(every_key)) == every_key
 
 
 class TestRunCommand:
@@ -218,6 +249,25 @@ class TestRunCommand:
         import hashlib
         digest = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
         assert f"files.series.csv = sha256:{digest}" in manifest
+
+    def test_manifest_layout(self, tmp_path):
+        # Every line of a decoupled run's manifest, in order (the keys only).
+        cfg_path = write(tmp_path / "run.cfg", DECOUPLED)
+        out = tmp_path / "layout"
+        assert main(["run", cfg_path, "--out", str(out)]) == 0
+        iterations = [f"iteration.{k}.{name}" for k in (1, 2)
+                      for name in ("d", "gamma", "norm_u_w21p", "norm_u_c10", "norm_m_c10")]
+        assert manifest_keys(out) == [
+            "kind", "status", "exit_code", "wallclock_seconds", "iterations",
+            "resolved.K", "resolved.M1", "resolved.L_h", "resolved.C0", "resolved.delta",
+            "resolved.p", "resolved.detrunc_ok", "resolved.residual_u", "resolved.residual_m",
+            "config.model", "config.grid.dim", "config.grid.n", "config.grid.nt",
+            "config.grid.T", "config.iteration.tol", "config.iteration.max_iter",
+            "config.params.modes", "config.outputs.dir", "config.outputs.write_fields",
+            *iterations,
+            "files.series.csv", "files.fields_t0.csv", "files.fields_tmid.csv",
+            "files.fields_tT.csv",
+        ]
 
     def test_manifest_names_why_residuals_are_nan(self, tmp_path, monkeypatch):
         from fbmfg import cli
@@ -506,6 +556,23 @@ class TestSweepCommand:
         assert "row.2.status = converged" in manifest
         assert "files.sweep.csv = sha256:" in manifest
 
+    def test_manifest_layout(self, tmp_path):
+        # Every line of a two-horizon sweep's manifest, in order (the keys only).
+        cfg_path = write(tmp_path / "run.cfg", DECOUPLED)
+        out = tmp_path / "layout"
+        assert main(["sweep", cfg_path, "--T-list", "0.01,0.02", "--out", str(out)]) == 0
+        rows = [f"row.{i}.{name}" for i in (1, 2)
+                for name in ("T", "nt", "status", "iterations", "max_gamma", "min_m",
+                             "detrunc_ok")]
+        assert manifest_keys(out) == [
+            "kind", "status", "exit_code", "wallclock_seconds",
+            "config.model", "config.grid.dim", "config.grid.n", "config.grid.nt",
+            "config.grid.T", "config.iteration.tol", "config.iteration.max_iter",
+            "config.params.modes", "config.outputs.dir", "config.outputs.write_fields",
+            *rows,
+            "files.sweep.csv",
+        ]
+
     def test_thread_environment_changes_nothing(self, tmp_path, monkeypatch):
         # The sweep is serial: a thread setting in the environment, even a
         # malformed one, neither fails it nor shows up in its outputs.
@@ -542,6 +609,24 @@ class TestSweepCommand:
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
         assert fragment in errors[0]
+
+    @pytest.mark.parametrize("line, fragment", [
+        ("truncation.K = inf", "truncation.K must be positive and finite, got inf"),
+        ("iteration.tol = inf", "iteration.tol must be positive and finite, got inf"),
+    ])
+    def test_nonfinite_K_or_tol_exits_1_under_run_and_sweep(
+        self, tmp_path, capsys, line, fragment
+    ):
+        # K = inf clamped nothing and certified de-truncation; tol = inf
+        # "converged" after one sweep.
+        cfg_path = write(tmp_path / "run.cfg", TINY_QUADRATIC + line + "\n")
+        for command in (["run"], ["sweep", "--T-list", "0.005,0.01"]):
+            out = tmp_path / command[0]
+            assert main([command[0], cfg_path, *command[1:], "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert fragment in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("T, fragment", [
         # dt = T / nt is subnormal on the configured grid (T / dt would

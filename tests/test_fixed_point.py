@@ -282,12 +282,16 @@ class TestPicardBasics:
         (dict(tol=math.nan), "tol must be nonnegative"),
         (dict(p=math.inf), "p must be >= 2 and finite"),
         (dict(K=math.nan), "admissible threshold"),
+        (dict(tol=math.inf), "tol must be nonnegative and finite"),
+        (dict(K=math.inf), "K=inf must be finite"),
     ])
     def test_rejects_nonfinite_or_negative_parameters_before_the_first_sweep(
         self, kwargs, fragment
     ):
         # tol < 0 used to reach d = 0 and divide by it; p = inf pinned the
-        # W21p distance at 1; K = nan failed inside the first clamp.
+        # W21p distance at 1; K = nan failed inside the first clamp; tol = inf
+        # stopped after one sweep; K = inf clamped nothing and so certified
+        # de-truncation.
         grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
         calls = []
 
@@ -1060,6 +1064,8 @@ class TestHorizonSweep:
         (dict(p=1.5), "exponent p must be >= 2"),
         (dict(K=0.5), "must reach the admissible threshold"),
         (dict(delta=2.0), "initial density violates its floor"),
+        (dict(tol=math.inf), "tol must be nonnegative and finite"),
+        (dict(K=math.inf), "K=inf must be finite"),
         (dict(m0=np.inf), "initial density must be finite"),
         (dict(m0=0.0), "initial density must be strictly positive"),
     ])

@@ -64,6 +64,13 @@ class TestSelectK:
         with pytest.raises(ValueError):
             TruncationParams(K=1.0, delta=1.0, L_h=0.0, C0=0.0, m0_norm_C1=1.0)
 
+    def test_rejects_an_infinite_K(self):
+        # Every clamp at K = inf is the identity: nothing would be certified.
+        with pytest.raises(ValueError, match="K=inf must be finite"):
+            select_K(flat_density(1.0), L_h=0.0, C0=0.0, delta=1.0, K=np.inf)
+        with pytest.raises(ValueError, match="must be finite"):
+            TruncationParams(K=np.inf, delta=1.0, L_h=0.0, C0=0.0, m0_norm_C1=1.0)
+
 
 class TestClamps:
     def test_positive_identity_region(self):
