@@ -42,6 +42,7 @@ import argparse
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import math
 import os
 import sys
@@ -94,7 +95,8 @@ class RunConfig:
     the config defaults.  ``params`` keeps the model parameters verbatim as
     sorted ``(name, value)`` string pairs; they are interpreted only when
     the problem is built, so the configuration round-trips losslessly
-    through :func:`format_config`.
+    through :func:`format_config`.  Construction raises the
+    :class:`ConfigError` that :func:`parse_config` reports for a bad value.
     """
 
     model: str
@@ -110,6 +112,33 @@ class RunConfig:
     params: tuple[tuple[str, str], ...] = ()
     out_dir: str = "out"
     write_fields: bool = True
+
+    def __post_init__(self) -> None:
+        if self.model not in _MODELS:
+            raise ConfigError(
+                f"model: unknown model {self.model!r} (known: {', '.join(MODEL_NAMES)})")
+        accepted, _ = _MODELS[self.model]
+        names = {name for name, _ in self.params}
+        if accepted is None and "factory" not in names:
+            raise ConfigError(f"model {self.model!r} requires params.factory = module:function")
+        extra = sorted(names - accepted) if accepted is not None else ()
+        if extra:
+            raise ConfigError(f"model {self.model!r} does not accept params: {', '.join(extra)}")
+
+        if not 1 <= self.dim <= len(AXIS_NAMES):
+            raise ConfigError(f"grid.dim must be from 1 to {len(AXIS_NAMES)}, got {self.dim}")
+        if not self.T > 0:
+            raise ConfigError(f"grid.T must be positive, got {self.T}")
+        if self.K is not None and not 0 < self.K < math.inf:
+            raise ConfigError(f"truncation.K must be positive and finite, got {self.K}")
+        if self.delta is not None and not self.delta > 0:
+            raise ConfigError(f"truncation.delta must be positive, got {self.delta}")
+        if self.p is not None and not 2.0 <= self.p < math.inf:
+            raise ConfigError(f"iteration.p must be at least 2 and finite, got {self.p}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"iteration.tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise ConfigError(f"iteration.max_iter must be at least 1, got {self.max_iter}")
 
 
 # Every config key in the order format_config writes them: (key, RunConfig
@@ -197,33 +226,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
     if entries:
         raise ConfigError(f"unknown keys: {', '.join(sorted(entries))}")
-    cfg = RunConfig(**values)
-
-    if cfg.model not in _MODELS:
-        raise ConfigError(f"model: unknown model {cfg.model!r} (known: {', '.join(MODEL_NAMES)})")
-    accepted, _ = _MODELS[cfg.model]
-    names = {name for name, _ in cfg.params}
-    if accepted is None and "factory" not in names:
-        raise ConfigError(f"model {cfg.model!r} requires params.factory = module:function")
-    extra = sorted(names - accepted) if accepted is not None else ()
-    if extra:
-        raise ConfigError(f"model {cfg.model!r} does not accept params: {', '.join(extra)}")
-
-    if not 1 <= cfg.dim <= len(AXIS_NAMES):
-        raise ConfigError(f"grid.dim must be from 1 to {len(AXIS_NAMES)}, got {cfg.dim}")
-    if not cfg.T > 0:
-        raise ConfigError(f"grid.T must be positive, got {cfg.T}")
-    if cfg.K is not None and not 0 < cfg.K < math.inf:
-        raise ConfigError(f"truncation.K must be positive and finite, got {cfg.K}")
-    if cfg.delta is not None and not cfg.delta > 0:
-        raise ConfigError(f"truncation.delta must be positive, got {cfg.delta}")
-    if cfg.p is not None and not 2.0 <= cfg.p < math.inf:
-        raise ConfigError(f"iteration.p must be at least 2 and finite, got {cfg.p}")
-    if not 0 < cfg.tol < math.inf:
-        raise ConfigError(f"iteration.tol must be positive and finite, got {cfg.tol}")
-    if cfg.max_iter < 1:
-        raise ConfigError(f"iteration.max_iter must be at least 1, got {cfg.max_iter}")
-    return cfg
+    return RunConfig(**values)
 
 
 def format_config(cfg: RunConfig) -> str:
@@ -448,26 +451,21 @@ def _critical_horizon_note(cfg: RunConfig) -> Optional[str]:
     """Distance from ``T`` to the nearest per-mode critical horizon.
 
     Only the scaled-identity coupling with ``alpha < -2`` has such
-    horizons; for other configurations there is nothing to note.
+    horizons; for other configurations there is nothing to note.  Every
+    mode with ``|k_i| <= n/2`` is searched, one key of nonincreasing
+    nonnegative indices per set of ``|k_i|``; a tie goes to the smaller key.
     """
     if _MODELS[cfg.model][1] is not _linear_counterexample:
         return None
     alpha = _counterexample_alpha(cfg)
     if alpha >= -2.0:
         return None
-    best: Optional[tuple[float, int, float]] = None
-    for k in range(1, max(2, cfg.n // 2) + 1):
-        key = (k,) + (0,) * (cfg.dim - 1)
-        T_k = critical_times(alpha, mode_eigenvalue(key))
-        if T_k is None:
-            return None
-        rel = abs(cfg.T - T_k) / T_k
-        if best is None or rel < best[0]:
-            best = (rel, k, T_k)
-    rel, k, T_k = best
+    keys = itertools.combinations_with_replacement(range(cfg.n // 2, -1, -1), cfg.dim)
+    horizons = {key: critical_times(alpha, mode_eigenvalue(key)) for key in keys if any(key)}
+    rel, key = min((abs(cfg.T - T_k) / T_k, key) for key, T_k in horizons.items())
     return (
         f"T = {cfg.T!r} lies at relative distance {rel:.3e} from the "
-        f"mode-{k} critical horizon {T_k!r}"
+        f"mode-{','.join(map(str, key))} critical horizon {horizons[key]!r}"
     )
 
 

@@ -34,20 +34,21 @@ clamps read them instead of recomputing them, and a clamp that cuts
 nothing passes its argument through, so the clamps of a de-truncated run
 copy nothing.  The distance takes the stencils of the differences
 themselves, once each, through the norm kernel
-:func:`~fbmfg.torus_grid.stack_norms` that the row norms share: it builds
-only the gradient and Hessian magnitudes of ``du`` and the gradient
-magnitude of ``dm``, one component or entry at a time, the Hessian on
-slices ``0 .. nt-1`` only, with no gradient or Hessian tensor of the
-differences.  A sweep holds little else: the old pair's derivatives go
-before the distance, the old pair before the row, and the final residual
-certificate contracts its diffusion terms term by term, the density's
-Hessian entries straight from the stencils.  Every row, report and iterate
-is bitwise what the tensor formulas give.  Divergence is declared after five
-consecutive increases of ``d`` (or any non-finite value); exhausting the
-iteration budget without meeting the tolerance is reported as its own
-status, since near a critical horizon the factors hover just below one and
-the iteration stalls rather than blows up.  A sweep that fails (a final
-cost leaving its domain, a non-finite march) ends the run with status
+:func:`~fbmfg.torus_grid.stack_norms`: it builds only the gradient and
+Hessian magnitudes of ``du`` and the gradient magnitude of ``dm``, one
+component or entry at a time, the Hessian on slices ``0 .. nt-1`` only,
+with no gradient or Hessian tensor of the differences.  A sweep holds
+little else: the old pair's derivatives go before the distance, and the
+old pair before the row.  Every row and iterate is bitwise what the tensor
+formulas give.  The residual certificate of the final pair is the march
+check's step residual (:func:`~fbmfg.parabolic._step_residuals`) with the
+untruncated sources, divided by ``dt``, so each step's discrete equation
+is written once.  Divergence is declared after five consecutive increases
+of ``d`` (or any non-finite value); exhausting the iteration budget
+without meeting the tolerance is reported as its own status, since near a
+critical horizon the factors hover just below one and the iteration
+stalls rather than blows up.  A sweep that fails (a final cost leaving its
+domain, a non-finite march) ends the run with status
 ``"error"``; the rows so far and the last good pair are kept.
 """
 
@@ -62,7 +63,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .models import CouplingModel, FinalCost
-from .parabolic import ParabolicProblem, SolverError, solve_backward, solve_forward
+from .parabolic import (ParabolicProblem, SolverError, _reverse_in_time, _step_residuals,
+                        solve_backward, solve_forward)
 
 # norm_C1, norm_C10, norm_W21p and time_derivative are not called here; they
 # stay imported because benchmark/tracing.py wraps the torus_grid names it
@@ -73,11 +75,11 @@ from .torus_grid import (
     TorusGrid,
     gradient_magnitude,
     gradient_values,
-    hessian_contraction,
     hessian_magnitude,
     hessian_values,
     norm_C1,
     norm_C10,
+    norm_C10_values,
     norm_W21p,
     norm_W21p_values,
     stack_norms,
@@ -245,7 +247,7 @@ def _iteration_row(
     # Freed before the density's norms: held longer, it raised the peak RSS
     # of a 2D congestion run with the mass audit (n=32, nt=64) by 0.3 MiB.
     del hess_mag
-    (c10_m,) = stack_norms(state.m.values, grid, grad_mag=state.Dm_mag)
+    c10_m = norm_C10_values(state.m.values, state.Dm_mag)
     return IterationRow(
         k, d, gamma, w21p_u, c10_u, c10_m,
         min_m=float(np.min(state.m.values)),
@@ -349,41 +351,28 @@ def _pde_residual_stacks(
 ) -> tuple[np.ndarray, ...]:
     """Residual stacks ``(u, m)`` of the *untruncated* equations on a pair.
 
-    Each equation is evaluated with the grid's own difference operators at
-    its march's implicit level: the value equation at slices ``0 .. nt-1``
+    Each is the step residual that the march check reduces
+    (:func:`~fbmfg.parabolic._step_residuals`), taken with the untruncated
+    source and divided by ``dt``: the value equation at slices ``0 .. nt-1``
     against the forward difference, the density equation at slices
     ``1 .. nt`` against the backward difference.  At an exact fixed point
-    both are round-off.  The diffusion terms are contracted term by term on
-    those slices only; the density's Hessian entries come straight from its
-    stencils.  ``coordinates`` is the grid's ``(x, t)``, built here unless
-    given.
+    both are round-off.  ``coordinates`` is the grid's ``(x, t)``, built
+    here unless given.
     """
     grid = state.grid
-    u, m = state.u.values, state.m.values
+    # Contiguous, so that only the reversed view of u reads as a backward march.
+    u, m = (np.ascontiguousarray(f.values) for f in (state.u, state.m))
     x, t = grid.space_time_coordinates() if coordinates is None else coordinates
-    c_u, c_m = (
-        ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
-        for eq in ("u", "m")
-    )
-    F = model.F(u, m, state.Du, state.Dm, x, t)
-    res_u = u[1:] - u[:-1]
+    value = ParabolicProblem(grid, model.diffusion_values(grid, "u"),
+                             source=model.F(u, m, state.Du, state.Dm, x, t))
+    res_u = _step_residuals(_reverse_in_time(value), u[::-1])[0]
+    del value
     res_u /= grid.dt
-    np.negative(res_u, out=res_u)
-    res_u -= hessian_contraction(_time_slices(c_u, slice(None, -1)), u[:-1], grid.h, grid.dim,
-                                 hess=state.D2u[:, :, :-1])
-    res_u += F[:-1]
-    del F
-    G = model.G(u, m, state.Du, state.Dm, state.D2u, x, t)
-    res_m = m[1:] - m[:-1]
+    density = ParabolicProblem(grid, model.diffusion_values(grid, "m"),
+                               source=model.G(u, m, state.Du, state.Dm, state.D2u, x, t))
+    res_m = _step_residuals(density, m)[0]
     res_m /= grid.dt
-    res_m -= hessian_contraction(_time_slices(c_m, slice(1, None)), m[1:], grid.h, grid.dim)
-    res_m += G[1:]
     return res_u, res_m
-
-
-def _time_slices(c: np.ndarray, times: slice) -> np.ndarray:
-    """The slices ``times`` of coefficients with axes ``(dim, dim, time) + ...``."""
-    return c[:, :, times] if c.shape[2] > 1 else c
 
 
 def _pde_residuals(model: CouplingModel, state: IterateState,

@@ -37,7 +37,9 @@ coefficients' values, not the shape they arrive in, choose one of two paths:
 
 Both paths treat the mixed term implicitly.  Either way the finished
 march is checked against its discrete equation: the relative residual of
-every step must stay below ``RESIDUAL_TOL``.
+every step must stay below ``RESIDUAL_TOL``.  The PDE residual certificate
+of :mod:`fbmfg.fixed_point` is that step residual with the untruncated
+sources, divided by ``dt``.
 
 Sparse matrices come from one CSR builder: every row of a periodic stencil
 matrix holds one entry per offset (``1 + 2d`` points, plus four corners per
@@ -366,23 +368,20 @@ def _splu_march(problem: ParabolicProblem, out: np.ndarray) -> None:
         out[j] = lu.solve(rhs).reshape(g.shape)
 
 
-def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
-    """Verify a finished march against the discrete equation of every step.
+def _step_residuals(problem: ParabolicProblem, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(res, rhs)`` of every step of the march ``v``, ``(nt,) + spatial`` each.
 
-    Step ``j`` must satisfy ``(I + dt L_j) v_j = v_{j-1} - dt g_j`` to a
-    relative residual below ``RESIDUAL_TOL``; ``L`` is applied through the
-    grid's own stencils (:func:`~fbmfg.torus_grid.subtract_second_order`),
-    the cross stencil only where the mixed coefficient is nonzero.  A
-    backward march's ``v`` and time-indexed inputs are time-reversed views:
-    its steps are checked in memory order (step ``j`` then reads slice
-    ``j + 1``), so the stencils take no copy.
+    Step ``j`` reads ``res = (I + dt L_j) v_j - rhs`` with ``rhs = v_{j-1} -
+    dt g_j``; ``L`` is applied through the grid's own stencils
+    (:func:`~fbmfg.torus_grid.subtract_second_order`), the cross stencil only
+    where the mixed coefficient is nonzero.  A backward march's ``v`` and
+    time-indexed inputs are time-reversed views: its steps are stacked in
+    memory order (step ``j`` then sits at slice ``nt - j``), so the stencils
+    take no copy.
     """
     g = problem.grid
-    if not np.all(np.isfinite(v)):
-        raise SolverError("non-finite values produced by the march")
     c, source, new, old = problem.coefficients(), problem.source, slice(1, None), slice(None, -1)
-    backward = v.strides[0] < 0
-    if backward:
+    if v.strides[0] < 0:
         v, source, c, new, old = v[::-1], source[::-1], c[:, :, ::-1], old, new
     if problem.time_dependent:
         c = c[:, :, new]
@@ -390,10 +389,23 @@ def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
     np.subtract(v[old], rhs, out=rhs)
     res = v[new] - rhs
     subtract_second_order(v[new], g.dt * c, g.h, g.dim, out=res)
+    return res, rhs
+
+
+def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
+    """Verify a finished march against the discrete equation of every step.
+
+    Each step's :func:`_step_residuals` must stay below ``RESIDUAL_TOL``
+    relative to its right-hand side; a failure names the slice in march order.
+    """
+    g = problem.grid
+    if not np.all(np.isfinite(v)):
+        raise SolverError("non-finite values produced by the march")
+    res, rhs = _step_residuals(problem, v)
     rhs, res = rhs.reshape(g.nt, -1), res.reshape(g.nt, -1)
     scale = np.maximum(np.sqrt(np.einsum("ij,ij->i", rhs, rhs)), 1e-300)
     rel = np.sqrt(np.einsum("ij,ij->i", res, res)) / scale
-    if backward:
+    if v.strides[0] < 0:
         rel = rel[::-1]
     worst = int(np.argmax(rel))
     if rel[worst] > RESIDUAL_TOL:

@@ -33,13 +33,15 @@ reused by the solver modules on stacked slices.  Each pointwise magnitude
 has one routine, :func:`gradient_magnitude` and :func:`hessian_magnitude`,
 which takes its components either from a derivative tensor a caller holds
 or straight from the stencils, one component or entry at a time, with no
-gradient or Hessian tensor.  Every norm goes through one kernel,
-:func:`stack_norms`, which takes the magnitudes a caller already holds, so
-a solver that needs several norms of one iterate evaluates each stencil
-once, and builds any other from the stencils.  :func:`hessian_contraction`
-sums ``c_ij (D^2 f)_ij`` the same way.  All of these are bitwise equal to
-the tensor formulas they replace: the same operations on the same operands,
-summed in the same order.
+gradient or Hessian tensor.  The norms of a stack go through one kernel,
+:func:`stack_norms`, which builds both magnitudes from the stencils; a
+solver that holds an iterate's magnitudes reduces them itself
+(:func:`norm_C10_values`, :func:`norm_W21p_values`), so each stencil of an
+iterate is evaluated once.  Either way the result is bitwise equal to the
+tensor formulas: the same operations on the same operands, summed in the
+same order.  :func:`subtract_second_order` applies ``c_ij (D^2 f)_ij``
+for the march check and the residual certificate, which share it; it
+agrees with :func:`hessian_values` up to rounding.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "gradient_values",
     "hessian",
     "hessian_values",
-    "hessian_contraction",
     "subtract_second_order",
     "time_derivative",
     "gradient_magnitude",
@@ -407,31 +408,6 @@ def _row_order(dim: int, entry: Callable[[int, int], np.ndarray]):
         yield i, j, value
 
 
-def hessian_contraction(coeffs: np.ndarray, values: np.ndarray, h: float, dim: int,
-                        hess: Optional[np.ndarray] = None) -> np.ndarray:
-    """``Σ_ij c_ij (D^2 f)_ij`` with no product stack: bitwise ``np.sum(coeffs * hess, axis=(0, 1))``.
-
-    ``coeffs`` has axes ``(dim, dim) + ...`` broadcasting against ``values``.
-    The terms are added one by one, row by row, the order that numpy's
-    reduction over the two leading axes takes them in.  ``hess`` is the
-    :func:`hessian_values` output of ``values`` when the caller holds it;
-    otherwise each entry comes straight from the stencils (a mixed entry
-    once, for both of its terms) and no Hessian tensor is built.
-    """
-    if hess is None:
-        periodic = _Periodic(values, h, dim)
-        entry = lambda i, j: _hessian_entry(periodic, i, j, np.empty(periodic.values.shape))
-    else:
-        entry = lambda i, j: hess[i, j]
-    terms = ((coeffs[i, j], value) for i, j, value in _row_order(dim, entry))
-    c, value = next(terms)
-    total, term = c * value, None
-    for c, value in terms:
-        term = np.multiply(c, value, out=term)
-        total += term
-    return total
-
-
 def subtract_second_order(values: np.ndarray, coeffs: np.ndarray, h: float, dim: int,
                           out: np.ndarray) -> None:
     """``out -= Σ_ij c_ij (D^2 f)_ij`` without building the Hessian.
@@ -547,28 +523,22 @@ def norm_C10_values(values: np.ndarray, grad_mag: np.ndarray) -> float:
 
 
 def stack_norms(
-    values: np.ndarray, grid: TorusGrid, p: Optional[float] = None, *,
-    grad_mag: Optional[np.ndarray] = None, hess_mag: Optional[np.ndarray] = None,
+    values: np.ndarray, grid: TorusGrid, p: Optional[float] = None
 ) -> tuple[float, ...]:
     """``(|f|_C10,)`` of samples ``values``, or ``(|f|_C10, ||f||_W21p)`` given ``p``.
 
     The norm kernel behind :func:`norm_C10`, :func:`norm_C1`,
-    :func:`norm_W21p` and the solver's distance and row norms.  A magnitude
-    the caller does not hold is built straight from the stencils of
-    ``values``: the gradient magnitude on every slice, the Hessian
-    magnitude (for ``p`` only) on slices ``0 .. nt-1``, which the
-    quadrature samples.  Given, ``grad_mag`` covers every slice and
-    ``hess_mag`` slices ``0 .. nt-1``.  Either way the result is bitwise
-    that of the magnitudes of :func:`gradient_values` and
-    :func:`hessian_values`.
+    :func:`norm_W21p` and the solver's distance.  The magnitudes come
+    straight from the stencils of ``values``: the gradient magnitude on every
+    slice, the Hessian magnitude (for ``p`` only) on slices ``0 .. nt-1``,
+    which the quadrature samples.  The result is bitwise that of the
+    magnitudes of :func:`gradient_values` and :func:`hessian_values`.
     """
-    if grad_mag is None:
-        grad_mag = gradient_magnitude(_Periodic(values, grid.h, grid.dim))
+    grad_mag = gradient_magnitude(_Periodic(values, grid.h, grid.dim))
     c10 = norm_C10_values(values, grad_mag)
     if p is None:
         return (c10,)
-    if hess_mag is None:
-        hess_mag = hessian_magnitude(_Periodic(values[:-1], grid.h, grid.dim))
+    hess_mag = hessian_magnitude(_Periodic(values[:-1], grid.h, grid.dim))
     return c10, norm_W21p_values(values, grad_mag[:-1], hess_mag, grid, p)
 
 

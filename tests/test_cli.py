@@ -27,6 +27,7 @@ from fbmfg.models import (
     final_cost_constant,
     final_cost_convolution,
 )
+from fbmfg.spectral import critical_times, mode_eigenvalue
 from fbmfg.torus_grid import Field
 
 T_CRIT = math.log(3.0) / (8.0 * math.pi**2)
@@ -163,6 +164,17 @@ class TestParsing:
         text = DECOUPLED.replace("model = decoupled-heat", "model = custom")
         with pytest.raises(ConfigError, match="factory"):
             parse_config(text)
+
+    @pytest.mark.parametrize("changes, fragment", [
+        (dict(dim=4), "grid.dim must be from 1 to 3"),
+        (dict(model="heat"), r"model: unknown model 'heat' \(known: decoupled-heat"),
+        (dict(model="quadratic-mfg", params=(("bogus", "1"),)), "does not accept params: bogus"),
+    ], ids=["dim-4", "unknown-model", "unknown-param"])
+    def test_a_config_built_in_code_is_checked(self, changes, fragment):
+        # A 4D decoupled-heat config used to write field CSVs with a 5-column
+        # header over 6-column rows.
+        with pytest.raises(ConfigError, match=fragment):
+            RunConfig(**{**dict(model="decoupled-heat", dim=1, n=8, nt=4, T=0.01), **changes})
 
     def test_round_trip_through_format_config(self):
         cfg = RunConfig(
@@ -369,6 +381,28 @@ class TestRunCommand:
         )
         assert "mode-1" in note
         assert repr(T_CRIT)[:8] in note
+
+    def test_critical_horizon_note_names_an_off_axis_mode(self, tmp_path):
+        # At the horizon of mode (1, 1), which no axis mode (k, 0) has.
+        T_11 = critical_times(-3.0, mode_eigenvalue((1, 1)))
+        cfg_path = write(
+            tmp_path / "run.cfg",
+            f"""\
+            model = linear-counterexample
+            grid.dim = 2
+            grid.n = 8
+            grid.nt = 4
+            grid.T = {T_11!r}
+            iteration.max_iter = 2
+            params.alpha = -3.0
+            """,
+        )
+        out = tmp_path / "ctr2d"
+        main(["run", cfg_path, "--out", str(out)])
+        assert (
+            f"note.critical_horizon = T = {T_11!r} lies at relative distance "
+            f"0.000e+00 from the mode-1,1 critical horizon {T_11!r}\n"
+        ) in (out / "manifest.txt").read_text()
 
     def test_amplified_fixed_point_exits_3(self, tmp_path):
         cfg_path = write(

@@ -545,7 +545,8 @@ class TestStencilCount:
         counts = self.count_stencils(monkeypatch)
         report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=1)
         assert report.iterations == 1
-        assert counts["stencils"] == 10
+        # The residual certificate takes one stencil set per equation.
+        assert counts["stencils"] == 11
 
     def test_explicit_K_takes_the_gradient_of_m0_once(self, monkeypatch):
         # With K given, the norm behind M1 and the starting pair share one
@@ -559,7 +560,7 @@ class TestStencilCount:
         counts = self.count_stencils(monkeypatch)
         report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=1, K=K)
         assert report.iterations == 1 and report.K == K
-        assert counts["stencils"] == 10
+        assert counts["stencils"] == 11
 
 
 class TestMemoryBudget:
@@ -832,7 +833,12 @@ class TestResiduals:
 
     @staticmethod
     def reference_residual_stacks(model, state):
-        """The residual stacks by the tensor formulas: a full ``D2m``, one product stack each."""
+        """The residual stacks by the tensor formulas, each with its largest term.
+
+        A full ``D2m`` and one product stack each; the terms are the time
+        difference, the diffusion term and the source on the slices the
+        equation samples.
+        """
         grid = state.grid
         u, m = state.u.values, state.m.values
         x, t = grid.space_time_coordinates()
@@ -843,15 +849,17 @@ class TestResiduals:
         )
         F = model.F(u, m, state.Du, state.Dm, x, t)
         G = model.G(u, m, state.Du, state.Dm, state.D2u, x, t)
-        res_u = (-time_derivative(state.u) - np.sum(c_u * state.D2u, axis=(0, 1)) + F)[:-1]
-        res_m = time_derivative(state.m)[:-1] - np.sum(c_m * D2m, axis=(0, 1))[1:] + G[1:]
-        return res_u, res_m
+        terms_u = (-time_derivative(state.u)[:-1],
+                   -np.sum(c_u * state.D2u, axis=(0, 1))[:-1], F[:-1])
+        terms_m = (time_derivative(state.m)[:-1], -np.sum(c_m * D2m, axis=(0, 1))[1:], G[1:])
+        return tuple((sum(terms), max(np.max(np.abs(term)) for term in terms))
+                     for terms in (terms_u, terms_m))
 
     @pytest.mark.parametrize("case", ["quadratic-1d", "quadratic-2d", "quadratic-3d",
                                       "congestion-2d", "x-dependent-mixed-2d", "t-dependent-1d"])
-    def test_residual_stacks_equal_the_tensor_formulas_bitwise(self, case):
-        # Term by term, on the slices each equation samples, with the
-        # density's Hessian entries from its stencils: the same bits.
+    def test_residual_stacks_are_the_step_residuals_over_dt(self, case):
+        # Bitwise the march check's step residual with the untruncated
+        # sources over dt, and the tensor formulas up to rounding.
         kind, dim = case.rsplit("-", 1)
         dim = int(dim[0])
         grid = TorusGrid(dim=dim, n=16 if dim < 3 else 8, nt=8, T=0.01)
@@ -869,11 +877,34 @@ class TestResiduals:
         }[kind]()
         report = picard_solve(model, final_cost_convolution(grid), m0, grid, tol=0.0, max_iter=3)
         assert report.iterations == 3
-        u, m = report.final_state.u, report.final_state.m
-        got = _pde_residual_stacks(model, IterateState(u, m))
-        expected = self.reference_residual_stacks(model, IterateState(u, m))
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        state = report.final_state
+        u, m = state.u.values, state.m.values
+        got = _pde_residual_stacks(model, state)
+        x, t = grid.space_time_coordinates()
+        value = ParabolicProblem(grid, model.diffusion_values(grid, "u"),
+                                 source=model.F(u, m, state.Du, state.Dm, x, t))
+        density = ParabolicProblem(grid, model.diffusion_values(grid, "m"),
+                                   source=model.G(u, m, state.Du, state.Dm, state.D2u, x, t))
+        steps = (parabolic._step_residuals(parabolic._reverse_in_time(value), u[::-1])[0],
+                 parabolic._step_residuals(density, m)[0])
+        assert all(np.array_equal(a, b / grid.dt) for a, b in zip(got, steps))
+        expected = self.reference_residual_stacks(model, state)
+        for a, (b, largest) in zip(got, expected):
+            assert np.max(np.abs(a - b)) <= 1e-12 * largest
         assert 0.0 < np.max(np.abs(got[1]))
+
+    def test_residual_stacks_do_not_depend_on_the_memory_layout(self):
+        # Only the reversed view of u is read as a backward march: a pair
+        # held in time-reversed memory gives the same stacks.
+        grid, m0, cost = self.hamiltonian_problem()
+        model = self.x_dependent_hamiltonian_model()
+        report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=2)
+        u, m = report.final_state.u, report.final_state.m
+        flipped = IterateState(*(SpaceTimeField(grid, f.values[::-1].copy()[::-1]) for f in (u, m)))
+        assert flipped.u.values.strides[0] < 0
+        expected = _pde_residual_stacks(model, IterateState(u, m))
+        got = _pde_residual_stacks(model, flipped)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_callable_diffusion_is_factored_once_per_march(self, monkeypatch):
         # The model broadcasts A(x, t) over time; equal slices collapse, so

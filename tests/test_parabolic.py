@@ -302,6 +302,48 @@ class TestMarchCheck:
             parabolic._check_march(problem, v)
 
 
+class TestStepResiduals:
+    """``_step_residuals`` is the arithmetic the march check has always reduced.
+
+    The reference writes that formula out per direction on memory-order
+    arrays: a forward march's step ``j`` at row ``j - 1``, a backward
+    march's (reversed problem, reversed view) at row ``nt - j``.
+    """
+
+    @staticmethod
+    def reference(problem, v):
+        g = problem.grid
+        c = problem.coefficients()
+        if v.strides[0] < 0:
+            u, source, new, old = v[::-1], problem.source[::-1], slice(None, -1), slice(1, None)
+            c = c[:, :, ::-1]
+        else:
+            u, source, new, old = v, problem.source, slice(1, None), slice(None, -1)
+        if problem.time_dependent:
+            c = c[:, :, new]
+        rhs = u[old] - g.dt * source[new]
+        res = u[new] - rhs
+        torus_grid.subtract_second_order(u[new], g.dt * c, g.h, g.dim, out=res)
+        return res, rhs
+
+    @pytest.mark.parametrize("kind", TestMarchCheck.KINDS)
+    def test_forward_march(self, kind):
+        problem, v = TestMarchCheck().exact_march(kind)
+        got, expected = parabolic._step_residuals(problem, v), self.reference(problem, v)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("kind", TestMarchCheck.KINDS)
+    def test_backward_march(self, kind):
+        reversed_problem, v = TestMarchCheck().backward_march(kind)
+        got = parabolic._step_residuals(reversed_problem, v)
+        expected = self.reference(reversed_problem, v)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        # Row nt - j is backward step j: its right-hand side reads u_{nt-j+1}.
+        g = reversed_problem.grid
+        u, F = v[::-1], reversed_problem.source[::-1]
+        assert np.array_equal(got[1][0], u[1] - g.dt * F[0])
+
+
 # ---------------------------------------------------------------------------
 # Reference matrices built the old way, from periodic shift matrices with
 # kron/diags: S @ vec(v) == vec(np.roll(v, s, axis)).

@@ -13,7 +13,6 @@ from fbmfg.torus_grid import (
     gradient_magnitude,
     gradient_values,
     hessian,
-    hessian_contraction,
     hessian_magnitude,
     hessian_values,
     norm_C1,
@@ -433,11 +432,11 @@ class TestNorms:
 
 
 class TestNormKernel:
-    """``stack_norms`` and ``hessian_contraction`` against the tensor formulas, bit for bit.
+    """``stack_norms`` against the tensor formulas, bit for bit.
 
-    The magnitudes and contractions built straight from the stencils must
-    be the same operations on the same operands, summed in the same order,
-    as those of the ``gradient_values``/``hessian_values`` tensors.
+    The magnitudes built straight from the stencils must be the same
+    operations on the same operands, summed in the same order, as those of
+    the ``gradient_values``/``hessian_values`` tensors.
     """
 
     LAYOUTS = ["contiguous", "reversed"]
@@ -471,7 +470,6 @@ class TestNormKernel:
         expected = (norm_C10_values(values, grad_mag),
                     norm_W21p_values(values, grad_mag[:-1], hess_mag, g, p))
         assert stack_norms(values, g, p) == expected
-        assert stack_norms(values, g, p, grad_mag=grad_mag, hess_mag=hess_mag) == expected
         assert stack_norms(values, g) == expected[:1]
         f = SpaceTimeField(g, values)
         assert (norm_C10(f), norm_W21p(f, p)) == expected
@@ -481,18 +479,6 @@ class TestNormKernel:
         f = Field(g, spread(np.random.default_rng(3), g.shape))
         grad = gradient_values(f.values, g.h, g.dim)
         assert norm_C1(f) == norm_C10_values(f.values, gradient_magnitude(grad))
-
-    @pytest.mark.parametrize("shape", ["constant", "x", "t", "xt"])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_contraction_equals_the_product_sum(self, dim, shape):
-        g, values = self.stack(dim, "contiguous", seed=7)
-        rng = np.random.default_rng(11 + dim)
-        lead = (g.nt + 1 if "t" in shape else 1,) + (g.shape if "x" in shape else (1,) * dim)
-        coeffs = spread(rng, (dim, dim) + lead)  # not symmetric: each term is its own
-        hess = hessian_values(values, g.h, dim)
-        expected = np.sum(coeffs * hess, axis=(0, 1))
-        assert np.array_equal(hessian_contraction(coeffs, values, g.h, dim), expected)
-        assert np.array_equal(hessian_contraction(coeffs, values, g.h, dim, hess=hess), expected)
 
     def test_power_into_a_buffer(self):
         base = spread(np.random.default_rng(5), (4, 6))
