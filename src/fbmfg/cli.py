@@ -324,7 +324,10 @@ def _load_factory(spec_text: str) -> Callable:
         ) from None
 
 
-def _invoke_factory(factory: Callable, grid: TorusGrid, params: dict[str, str]):
+def _custom(cfg: RunConfig, grid: TorusGrid):
+    """``(model, cost, m0)`` from one call of ``params.factory`` on ``grid``."""
+    params = dict(cfg.params)
+    factory = _load_factory(params.pop("factory"))
     try:
         out = factory(grid, params)
     except Exception as exc:  # noqa: BLE001 - the factory is user config
@@ -344,9 +347,8 @@ def _invoke_factory(factory: Callable, grid: TorusGrid, params: dict[str, str]):
     return model, cost, m0
 
 
-def _convolution_cost(cfg: RunConfig) -> Callable:
-    sigma = _float_param(cfg, "sigma")
-    return lambda g: final_cost_convolution(g, **sigma)
+def _convolution_cost(cfg: RunConfig, grid: TorusGrid) -> FinalCost:
+    return final_cost_convolution(grid, **_float_param(cfg, "sigma"))
 
 
 def _counterexample_alpha(cfg: RunConfig) -> float:
@@ -354,32 +356,24 @@ def _counterexample_alpha(cfg: RunConfig) -> float:
     return _float_param(cfg, "alpha").get("alpha", -3.0)
 
 
-def _linear_counterexample(cfg: RunConfig):
+def _linear_counterexample(cfg: RunConfig, grid: TorusGrid):
     alpha = _counterexample_alpha(cfg)
     model = linear_counterexample_model(alpha=alpha, dim=cfg.dim)
-    return model, lambda g: final_cost_scaled_identity(alpha)
+    return model, final_cost_scaled_identity(alpha)
 
 
-def _custom(cfg: RunConfig, grid: TorusGrid):
-    params = dict(cfg.params)
-    factory = _load_factory(params.pop("factory"))
-    model, cost, m0 = _invoke_factory(factory, grid, params)
-    return model, cost, m0, lambda g: _invoke_factory(factory, g, params)[1]
-
-
-# Model name -> (the params.* it accepts, builder).  A prebuilt model takes
-# m0 from params.modes; its builder maps cfg to (model, cost rebuilder), the
-# rebuilder a grid of the same spatial layout to its (grid-bound) final cost.
-# None accepts any params but needs params.factory; that builder maps (cfg,
-# grid) to (model, cost, m0, rebuilder) and calls the factory once per grid,
-# so the factory's model must not depend on the grid it sees.
+# Model name -> (the params.* it accepts, builder).  A builder maps (cfg, the
+# configured grid) to (model, final cost), and a prebuilt model takes m0 from
+# params.modes; None accepts any params but needs params.factory, whose one
+# call gives (model, cost, m0).  A final cost depends only on the spatial
+# layout, which every horizon of a sweep shares, so this one serves them all.
 _MODELS = {
-    "decoupled-heat": (frozenset({"modes"}), lambda cfg: (
-        decoupled_heat_model(dim=cfg.dim), lambda g: final_cost_constant(Field.full(g, 0.0)))),
-    "quadratic-mfg": (frozenset({"modes", "sigma"}), lambda cfg: (
-        quadratic_mfg_model(dim=cfg.dim), _convolution_cost(cfg))),
-    "congestion": (frozenset({"modes", "sigma", "alpha"}), lambda cfg: (
-        congestion_model(dim=cfg.dim, **_float_param(cfg, "alpha")), _convolution_cost(cfg))),
+    "decoupled-heat": (frozenset({"modes"}), lambda cfg, g: (
+        decoupled_heat_model(dim=cfg.dim), final_cost_constant(Field.full(g, 0.0)))),
+    "quadratic-mfg": (frozenset({"modes", "sigma"}), lambda cfg, g: (
+        quadratic_mfg_model(dim=cfg.dim), _convolution_cost(cfg, g))),
+    "congestion": (frozenset({"modes", "sigma", "alpha"}), lambda cfg, g: (
+        congestion_model(dim=cfg.dim, **_float_param(cfg, "alpha")), _convolution_cost(cfg, g))),
     "linear-counterexample": (frozenset({"modes", "alpha"}), _linear_counterexample),
     "custom": (None, _custom),
 }
@@ -387,15 +381,14 @@ MODEL_NAMES = tuple(_MODELS)
 
 
 def _setup(cfg: RunConfig):
-    """``(grid, model, final cost, m0, cost rebuilder)`` of ``cfg``, or ``ConfigError``."""
+    """``(grid, model, final cost, m0)`` of ``cfg``, or ``ConfigError``."""
     try:
         grid = TorusGrid(dim=cfg.dim, n=cfg.n, nt=cfg.nt, T=cfg.T)
         accepted, build = _MODELS[cfg.model]
         if accepted is None:
             return (grid, *build(cfg, grid))
         m0 = _density_from_modes(cfg, grid)
-        model, rebuild = build(cfg)
-        return grid, model, rebuild(grid), m0, rebuild
+        return (grid, *build(cfg, grid), m0)
     except ConfigError:
         raise
     except Exception as exc:  # noqa: BLE001 - surfaced as a config problem
@@ -535,7 +528,7 @@ def _manifest_text(
 def execute_run(cfg: RunConfig) -> int:
     """Run one solve and write ``series.csv``, field slices, and the manifest."""
     start = time.perf_counter()
-    grid, model, cost, m0, _ = _setup(cfg)
+    grid, model, cost, m0 = _setup(cfg)
     try:
         report = picard_solve(
             model, cost, m0, grid,
@@ -598,10 +591,10 @@ def execute_sweep(cfg: RunConfig, T_list: Sequence[float]) -> int:
         raise ConfigError("the horizon list must be strictly increasing")
 
     start = time.perf_counter()
-    grid, model, _, m0, rebuild_cost = _setup(cfg)
+    grid, model, cost, m0 = _setup(cfg)
     try:
         rows = horizon_sweep(
-            model, rebuild_cost, m0, T_values,
+            model, cost, m0, T_values,
             dt=grid.dt, tol=cfg.tol, max_iter=cfg.max_iter,
             delta=cfg.delta, K=cfg.K, p=cfg.p,
         )

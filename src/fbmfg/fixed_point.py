@@ -544,7 +544,7 @@ class SweepRow:
 
 def horizon_sweep(
     model: CouplingModel,
-    final_cost: object,
+    final_cost: FinalCost,
     m0: Field,
     T_list: Sequence[float],
     *,
@@ -559,15 +559,15 @@ def horizon_sweep(
 
     Every horizon reuses the spatial layout of ``m0`` and (up to rounding
     to a whole number of steps) the same ``dt``, so the per-horizon
-    contraction factors are comparable.  ``final_cost`` is either a
-    :class:`FinalCost` or a callable ``grid -> FinalCost`` for costs whose
-    kernel depends on the grid.  Before any horizon runs, every grid is
-    built and the first gets the checks :func:`picard_solve` makes before
-    its first sweep, so inadmissible data or an unusable step (``T / dt``
-    not finite, or a per-horizon step that underflows) raise ``ValueError``
-    up front.  The horizons then run one after another; a failure inside one
-    is captured into its row (status ``"error"``) instead of aborting the
-    sweep, and rows come back in the order of ``T_list``.
+    contraction factors are comparable.  A final cost depends only on that
+    layout, so the one ``final_cost`` serves every horizon.  Before any
+    horizon runs, every grid is built and the first gets the checks
+    :func:`picard_solve` makes before its first sweep, so inadmissible data
+    or an unusable step (``T / dt`` not finite, or a per-horizon step that
+    underflows) raise ``ValueError`` up front.  The horizons then run one
+    after another; a failure inside one is captured into its row (status
+    ``"error"``) instead of aborting the sweep, and rows come back in the
+    order of ``T_list``.
     """
     if not T_list:
         raise ValueError("T_list must not be empty")
@@ -582,15 +582,13 @@ def horizon_sweep(
         TorusGrid(dim=m0.grid.dim, n=m0.grid.n, nt=max(2, int(round(s))), T=float(T))
         for T, s in zip(T_list, steps)
     ]
-    first_cost = final_cost if isinstance(final_cost, FinalCost) else final_cost(grids[0])
-    _checked_inputs(model, first_cost, m0, grids[0], tol, max_iter, delta, K, p)
+    _checked_inputs(model, final_cost, m0, grids[0], tol, max_iter, delta, K, p)
 
     def run_one(grid: TorusGrid) -> SweepRow:
         start = time.perf_counter()
-        cost = final_cost if isinstance(final_cost, FinalCost) else final_cost(grid)
         try:
             report = picard_solve(
-                model, cost, m0.with_grid(grid), grid,
+                model, final_cost, m0.with_grid(grid), grid,
                 tol=tol, max_iter=max_iter, delta=delta, K=K, p=p,
             )
         except Exception as exc:  # noqa: BLE001 - captured into the row

@@ -511,17 +511,13 @@ def periodic_gaussian_kernel(grid: TorusGrid, sigma: Optional[float] = None) -> 
     any sigma a few grid cells wide); the discrete normalization makes
     ``sum psi h^dim = 1`` hold exactly, so convolution against the
     kernel preserves constants and total mass to rounding.  ``sigma`` is
-    the Gaussian width in torus units and defaults to four grid cells;
-    ``sigma = 0`` degenerates to the discrete delta (no smoothing).
+    the Gaussian width in torus units, positive and finite; it defaults to
+    four grid cells.
     """
     if sigma is None:
         sigma = 4.0 * grid.h
-    if sigma < 0.0 or not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    if sigma == 0.0:
-        kern = np.zeros(grid.shape)
-        kern[(0,) * grid.dim] = 1.0 / grid.h**grid.dim
-        return kern
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x = np.arange(grid.n) * grid.h
     profile = np.zeros(grid.n)
     for r in range(-3, 4):
@@ -540,7 +536,6 @@ def final_cost_convolution(
     derivative_bounds: Optional[tuple[float, float, float]] = None,
     input_range: Optional[float] = None,
     sigma: Optional[float] = None,
-    allow_degenerate: bool = False,
 ) -> FinalCost:
     """Smoothing final condition ``h[m] = h0(m * psi)``.
 
@@ -576,19 +571,11 @@ def final_cost_convolution(
 
     with ``R = input_range``: unit kernel mass propagates ``|m|_C1 <= R``
     to the smoothed field and its gradient, and ``A2`` covers its second
-    derivative.  ``C0 = |h[0]|_C2`` is evaluated, not declared.  The delta
-    kernel (``sigma = 0``) makes ``A2`` grow like ``1/h^2`` — the constant
-    stays true at fixed resolution but certifies no smoothing, so it must
-    be requested with ``allow_degenerate=True`` and is marked
-    non-regularizing.
+    derivative.  ``C0 = |h[0]|_C2`` is evaluated, not declared.  ``sigma``
+    must be positive: a zero width would be the identity, whose ``A2``
+    grows like ``1/h^2`` and certifies no smoothing.
     """
     kernel = periodic_gaussian_kernel(grid, sigma=sigma)
-    degenerate = sigma == 0.0
-    if degenerate and not allow_degenerate:
-        raise ValueError(
-            "sigma = 0 gives the identity (no smoothing); pass allow_degenerate=True "
-            "to build it anyway"
-        )
     hess = hessian_values(kernel, grid.h, grid.dim)
     weight = grid.h**grid.dim
     A2 = math.sqrt(
@@ -636,8 +623,7 @@ def final_cost_convolution(
 
     C0 = norm_C2(fn(Field.zeros(grid)))
     return FinalCost(
-        fn=fn, L_h=float(L_h), C0=float(C0),
-        regularizing=not degenerate, kernel=kernel,
+        fn=fn, L_h=float(L_h), C0=float(C0), regularizing=True, kernel=kernel,
     )
 
 

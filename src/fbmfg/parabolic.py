@@ -62,17 +62,16 @@ transport velocity ``-b`` (the implicit upwind scheme of Achdou and
 Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Its implicit system
 matrix is an M-matrix with unit column sums, so densities stay nonnegative
 and the discrete total mass is conserved exactly (up to the linear-solver
-residual).  The step matrices are applied matrix-free: the columns of every
-step come from one pass and are gathered in place into rows over a fixed
-neighbour index, one offset at a time, so a product is one gather and one
-contraction and only the rows are held.  Each step is refined to
-round-off, with its mass exact, on an approximate inverse: for constant
+residual).  The step matrices are applied matrix-free from their columns,
+which come from one pass and are the only copy held.  Each step is refined
+to round-off, with its mass exact, on an approximate inverse: for constant
 diffusion the per-mode solve of the step without its drift, otherwise the
 factors of an earlier step.  Only a step that refinement cannot finish is
-built as a sparse matrix from the rows already held and factored, and its
-factors serve the steps that follow; a constant-diffusion audit along a
-gentle drift (``|v| dt / h`` far below one) factors nothing.  It takes no mixed
-coefficient, so every path that accepts one treats it implicitly.
+factored, as the transpose of the CSR matrix of ``A^T`` that its columns
+give, and its factors serve the steps that follow; a constant-diffusion
+audit along a gentle drift (``|v| dt / h`` far below one) factors nothing.
+It takes no mixed coefficient, so every path that accepts one treats it
+implicitly.
 """
 
 from __future__ import annotations
@@ -513,22 +512,13 @@ def _conservative_rates(grid: TorusGrid, c: np.ndarray, velocity: np.ndarray) ->
     return rate
 
 
-def _stencil_rows(columns: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
-    """Stencil column data ``(..., offsets, n**dim)`` turned into row data, in place.
+def _column_apply(columns: np.ndarray, index: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A x`` for one step's columns from :func:`_conservative_rates`.
 
-    Column ``q`` holds entry ``k`` at row ``q + offset_k``, so row ``p`` meets
-    column ``neighbours[k, p] = p - offset_k`` in that column's entry ``k``.
-    One offset is gathered at a time, so only a slice of the data is copied.
-    Gathering rows with the neighbours ``p + offset_k`` gives the columns back.
-    """
-    for k, index in enumerate(neighbours):
-        columns[..., k, :] = np.take(columns[..., k, :], index, axis=-1)
-    return columns
-
-
-def _gathered_apply(rows: np.ndarray, neighbours: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A x`` from the row data of :func:`_stencil_rows`: one gather, one contraction."""
-    return np.einsum("kp,kp->p", rows, x[neighbours])
+    Column ``q`` sends ``columns[k, q] x[q]`` to row ``q + offset_k``, so row
+    ``p`` sums, over the offsets in order, the products at flat index
+    ``index[k, p] = k n^dim + p - offset_k``."""
+    return np.take(columns * x, index).sum(axis=0)
 
 
 def _fourier_inverse(problem: ParabolicProblem) -> Callable[[np.ndarray], np.ndarray]:
@@ -595,11 +585,11 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     an implicit mixed term would break the M-matrix structure that keeps the
     density nonnegative.
 
-    Each step's matrix is applied matrix-free, from its rows gathered once
-    per audit, and each step is refined (:func:`_refine`) on an approximate
-    inverse.  For a constant diffusion the first inverse is the per-mode
-    solve of ``I - dt D`` (:func:`_fourier_inverse`), the step matrix without
-    its drift; otherwise no inverse is held at the first step.  A step that
+    Each step's matrix is applied matrix-free from its columns
+    (:func:`_column_apply`), and each step is refined (:func:`_refine`) on
+    an approximate inverse.  For a constant diffusion the first inverse is
+    the per-mode solve of ``I - dt D`` (:func:`_fourier_inverse`), the step
+    matrix without its drift; otherwise no inverse is held at the first step.  A step that
     does not reach the round-off target on the inverse held is factored and
     solved directly, and its factors become the inverse for the steps that
     follow.  Every refinement update keeps the step's mass exact: the step's
@@ -630,15 +620,18 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     out[0] = problem.initial.values
     m = np.ravel(out[0])
     c = problem.coefficients()[:, :, 1:] if problem.time_dependent else problem.coefficients()
-    neighbours = _shifted_points(g.n, g.dim, False, -1)
-    rows = _stencil_rows(_conservative_rates(g, c, -drift[1:]), neighbours)
+    columns = _conservative_rates(g, c, -drift[1:])
+    sources = _shifted_points(g.n, g.dim, False, -1)
+    index = sources + g.n**g.dim * np.arange(len(sources))[:, np.newaxis]
     inverse = _fourier_inverse(problem) if problem.diffusion.shape == (g.dim, g.dim) else None
     for j in range(1, g.nt + 1):
-        apply = partial(_gathered_apply, rows[j - 1], neighbours)
+        apply = partial(_column_apply, columns[j - 1], index)
         rhs = m
         step = None if inverse is None else _refine(inverse, apply, rhs)
         if step is None:
-            inverse = _factor(_stencil_matrix(rows[j - 1], neighbours).tocsc()).solve
+            # The CSR matrix of A^T: its transpose is A in CSC form, not copied.
+            targets = _shifted_points(g.n, g.dim, False, 1)
+            inverse = _factor(_stencil_matrix(columns[j - 1], targets).T).solve
             m = inverse(rhs)
             res = rhs - apply(m)
             step = m, float(np.linalg.norm(res)) / max(float(np.linalg.norm(rhs)), 1e-300)

@@ -78,6 +78,23 @@ def nonelliptic_diffusion_factory(grid, params):
     return model, final_cost_convolution(grid), Field.full(grid, 1.0)
 
 
+# The grid of every call of counting_factory.
+FACTORY_GRIDS = []
+
+
+def counting_factory(grid, params):
+    """toy_factory that records the grid of each call."""
+    FACTORY_GRIDS.append(grid)
+    return toy_factory(grid, params)
+
+
+def short_horizon_factory(grid, params):
+    """toy_factory that refuses a grid whose horizon exceeds 0.015."""
+    if grid.T > 0.015:
+        raise ValueError(f"horizon {grid.T} is too long")
+    return toy_factory(grid, params)
+
+
 def manifest_keys(out):
     return [line.split(" = ")[0] for line in (out / "manifest.txt").read_text().splitlines()]
 
@@ -537,6 +554,13 @@ class TestRunCommand:
         assert fragment in err
         assert not out.exists()
 
+    def test_zero_kernel_width_exits_1_with_the_library_message(self, tmp_path, capsys):
+        cfg_path = write(tmp_path / "run.cfg", TINY_QUADRATIC + "params.sigma = 0\n")
+        out = tmp_path / "o"
+        assert main(["run", cfg_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sigma must be positive and finite, got 0.0\n"
+        assert not out.exists()
+
     def test_failed_sweep_keeps_the_series_and_exits_2(self, tmp_path):
         cfg_path = write(
             tmp_path / "run.cfg",
@@ -679,6 +703,36 @@ class TestSweepCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert fragment in err
         assert not out.exists()
+
+    @staticmethod
+    def custom_config(tmp_path, factory):
+        return write(tmp_path / "run.cfg", f"""\
+            model = custom
+            grid.dim = 1
+            grid.n = 16
+            grid.nt = 8
+            grid.T = 0.01
+            params.factory = test_cli:{factory}
+            """)
+
+    def test_factory_is_called_once_on_the_configured_grid(self, tmp_path, monkeypatch):
+        # Its final cost serves every horizon.
+        monkeypatch.setattr(sys.modules[__name__], "FACTORY_GRIDS", [])
+        cfg_path = self.custom_config(tmp_path, "counting_factory")
+        out = tmp_path / "sw"
+        assert main(["sweep", cfg_path, "--T-list", "0.005,0.01,0.02", "--out", str(out)]) == 0
+        assert [(g.n, g.nt, g.T) for g in FACTORY_GRIDS] == [(16, 8, 0.01)]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+    def test_factory_never_sees_a_later_horizon(self, tmp_path):
+        # A factory that cannot build a 0.02 grid still gives all three rows.
+        cfg_path = self.custom_config(tmp_path, "short_horizon_factory")
+        out = tmp_path / "sw"
+        assert main(["sweep", cfg_path, "--T-list", "0.005,0.01,0.02", "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["0.0050000000000000001", "true"], ["0.01", "true"], ["0.02", "true"]]
+        assert (out / "manifest.txt").exists()
 
     def test_horizon_list_validation(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", DECOUPLED)

@@ -11,6 +11,7 @@ import pytest
 from fbmfg import parabolic, torus_grid
 from fbmfg.fixed_point import (
     IterateState,
+    SweepRow,
     _pde_residual_stacks,
     _pde_residuals,
     apply_T,
@@ -1040,17 +1041,28 @@ class TestHorizonSweep:
         assert rows[0].detrunc_ok
         assert rows[0].max_gamma < 1.0
 
-    def test_grid_dependent_final_cost_is_rebuilt_per_horizon(self):
+    def test_one_final_cost_serves_every_horizon(self):
+        # A cost built on the configured grid gives every horizon the row
+        # that a cost built on the horizon's own grid gives.
         grid = TorusGrid(dim=1, n=32, nt=8, T=0.04)
         m0 = cosine_density(grid, 0.25)
+        model = quadratic_mfg_model(dim=1)
         rows = horizon_sweep(
-            decoupled_heat_model(dim=1),
-            lambda g: final_cost_convolution(g), m0,
-            [0.02, 0.04], dt=0.005, tol=1e-12, max_iter=10,
+            model, final_cost_convolution(grid), m0,
+            [0.02, 0.04], dt=0.005, tol=1e-8, max_iter=100,
         )
+        expected = []
+        for T, nt in ((0.02, 4), (0.04, 8)):
+            g = TorusGrid(dim=1, n=32, nt=nt, T=T)
+            report = picard_solve(model, final_cost_convolution(g), m0.with_grid(g), g,
+                                  tol=1e-8, max_iter=100)
+            expected.append(SweepRow(
+                T=T, nt=nt, status=report.status, iterations=report.iterations,
+                final_distance=report.final_distance, max_gamma=report.max_gamma,
+                min_m=report.bounds["min_m"], detrunc_ok=report.detrunc_ok,
+            ))
+        assert rows == expected
         assert [r.status for r in rows] == ["converged", "converged"]
-        assert [r.nt for r in rows] == [4, 8]
-        assert [r.iterations for r in rows] == [2, 2]
 
     def test_failures_are_captured_per_row(self):
         def boom(u, m, Du, Dm, x, t):
@@ -1105,14 +1117,6 @@ class TestHorizonSweep:
         m0 = cosine_density(grid, 0.25)
         if "m0" in kwargs:
             m0.values[3] = kwargs.pop("m0")
-        costs = []
-
-        def cost(g):
-            costs.append(g)
-            return final_cost_convolution(g)
-
         with pytest.raises(ValueError, match=message):
-            horizon_sweep(decoupled_heat_model(dim=1), cost, m0, [0.01, 0.02], dt=0.0025,
-                          **kwargs)
-        # Only the first horizon's cost was built, for the checks.
-        assert [g.T for g in costs] == [0.01]
+            horizon_sweep(decoupled_heat_model(dim=1), final_cost_convolution(grid), m0,
+                          [0.01, 0.02], dt=0.0025, **kwargs)

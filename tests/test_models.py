@@ -585,16 +585,14 @@ class TestFinalCostConvolution:
         with pytest.raises(ValueError, match="range"):
             cost(Field.full(grid, 5.0))
 
-    def test_degenerate_kernel_is_opt_in(self):
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, math.inf, math.nan])
+    def test_kernel_width_must_be_positive_and_finite(self, sigma):
+        # A zero width would be the identity, which smooths nothing.
         grid = TorusGrid(dim=1, n=32, nt=2, T=0.1)
-        with pytest.raises(ValueError, match="allow_degenerate"):
-            final_cost_convolution(grid, sigma=0.0)
-        cost = final_cost_convolution(grid, sigma=0.0, allow_degenerate=True)
-        assert not cost.regularizing
-        rng = np.random.default_rng(16)
-        m = rng.uniform(0.5, 1.5, 32)
-        # delta kernel: the cost is exactly the (affine) identity
-        assert np.max(np.abs(cost(Field(grid, m)).values - m)) < 1e-12
+        for build in (periodic_gaussian_kernel, final_cost_convolution):
+            message = f"^sigma must be positive and finite, got {sigma}$"
+            with pytest.raises(ValueError, match=message):
+                build(grid, sigma=sigma)
 
     def test_shape_mismatch_rejected(self):
         grid = TorusGrid(dim=1, n=32, nt=2, T=0.1)

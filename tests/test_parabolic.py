@@ -469,10 +469,15 @@ class TestStencilAssembler:
 
     @staticmethod
     def step_matrices(columns, n, dim):
-        """The CSC matrix of every step, built from its rows as the audit factors it."""
-        neighbours = parabolic._shifted_points(n, dim, False, -1)
-        rows = parabolic._stencil_rows(columns.copy(), neighbours)
-        return [parabolic._stencil_matrix(row, neighbours).tocsc() for row in rows]
+        """The CSC matrix of every step as the audit factors it: the transpose of A^T's CSR."""
+        targets = parabolic._shifted_points(n, dim, False, 1)
+        return [parabolic._stencil_matrix(column, targets).T for column in columns]
+
+    @staticmethod
+    def flat_index(n, dim):
+        """Where row p gathers entry k: at k n^dim + p - offset_k of the flat products."""
+        sources = parabolic._shifted_points(n, dim, False, -1)
+        return sources + n**dim * np.arange(len(sources))[:, np.newaxis]
 
     @pytest.mark.parametrize("dim, n, mixed", CASES)
     def test_conservative_matrices_match_reference(self, dim, n, mixed):
@@ -484,7 +489,8 @@ class TestStencilAssembler:
 
     @pytest.mark.parametrize("dim, n, mixed", DISTINCT)
     def test_step_matrix_equals_the_column_assembly(self, dim, n, mixed):
-        # Built from the rows, a step's matrix is bitwise the one its columns give.
+        # Transposed from A^T's CSR, a step's matrix is bitwise the CSC matrix
+        # its columns assemble to.
         _, grid, columns, _ = self.conservative_case(dim, n, mixed, 600 * dim + n)
         targets = parabolic._shifted_points(n, dim, False, 1)
         sources = np.broadcast_to(np.arange(n**dim), targets.shape)
@@ -492,26 +498,28 @@ class TestStencilAssembler:
             assert_same_arrays(new, coo_assembly(column, targets, sources, n**dim, "csc"))
 
     @pytest.mark.parametrize("dim, n, mixed", CASES)
-    def test_gathered_apply_matches_reference(self, dim, n, mixed):
-        # Row-oriented data gathered from the columns, as the audit applies them.
+    def test_column_apply_matches_reference(self, dim, n, mixed):
+        # A x straight from the columns, as the audit applies each step.
         rng, grid, columns, refs = self.conservative_case(dim, n, mixed, 300 * dim + n)
-        neighbours = parabolic._shifted_points(n, dim, False, -1)
-        rows = parabolic._stencil_rows(columns.copy(), neighbours)
-        assert np.array_equal(rows, np.take_along_axis(columns, neighbours[np.newaxis], axis=2))
-        for row, ref in zip(rows, refs):
+        index = self.flat_index(n, dim)
+        for column, ref in zip(columns, refs):
             x = rng.normal(size=n**dim)
-            new = parabolic._gathered_apply(row, neighbours, x)
+            new = parabolic._column_apply(column, index, x)
             expected = ref @ x
             assert np.max(np.abs(new - expected)) <= 1e-15 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("dim, n, mixed", CASES)
-    def test_rows_gather_back_to_the_columns(self, dim, n, mixed):
-        # The gather loses nothing: the opposite neighbours give the columns back.
+    @pytest.mark.parametrize("dim, n, mixed", DISTINCT)
+    def test_column_apply_of_a_unit_vector_is_its_column(self, dim, n, mixed):
+        # The gather loses nothing: A e_q holds column q's entries at its targets.
         _, grid, columns, _ = self.conservative_case(dim, n, mixed, 400 * dim + n)
-        rows = parabolic._stencil_rows(columns.copy(), parabolic._shifted_points(n, dim, False, -1))
-        forward = parabolic._shifted_points(n, dim, False, 1)
-        for row, column in zip(rows, columns):
-            assert np.array_equal(parabolic._stencil_rows(row.copy(), forward), column)
+        index = self.flat_index(n, dim)
+        targets = parabolic._shifted_points(n, dim, False, 1)
+        for column in columns:
+            for q in range(n**dim):
+                unit, expected = np.zeros(n**dim), np.zeros(n**dim)
+                unit[q] = 1.0
+                expected[targets[:, q]] = column[:, q]
+                assert np.array_equal(parabolic._column_apply(column, index, unit), expected)
 
     @pytest.mark.parametrize("dim, n", [(1, 16), (2, 16), (3, 8)])
     def test_conservative_columns_sum_to_one(self, dim, n):
@@ -878,8 +886,8 @@ class TestConservativeFP:
         assert checked_audit(monkeypatch, prob, drift) == 1
 
     def test_factored_step_matrix_equals_the_column_assembly(self, monkeypatch):
-        # The audit factors the matrix of the rows it holds: bitwise the CSC
-        # matrix that the step's columns assemble to.
+        # The audit factors the transpose of its columns' CSR matrix: bitwise
+        # the CSC matrix that the step's columns assemble to.
         g = TorusGrid(dim=2, n=8, nt=3, T=0.01)
         x, y = g.coordinates()
         C = np.eye(2)[:, :, None, None] * (1.0 + 0.5 * np.sin(TWO_PI * x) * np.cos(TWO_PI * y))
