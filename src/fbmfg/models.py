@@ -128,16 +128,35 @@ def _eye_like(dim: int, spatial: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(eye, (dim, dim) + tuple(spatial))
 
 
+def _dot(a, b) -> np.ndarray:
+    """``sum_k a_k b_k`` over two sequences of arrays, one product at a time.
+
+    The products are summed in order, into the first: for ``(dim,) +
+    shape`` stacks this is bitwise ``np.sum(a * b, axis=0)``, without its
+    stack-sized product.
+    """
+    pairs = zip(a, b)
+    x, y = next(pairs)
+    total = np.asarray(x * y)  # an array, so that it updates in place
+    for x, y in pairs:
+        total += x * y  # each product is freed before the next is formed
+    return total
+
+
+def _entries(tensor: np.ndarray):
+    """The entries ``tensor[i, j]`` of a ``(dim, dim) + shape`` stack, row by row.
+
+    :func:`_dot` of two such sequences is bitwise ``np.sum(a * b, axis=(0, 1))``.
+    """
+    return (entry for row in tensor for entry in row)
+
+
 def _half_square(p: np.ndarray) -> np.ndarray:
     """``|p|^2 / 2`` along the leading axis, with one component squared at a time.
 
-    The components are summed in order, which is bitwise what
-    ``0.5 * np.sum(p * p, axis=0)`` gives, without its ``p``-sized temporary.
+    Bitwise what ``0.5 * np.sum(p * p, axis=0)`` gives (see :func:`_dot`).
     """
-    total = p[0] * p[0]
-    for component in p[1:]:
-        total += component * component
-    return 0.5 * total
+    return 0.5 * _dot(p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +325,28 @@ def build_mfg_coupling(
                               np.asarray(spec.A_div2(x, t), dtype=float))
         return current[2:]
 
-    # Terms the spec leaves undeclared are zero and are skipped.
+    # Terms the spec leaves undeclared are zero and are skipped.  Every dot
+    # product is taken one component at a time and every update is in place,
+    # each bitwise the operation of the formula above.
     def G(u, m, Du, Dm, D2u, x, t):
-        Hp = np.asarray(spec.H_p(x, t, Du, m), dtype=float)
-        Hpp = np.asarray(spec.H_pp(x, t, Du, m), dtype=float)
-        out = -np.sum(Hp * Dm, axis=0)
-        div_term = np.einsum("ij...,ij...->...", Hpp, D2u)  # H_pp : D2u, no product stack
+        out = _dot(np.asarray(spec.H_p(x, t, Du, m), dtype=float), Dm)
+        np.negative(out, out=out)
+        div_term = _dot(_entries(np.asarray(spec.H_pp(x, t, Du, m), dtype=float)),
+                        _entries(D2u))
         if spec.H_xp_div is not None:
-            div_term = np.asarray(spec.H_xp_div(x, t, Du, m), dtype=float) + div_term
+            div_term += np.asarray(spec.H_xp_div(x, t, Du, m), dtype=float)
         if spec.H_mp is not None:
-            div_term = div_term + np.sum(
-                np.asarray(spec.H_mp(x, t, Du, m), dtype=float) * Dm, axis=0
-            )
-        out = out - m * div_term
+            div_term += _dot(np.asarray(spec.H_mp(x, t, Du, m), dtype=float), Dm)
+        div_term *= m
+        out -= div_term
+        del div_term
         if spec.A_div1 is not None:
             div1, div2 = divergences(x, t)
-            out = out - 2.0 * np.sum(div1 * Dm, axis=0)
-            out = out - div2 * m
+            transport = _dot(div1, Dm)
+            transport *= 2.0
+            out -= transport
+            del transport
+            out -= div2 * m
         return out
 
     def drift(u, m, Du, Dm, x, t):
@@ -399,28 +423,45 @@ def build_congestion_coupling(
         if np.any(np.asarray(m) <= 0.0):
             raise ValueError("congestion coupling needs a strictly positive density")
 
+    def power_alpha(m):
+        """``m^alpha``; ``m^1`` is ``m`` itself, as ``np.power`` would give it bitwise."""
+        return m if alpha == 1.0 else np.power(m, alpha)
+
     def F(u, m, Du, Dm, x, t):
         _check_density(m)
-        ma = np.power(m, alpha)
-        return ma * H1(Du / ma) - np.asarray(f(x, t, m), dtype=float)
+        ma = power_alpha(m)
+        out = ma * H1(Du / ma)
+        out -= np.asarray(f(x, t, m), dtype=float)
+        return out
 
+    # Dot products one component at a time and updates in place, each step
+    # bitwise the operation of the formula above.
     def G(u, m, Du, Dm, D2u, x, t):
         _check_density(m)
-        ma = np.power(m, alpha)
-        q = Du / ma
+        ma = power_alpha(m)
         if custom_H1:
+            q = Du / ma
             Hpp = np.asarray(H1_pp(q), dtype=float)
-            div, hess_dot_du = np.sum(Hpp * D2u, axis=(0, 1)), np.sum(Hpp * Du[np.newaxis], axis=1)
-        else:  # H1_pp is the identity: contract it as a trace
+            out = _dot(np.asarray(H1_p(q), dtype=float), Dm)
+            div = _dot(_entries(Hpp), _entries(D2u))
+            hess_dot_du = [_dot(row, Du) for row in Hpp]
+            del q, Hpp
+        else:  # H1_p(q) = q, and H1_pp is the identity: contract it as a trace
+            out = _dot((component / ma for component in Du), Dm)
             div, hess_dot_du = np.trace(D2u), Du
+        np.negative(out, out=out)
         if alpha != 1.0:  # else m^(1-alpha) is one
-            div = np.power(m, 1.0 - alpha) * div
-        out = -np.sum(np.asarray(H1_p(q), dtype=float) * Dm, axis=0) - div
-        return out + (alpha / ma) * np.sum(hess_dot_du * Dm, axis=0)
+            div *= np.power(m, 1.0 - alpha)
+        out -= div
+        del div
+        transport = _dot(hess_dot_du, Dm)
+        transport *= alpha / ma
+        out += transport
+        return out
 
     def drift(u, m, Du, Dm, x, t):
         _check_density(m)
-        return np.asarray(H1_p(Du / np.power(m, alpha)), dtype=float)
+        return np.asarray(H1_p(Du / power_alpha(m)), dtype=float)
 
     diffusion = constant_diffusion(dim, A)
     return CouplingModel(

@@ -319,20 +319,22 @@ def _fourier_march(problem: ParabolicProblem, out: np.ndarray) -> None:
     g = problem.grid
     axes = tuple(range(1, g.dim + 1))
     denom = _fourier_denominator(g, problem.diffusion.tobytes())
-    # One complex stack: source modes, overwritten in place by solution modes.
-    # ``(-dt ĝ_j) + v̂_{j-1}`` is bitwise ``v̂_{j-1} - dt ĝ_j``.
-    hat = np.fft.rfftn(problem.source, axes=axes)
+    # One complex stack of the steps' source modes (slice 0 of the source is
+    # never read), overwritten in place by the solution modes of slices
+    # ``1..nt``.  ``(-dt ĝ_j) + v̂_{j-1}`` is bitwise ``v̂_{j-1} - dt ĝ_j``.
+    hat = np.fft.rfftn(problem.source[1:], axes=axes)
     hat *= -g.dt
-    hat[0] = np.fft.rfftn(out[0])
     # numpy divides a complex row by a real ``d`` as by ``d + 0j``, which is
     # bitwise a product of both parts with ``1/d``: run the recursion on the
     # interleaved real view, one scaling per part.
     flat = hat.view(np.float64)
     scale = np.repeat(1.0 / denom, 2, axis=-1)
-    for j in range(1, g.nt + 1):
-        flat[j] += flat[j - 1]
-        flat[j] *= scale
-    out[1:] = np.fft.irfftn(hat[1:], s=g.shape, axes=axes)
+    previous = np.fft.rfftn(out[0]).view(np.float64)
+    for step in flat:
+        step += previous
+        step *= scale
+        previous = step
+    out[1:] = np.fft.irfftn(hat, s=g.shape, axes=axes)
 
 
 def _spatial_operator(grid: TorusGrid, c: np.ndarray) -> sp.csr_matrix:

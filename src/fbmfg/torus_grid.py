@@ -564,20 +564,26 @@ def norm_W21p_values(
     """:func:`norm_W21p` of the ``(nt + 1,) + shape`` stack ``values``.
 
     ``grad_mag`` and ``hess_mag`` are the gradient and Hessian magnitudes of
-    slices ``0 .. nt-1`` (the slices the quadrature samples).  The four
-    powers are raised into one reused buffer and summed in the order
-    ``|f|^p + |Df|^p + |D^2 f|^p + |∂_t f|^p``.
+    slices ``0 .. nt-1`` (the slices the quadrature samples).  The powers are
+    summed in the order ``|f|^p + |Df|^p + |D^2 f|^p + |∂_t f|^p`` and take
+    two stacks: the sum, and one buffer that each base and power reuses.
+    ``|∂_t f|`` is taken into that buffer once the Hessian term is summed,
+    and raised a quarter of its slices at a time.
     """
     if not p >= 2:
         raise ValueError(f"exponent p must be >= 2, got {p}")
     vals = values[:-1]
-    ft = values[1:] - vals
-    ft /= grid.dt
     power = np.abs(vals)
     integrand = _power(power, p, np.empty_like(power))
     integrand += _power(grad_mag, p, power)
     integrand += _power(hess_mag, p, power)
-    integrand += _power(np.abs(ft, out=ft), p, power)
+    ft = np.subtract(values[1:], vals, out=power)
+    ft /= grid.dt
+    np.abs(ft, out=ft)
+    slab = np.empty_like(ft[:-(-len(ft) // 4)])
+    for start in range(0, len(ft), len(slab)):
+        part = ft[start:start + len(slab)]
+        integrand[start:start + len(part)] += _power(part, p, slab[:len(part)])
     total = float(np.sum(integrand)) * grid.dt * grid.h**grid.dim
     return total ** (1.0 / p)
 

@@ -623,3 +623,115 @@ class TestOtherFinalCosts:
         m = Field.full(grid, 2.0)
         assert np.array_equal(cost(m).values, -6.0 * np.ones(16))
 
+
+
+class TestComponentwiseSources:
+    """The sources take their dot products one component at a time, in place.
+
+    Each must be bitwise the tensor formula it replaced, which forms the
+    product stacks and sums their leading axes; the inputs span many
+    decades, so that a reordered sum shows.
+    """
+
+    @staticmethod
+    def inputs(dim, seed):
+        rng = np.random.default_rng(seed)
+        shape = (5,) + (6,) * dim
+
+        def spread(*lead):
+            return rng.normal(size=lead + shape) * 10.0 ** rng.integers(-4, 4, size=lead + shape)
+
+        u, Du, Dm, D2u = spread(), spread(dim), spread(dim), spread(dim, dim)
+        m = rng.uniform(0.5, 2.0, shape)
+        x = tuple(rng.uniform(0.0, 1.0, shape) for _ in range(dim))
+        return u, m, Du, Dm, D2u, x, rng.uniform(0.0, 1.0, shape)
+
+    @staticmethod
+    def varying_spec(dim):
+        """``H = a |p|^2 / 2 - m`` with ``a = 1 + 0.2 sin 2 pi x_0 + 0.1 m`` and a callable A."""
+        k = 2.0 * np.pi
+
+        def a(x, m):
+            return 1.0 + 0.2 * np.sin(k * x[0]) + 0.1 * m
+
+        def diagonal(values, shape):
+            out = np.zeros((dim, dim) + shape)
+            for i, value in enumerate(values):
+                out[i, i] = value
+            return out
+
+        def A(x, t):
+            shape = np.shape(x[0])
+            return diagonal([0.5 + 0.1 * np.sin(k * x[0])] + [0.5] * (dim - 1), shape)
+
+        def A_div1(x, t):
+            out = np.zeros((dim,) + np.shape(x[0]))
+            out[0] = 0.1 * k * np.cos(k * x[0])
+            return out
+
+        return HamiltonianSpec(
+            H=lambda x, t, p, m: 0.5 * a(x, m) * np.sum(p * p, axis=0) - m,
+            H_p=lambda x, t, p, m: a(x, m) * p,
+            H_pp=lambda x, t, p, m: diagonal([a(x, m)] * dim, np.shape(p)[1:]),
+            H_mp=lambda x, t, p, m: 0.1 * p,
+            H_xp_div=lambda x, t, p, m: 0.2 * k * np.cos(k * x[0]) * p[0],
+            A=A, A_div1=A_div1,
+            A_div2=lambda x, t: -0.1 * k * k * np.sin(k * x[0]),
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("varying", [False, True], ids=["quadratic", "callable-A"])
+    def test_mfg_G_is_the_tensor_formula(self, dim, varying):
+        u, m, Du, Dm, D2u, x, t = self.inputs(dim, 60 + dim)
+        if varying:
+            spec = self.varying_spec(dim)
+            model = build_mfg_coupling(spec, dim=dim)
+        else:
+            model = quadratic_mfg_model(dim)
+            spec = HamiltonianSpec(H=None, H_p=lambda x, t, p, m: p,
+                                   H_pp=lambda x, t, p, m: models._eye_like(dim, np.shape(m)))
+        Hp, Hpp = spec.H_p(x, t, Du, m), spec.H_pp(x, t, Du, m)
+        div_term = np.einsum("ij...,ij...->...", Hpp, D2u)
+        if varying:
+            div_term = spec.H_xp_div(x, t, Du, m) + div_term
+            div_term = div_term + np.sum(spec.H_mp(x, t, Du, m) * Dm, axis=0)
+        expected = -np.sum(Hp * Dm, axis=0) - m * div_term
+        if varying:
+            expected = expected - 2.0 * np.sum(spec.A_div1(x, t) * Dm, axis=0)
+            expected = expected - spec.A_div2(x, t) * m
+        assert np.array_equal(model.G(u, m, Du, Dm, D2u, x, t), expected)
+
+    @staticmethod
+    def root_H1(dim):
+        """``H1 = sqrt(1 + |q|^2)``, whose Hessian has off-diagonal entries."""
+        def H1_pp(q):
+            s = np.sqrt(1.0 + np.sum(q * q, axis=0))
+            eye = np.eye(dim).reshape((dim, dim) + (1,) * (q.ndim - 1))
+            return (eye * s * s - q[:, np.newaxis] * q[np.newaxis]) / s**3
+
+        return dict(H1=lambda q: np.sqrt(1.0 + np.sum(q * q, axis=0)),
+                    H1_p=lambda q: q / np.sqrt(1.0 + np.sum(q * q, axis=0)), H1_pp=H1_pp)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("custom", [False, True], ids=["quadratic-H1", "root-H1"])
+    def test_congestion_sources_are_the_tensor_formulas(self, dim, alpha, custom):
+        u, m, Du, Dm, D2u, x, t = self.inputs(dim, 70 + dim)
+        H1 = self.root_H1(dim) if custom else dict(
+            H1=lambda q: 0.5 * np.sum(q * q, axis=0), H1_p=lambda q: q, H1_pp=None)
+        model = build_congestion_coupling(alpha, dim=dim, **H1) if custom else congestion_model(
+            dim=dim, alpha=alpha)
+        ma = np.power(m, alpha)
+        q = Du / ma
+        if custom:
+            Hpp = H1["H1_pp"](q)
+            div, hess_dot_du = np.sum(Hpp * D2u, axis=(0, 1)), np.sum(Hpp * Du[np.newaxis], axis=1)
+        else:
+            div, hess_dot_du = np.trace(D2u), Du
+        if alpha != 1.0:
+            div = np.power(m, 1.0 - alpha) * div
+        G = -np.sum(H1["H1_p"](q) * Dm, axis=0) - div
+        G = G + (alpha / ma) * np.sum(hess_dot_du * Dm, axis=0)
+        assert np.array_equal(model.G(u, m, Du, Dm, D2u, x, t), G)
+        F = ma * H1["H1"](q) - m
+        assert np.array_equal(model.F(u, m, Du, Dm, x, t), F)

@@ -1037,6 +1037,21 @@ class TestFourierMarchLoop:
         assert np.array_equal(new, ref)
         assert np.array_equal(np.signbit(new), np.signbit(ref))
 
+    def test_source_slice_zero_is_not_read(self):
+        # Slice 0 of the source (in march order) holds no step, so a NaN
+        # there changes nothing, forward or backward.
+        g = TorusGrid(dim=2, n=8, nt=5, T=0.01)
+        rng = np.random.default_rng(3)
+        datum = Field(g, rng.normal(size=g.shape))
+        source = rng.normal(size=(g.nt + 1, *g.shape))
+        C = np.array([[1.0, 0.2], [0.2, 0.7]])
+        for solve, slot, unread in ((solve_forward, "initial", 0), (solve_backward, "final", -1)):
+            poisoned = source.copy()
+            poisoned[unread] = np.nan
+            runs = [solve(ParabolicProblem(grid=g, diffusion=C, source=s, **{slot: datum}))
+                    for s in (source, poisoned)]
+            assert np.array_equal(runs[0].values, runs[1].values)
+
 
 class TestValidation:
     def test_rejects_nonelliptic_diffusion(self):
