@@ -27,31 +27,37 @@ differences,
 
     d = |du|_W21p + |du|_C1 + |dm|_C1,
 
-with ``p = dim + 3`` by default.  Each iterate's gradients and Hessian are
-evaluated once and shared by the next sweep's sources, the row norms, the
-monitors and the final checks, and so are the gradient magnitudes: the
-clamps read them instead of recomputing them, and a clamp that cuts
-nothing passes its argument through, so the clamps of a de-truncated run
-copy nothing.  The distance takes the stencils of the differences
-themselves, once each, through the norm kernel
-:func:`~fbmfg.torus_grid.stack_norms`: it builds only the gradient and
-Hessian magnitudes of ``du`` and the gradient magnitude of ``dm``, one
-component or entry at a time, the Hessian on slices ``0 .. nt-1`` only,
-with no gradient or Hessian tensor of the differences.  A sweep holds
-little else: it consumes the old pair's derivative cache as each entry's
-last reader returns (``Dm``, ``|Dm|`` once ``G`` is built, ``D2u`` after the
-forward march, ``Du``, ``|Du|`` once ``F`` is built), and the old pair goes
-before the row.  Every row
-and iterate is bitwise what the tensor formulas give.  The residual
-certificate of the final pair is the march check's step residual
-(:func:`~fbmfg.parabolic._step_residuals`) with the untruncated sources,
-divided by ``dt``, so each step's discrete equation is written once.  Divergence is declared after five consecutive increases
-of ``d`` (or any non-finite value); exhausting the iteration budget
-without meeting the tolerance is reported as its own status, since near a
-critical horizon the factors hover just below one and the iteration
-stalls rather than blows up.  A sweep that fails (a final cost leaving its
-domain, a non-finite march) ends the run with status
-``"error"``; the rows so far and the last good pair are kept.
+with ``p = dim + 3`` by default.
+
+Every stage is local in time, so a sweep runs over time slabs whose arrays
+hold about ``torus_grid._SLAB_BYTES`` each (one slice at least); the only
+whole space-time stacks are the two pairs, one source stack and one
+``W21p`` integrand.  A sweep makes four passes:
+
+- forward: per slab, the incoming pair's ``Du``, ``D2u`` and ``Dm`` and
+  their magnitudes are taken once; they build ``G``, whose slab is marched
+  and checked at once (:class:`~fbmfg.parabolic._March`), then with the new
+  density's gradient the slab of ``F``, and they finish the incoming pair's
+  row, which the previous sweep left pending;
+- backward: the value function is marched from ``F`` slab by slab;
+- distance: the stencils of the differences, slab by slab, fill the
+  integrand (:class:`~fbmfg.torus_grid._NormSums`);
+- after the last sweep, one pass over the final pair gives its row (or
+  the row a failed sweep left pending), the clamp bounds and the residual
+  certificate: the march check's step residual
+  (:func:`~fbmfg.parabolic._step_residuals`) with the untruncated sources,
+  divided by ``dt``, so each step's discrete equation is written once.
+
+A slab takes no stencil twice and no derivative outlives it.  Sups are
+reduced per slab and the integrand is summed by one ``np.sum``, so every
+row, iterate and certificate is bitwise the same whatever the slab size.
+Divergence is declared after five consecutive increases of ``d`` (or any
+non-finite value); exhausting the iteration budget without meeting the
+tolerance is reported as its own status, since near a critical horizon the
+factors hover just below one and the iteration stalls rather than blows
+up.  A sweep that fails (a final cost leaving its domain, a non-finite
+march) ends the run with status ``"error"``; the rows so far and the last
+good pair are kept.
 """
 
 from __future__ import annotations
@@ -59,32 +65,35 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .models import CouplingModel, FinalCost
-from .parabolic import (ParabolicProblem, SolverError, _reverse_in_time, _step_residuals,
-                        solve_backward, solve_forward)
-
-# norm_C1, norm_C10, norm_W21p and time_derivative are not called here; they
-# stay imported because benchmark/tracing.py wraps the torus_grid names it
-# finds in this module.
-from .torus_grid import (
+# norm_C1, norm_C10, norm_W21p, time_derivative and solve_forward are not
+# called here; they stay imported because benchmark/tracing.py wraps the
+# names it finds in this module (TestTracedNames checks that they resolve).
+from .parabolic import (  # noqa: F401
+    ParabolicProblem,
+    SolverError,
+    _March,
+    _step_residuals,
+    solve_backward,
+    solve_forward,
+)
+from .torus_grid import (  # noqa: F401
     Field,
     SpaceTimeField,
     TorusGrid,
+    _NormSums,
+    _time_slabs,
     gradient_magnitude,
     gradient_values,
     hessian_magnitude,
     hessian_values,
     norm_C1,
     norm_C10,
-    norm_C10_values,
     norm_W21p,
-    norm_W21p_values,
-    stack_norms,
     time_derivative,
 )
 from .truncation import TruncationParams, select_K, wrap_model
@@ -104,12 +113,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IterateState:
-    """One iterate pair: value function and density on the same grid.
-
-    The centered derivatives ``Du``, ``D2u`` and ``Dm`` of every slice and
-    the gradient magnitudes ``Du_mag``, ``Dm_mag`` are evaluated on first
-    use and kept, so the fields must not be modified in place afterwards.
-    """
+    """One iterate pair: value function and density on the same grid."""
 
     u: SpaceTimeField
     m: SpaceTimeField
@@ -122,25 +126,12 @@ class IterateState:
     def grid(self) -> TorusGrid:
         return self.u.grid
 
-    @cached_property
-    def Du(self) -> np.ndarray:
-        return gradient_values(self.u.values, self.grid.h, self.grid.dim)
 
-    @cached_property
-    def D2u(self) -> np.ndarray:
-        return hessian_values(self.u.values, self.grid.h, self.grid.dim)
+@dataclass(frozen=True)
+class _StartingPair(IterateState):
+    """``u = 0`` and ``m = m0`` at every slice, with the gradient ``Dm0`` of ``m0``."""
 
-    @cached_property
-    def Dm(self) -> np.ndarray:
-        return gradient_values(self.m.values, self.grid.h, self.grid.dim)
-
-    @cached_property
-    def Du_mag(self) -> np.ndarray:
-        return gradient_magnitude(self.Du)
-
-    @cached_property
-    def Dm_mag(self) -> np.ndarray:
-        return gradient_magnitude(self.Dm)
+    Dm0: np.ndarray = field(compare=False, repr=False)
 
 
 def initial_state(grid: TorusGrid, m0: Field, Dm0: Optional[np.ndarray] = None) -> IterateState:
@@ -148,25 +139,95 @@ def initial_state(grid: TorusGrid, m0: Field, Dm0: Optional[np.ndarray] = None) 
 
     Its derivatives take no stencil: ``Du``, ``D2u`` are zero and ``Dm``
     repeats the gradient ``Dm0`` of ``m0`` (taken here unless given)."""
-    state = IterateState(u=SpaceTimeField.zeros(grid), m=SpaceTimeField.constant_in_time(m0, grid))
     if Dm0 is None:
         Dm0 = gradient_values(m0.values, grid.h, grid.dim)
-    Dm = np.repeat(Dm0[:, np.newaxis], grid.nt + 1, axis=1)
-    vars(state).update(Du=np.zeros_like(Dm), D2u=np.zeros((grid.dim,) + Dm.shape), Dm=Dm)
-    return state
+    return _StartingPair(u=SpaceTimeField.zeros(grid),
+                         m=SpaceTimeField.constant_in_time(m0, grid), Dm0=Dm0)
+
+
+def _slab_coordinates(grid: TorusGrid) -> list[tuple[slice, tuple, np.ndarray]]:
+    """``(rows, x, t)`` of every time slab: the grid's ``(x, t)`` on the slices ``rows``.
+
+    A solve builds them once and hands the same views to every sweep and to
+    the final checks, so a model may key what it derives from them on the
+    views themselves.
+    """
+    x, t = grid.space_time_coordinates()
+    return [(rows, tuple(c[rows] for c in x), t[rows]) for rows in _time_slabs(grid)]
+
+
+class _PairNorms:
+    """A pair's row norms and clamp bounds, gathered slab by slab in time order."""
+
+    def __init__(self, grid: TorusGrid, p: Optional[float] = None) -> None:
+        self.u, self.m = _NormSums(grid, p), _NormSums(grid)
+        self.m_min: list[np.floating] = []
+        self.m_max: list[np.floating] = []
+
+    def add_m(self, start: int, m: np.ndarray, Dm_mag: np.ndarray) -> None:
+        self.m.add(start, m, Dm_mag)
+        self.m_min.append(m.min())
+        self.m_max.append(m.max())
+
+    def row(self, k: int, d: float, gamma: float) -> "IterationRow":
+        return IterationRow(
+            k, d, gamma, self.u.w21p, self.u.c10(), self.m.c10(),
+            min_m=float(np.min(self.m_min)), max_Du=float(self.u.grad_sup),
+        )
+
+    def bounds(self) -> dict:
+        return {
+            "max_abs_u": float(self.u.sup),
+            "min_m": float(np.min(self.m_min)),
+            "max_m": float(np.max(self.m_max)),
+            "max_Du": float(self.u.grad_sup),
+            "max_Dm": float(self.m.grad_sup),
+        }
+
+
+def _derivatives(state: IterateState, rows: slice, norms: Optional[_PairNorms] = None):
+    """``(Du, D2u, Dm, |Du|, |Dm|)`` of a pair on the slices ``rows``, each stencil taken once.
+
+    ``norms``, if given, gathers the pair's row norms and bounds from them.
+    The Hessian's magnitude is reduced before the gradients are taken, and
+    the value function's norms before the density's gradient, so the slab
+    holds one array less at its peak.  The starting pair takes no stencil.
+    """
+    grid, u, m = state.grid, state.u.values, state.m.values
+    starting = isinstance(state, _StartingPair)
+    shape = (grid.dim, rows.stop - rows.start, *grid.shape)
+    D2u = (np.broadcast_to(0.0, (grid.dim,) + shape) if starting
+           else hessian_values(u[rows], grid.h, grid.dim))
+    hess_mag = None
+    if norms is not None and norms.u.p is not None and rows.start < grid.nt:
+        hess_mag = hessian_magnitude(D2u[:, :, :grid.nt - rows.start])
+    Du = np.broadcast_to(0.0, shape) if starting else gradient_values(u[rows], grid.h, grid.dim)
+    Du_mag = gradient_magnitude(Du)
+    if norms is not None:
+        norms.u.add(rows.start, u[rows.start:rows.stop + 1], Du_mag, hess_mag)
+    del hess_mag
+    Dm = (np.broadcast_to(state.Dm0[:, np.newaxis], shape) if starting
+          else gradient_values(m[rows], grid.h, grid.dim))
+    Dm_mag = gradient_magnitude(Dm)
+    if norms is not None:
+        norms.add_m(rows.start, m[rows], Dm_mag)
+    return Du, D2u, Dm, Du_mag, Dm_mag
 
 
 def iterate_distance(a: IterateState, b: IterateState, p: float) -> float:
     """The contraction metric ``|du|_W21p + |du|_C1 + |dm|_C1``.
 
-    Equal to ``norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)``: the norm
-    kernel takes the stencils of the differences themselves, once each,
-    and builds only their magnitudes.
+    Equal to ``norm_W21p(du, p) + norm_C10(du) + norm_C10(dm)``: the norms
+    take the stencils of the differences themselves, once each and a time
+    slab at a time, and build only their magnitudes.
     """
     grid = a.grid
-    (c10_m,) = stack_norms(a.m.values - b.m.values, grid)
-    c10_u, w21p_u = stack_norms(a.u.values - b.u.values, grid, p)
-    return w21p_u + c10_u + c10_m
+    du, dm = _NormSums(grid, p), _NormSums(grid)
+    for rows in _time_slabs(grid):
+        halo = slice(rows.start, rows.stop + 1)  # du_t reads the next slice
+        du.add_samples(rows, a.u.values[halo] - b.u.values[halo])
+        dm.add_samples(rows, a.m.values[rows] - b.m.values[rows])
+    return du.w21p + du.c10() + dm.c10()
 
 
 def apply_T(
@@ -176,59 +237,64 @@ def apply_T(
     state: IterateState,
     trunc: TruncationParams,
     *,
-    coordinates: Optional[tuple] = None,
+    coordinates: Optional[list] = None,
+    norms: Optional[_PairNorms] = None,
 ) -> IterateState:
     """One sweep of the solution operator: forward density, backward value.
 
-    Each truncated source is evaluated once, on the whole space-time stack:
-    the forward solve sees the incoming pair everywhere, the backward solve
+    The forward solve sees the incoming pair everywhere, the backward solve
     sees the incoming value function but the *new* density (and the final
     condition is built from the new final density).  The datum slices pass
-    through the linear solves untouched, so ``m(0) = m0`` and
-    ``u(T) = h[m(T)]`` hold exactly on the output.  The incoming pair's
-    derivatives and gradient magnitudes come from its cache, and the sweep
-    consumes that cache: ``Dm`` and ``Dm_mag`` leave it once ``G`` is built,
-    ``D2u`` once the forward march is done, ``Du`` and ``Du_mag`` once ``F``
-    is built.  A later read recomputes them, bitwise.  The new density's gradient and its magnitude are handed
-    on to the returned pair.  ``coordinates`` is the grid's ``(x, t)``,
-    built here unless given; a solve hands the same pair to every sweep, so
-    a model may keep what it derives from them.
+    through the linear solves untouched, so ``m(0) = m0`` and ``u(T) =
+    h[m(T)]`` hold exactly on the output.
+
+    The forward pass runs over time slabs: each takes the incoming pair's
+    derivatives once, builds its slab of ``G`` and marches it, then builds
+    its slab of ``F`` (slices ``0 .. nt-1``, the ones the backward march
+    reads) from the new density's gradient.  ``norms``, if given, gathers
+    the incoming pair's row norms from the same derivatives.
+    ``coordinates`` is the ``(rows, x, t)`` list of
+    :func:`_slab_coordinates`, built here unless given; a solve hands the
+    same list to every sweep, so a model may keep what it derives from them.
     """
     grid = state.grid
     F_hat, G_hat = wrap_model(model.F, model.G, trunc)
-    x, t = grid.space_time_coordinates() if coordinates is None else coordinates
     u_old, m_old = state.u.values, state.m.values
-    cache = vars(state)
-
-    # Each source stack is dropped once its march ends, each cached
-    # derivative once its last reader has returned.  The Hessian waits for
-    # the forward march: released together with Dm, its room at the top of
-    # the heap got trimmed and regrown every sweep, which took the minor page
-    # faults of a 2D n=32 nt=64 solve from 1.6k to 5.5k.
-    source = G_hat(u_old, m_old, state.Du, state.Dm, state.D2u, x, t,
-                   Du_mag=state.Du_mag, Dm_mag=state.Dm_mag)
-    for name in ("Dm", "Dm_mag"):
-        cache.pop(name)
-    m_new = solve_forward(ParabolicProblem(
-        grid, diffusion=model.diffusion_values(grid, "m"), source=source, initial=m0,
-    ))
-    del source
-    cache.pop("D2u")
-
-    Dm_new = gradient_values(m_new.values, grid.h, grid.dim)
-    Dm_new_mag = gradient_magnitude(Dm_new)
-    source = F_hat(u_old, m_new.values, state.Du, Dm_new, x, t,
-                   Du_mag=state.Du_mag, Dm_mag=Dm_new_mag)
-    for name in ("Du", "Du_mag"):
-        cache.pop(name)
+    # The new density's stack and march, and the stack of F, are made once
+    # the first slab needs them: where one slab is the whole stack, its
+    # derivatives then peak without them.
+    march = source = None
+    for rows, x, t in _slab_coordinates(grid) if coordinates is None else coordinates:
+        Du, D2u, Dm, Du_mag, Dm_mag = _derivatives(state, rows, norms)
+        G = G_hat(u_old[rows], m_old[rows], Du, Dm, D2u, x, t, Du_mag=Du_mag, Dm_mag=Dm_mag)
+        del D2u, Dm, Dm_mag
+        if march is None:
+            values = np.empty((grid.nt + 1, *grid.shape))
+            values[0] = m0.values
+            march = _March(ParabolicProblem(grid, model.diffusion_values(grid, "m"),
+                                            initial=m0), values)
+        if rows.stop > 1:  # slice 0 of G holds no step
+            march.advance(G[1:] if rows.start == 0 else G)
+        del G
+        k = min(rows.stop, grid.nt) - rows.start  # the slab's slices of F
+        if k > 0:
+            if source is None:
+                source = np.empty_like(values)
+                source[-1] = 0.0  # no step reads it
+            cols = slice(rows.start, rows.start + k)
+            Dm_new = gradient_values(values[cols], grid.h, grid.dim)
+            source[cols] = F_hat(u_old[cols], values[cols], Du[:, :k], Dm_new,
+                                 tuple(c[:k] for c in x), t[:k],
+                                 Du_mag=Du_mag[:k], Dm_mag=gradient_magnitude(Dm_new))
+            del Dm_new
+        del Du, Du_mag
+    march.finish()
+    m_new = SpaceTimeField(grid, values)
     u_new = solve_backward(ParabolicProblem(
         grid, diffusion=model.diffusion_values(grid, "u"), source=source,
         final=final_cost(m_new.slice_field(grid.nt)),
     ))
-    del source
-    new_state = IterateState(u=u_new, m=m_new)
-    vars(new_state).update(Dm=Dm_new, Dm_mag=Dm_new_mag)  # pre-fill the cache
-    return new_state
+    return IterateState(u=u_new, m=m_new)
 
 
 @dataclass(frozen=True)
@@ -243,29 +309,6 @@ class IterationRow:
     norm_m_c10: float
     min_m: float
     max_Du: float
-
-
-def _iteration_row(
-    k: int, d: float, gamma: float, state: IterateState, p: float
-) -> IterationRow:
-    """The row of sweep ``k``; the norms read the new pair's cached derivatives.
-
-    ``max |Du|`` is reduced once, for ``max_Du`` and for ``|u|_C10`` (the
-    sum :func:`~fbmfg.torus_grid.norm_C10_values` forms)."""
-    grid, u = state.grid, state.u.values
-    hess_mag = hessian_magnitude(state.D2u[:, :, :-1])
-    max_Du = np.max(state.Du_mag)
-    c10_u = float(np.max(np.abs(u)) + max_Du)
-    w21p_u = norm_W21p_values(u, state.Du_mag[:-1], hess_mag, grid, p)
-    # Freed before the density's norms: held longer, it raised the peak RSS
-    # of a 2D congestion run with the mass audit (n=32, nt=64) by 0.3 MiB.
-    del hess_mag
-    c10_m = norm_C10_values(state.m.values, state.Dm_mag)
-    return IterationRow(
-        k, d, gamma, w21p_u, c10_u, c10_m,
-        min_m=float(np.min(state.m.values)),
-        max_Du=float(max_Du),
-    )
 
 
 @dataclass(frozen=True)
@@ -334,17 +377,8 @@ class IterationReport:
         return bool(self.gamma_history) and all(g < 1.0 for g in self.gamma_history)
 
 
-def _detrunc_check(state: IterateState, K: float,
-                   row: Optional[IterationRow] = None) -> tuple[bool, tuple[str, ...], dict]:
-    """The clamp bounds of the final pair; ``row``, the pair's own row, lends its reductions."""
-    u, m = state.u.values, state.m.values
-    bounds = {
-        "max_abs_u": float(np.max(np.abs(u))),
-        "min_m": float(np.min(m)) if row is None else row.min_m,
-        "max_m": float(np.max(m)),
-        "max_Du": float(np.max(state.Du_mag)) if row is None else row.max_Du,
-        "max_Dm": float(np.max(state.Dm_mag)),
-    }
+def _detrunc_check(bounds: dict, K: float) -> tuple[bool, tuple[str, ...]]:
+    """Whether the final pair's clamp ``bounds`` stay inside the truncation region, and the failures."""
     failures = []
     if not bounds["min_m"] >= 1.0 / K:
         failures.append(f"min m = {bounds['min_m']:.6g} < 1/K = {1.0 / K:.6g}")
@@ -356,59 +390,109 @@ def _detrunc_check(state: IterateState, K: float,
         failures.append(f"max |Du| = {bounds['max_Du']:.6g} > K")
     if not bounds["max_Dm"] <= K:
         failures.append(f"max |Dm| = {bounds['max_Dm']:.6g} > K")
-    return not failures, tuple(failures), bounds
+    return not failures, tuple(failures)
 
 
-def _pde_residual_stacks(
-    model: CouplingModel, state: IterateState, coordinates: Optional[tuple] = None,
-) -> tuple[np.ndarray, ...]:
-    """Residual stacks ``(u, m)`` of the *untruncated* equations on a pair.
+def _time_rows(c: np.ndarray, rows: slice) -> np.ndarray:
+    """The coefficients ``c`` (axes ``(dim, dim, 1 or nt + 1) + spatial``) of the slices ``rows``."""
+    return c[:, :, rows] if c.shape[2] > 1 else c
+
+
+def _slab_residuals(model: CouplingModel, grid: TorusGrid, coefficients: tuple,
+                    u: np.ndarray, m: np.ndarray, rows: slice, x: tuple, t: np.ndarray,
+                    Du: np.ndarray, D2u: np.ndarray, Dm: np.ndarray) -> tuple:
+    """Residual rows ``(u, m)`` of the *untruncated* equations on the slab ``rows`` of a pair.
 
     Each is the step residual that the march check reduces
     (:func:`~fbmfg.parabolic._step_residuals`), taken with the untruncated
-    source and divided by ``dt``: the value equation at slices ``0 .. nt-1``
-    against the forward difference, the density equation at slices
-    ``1 .. nt`` against the backward difference.  At an exact fixed point
-    both are round-off.  The pair's cached derivatives are consumed as
-    their last reader returns, as :func:`apply_T` consumes them: ``G``
-    is built first, then ``D2u`` goes, then ``F``, then ``Du`` and ``Dm``.
-    ``coordinates`` is the grid's ``(x, t)``, built here unless given.
+    source and divided by ``dt``: the value equation at the slab's slices
+    below ``nt`` against the forward difference, the density equation at
+    those above 0 against the backward difference (``None`` where the slab
+    has no such slice).  ``coefficients`` are the ``(u, m)`` diffusions with
+    axes ``(dim, dim, 1 or nt + 1) + spatial``; ``u`` and ``m`` are whole
+    contiguous stacks, so that only the reversed view of ``u`` reads as a
+    backward march.  At an exact fixed point both are round-off.
     """
-    grid = state.grid
-    cache = vars(state)
-    # Contiguous, so that only the reversed view of u reads as a backward march.
-    u, m = (np.ascontiguousarray(f.values) for f in (state.u, state.m))
-    x, t = grid.space_time_coordinates() if coordinates is None else coordinates
-    density_source = model.G(u, m, state.Du, state.Dm, state.D2u, x, t)
-    cache.pop("D2u")
-    value = ParabolicProblem(grid, model.diffusion_values(grid, "u"),
-                             source=model.F(u, m, state.Du, state.Dm, x, t))
-    for name in ("Du", "Dm"):
-        cache.pop(name)
-    res_u = _step_residuals(_reverse_in_time(value), u[::-1])[0]
-    del value
-    res_u /= grid.dt
-    density = ParabolicProblem(grid, model.diffusion_values(grid, "m"), source=density_source)
-    del density_source
-    res_m = _step_residuals(density, m)[0]
-    res_m /= grid.dt
+    c_u, c_m = coefficients
+    G = model.G(u[rows], m[rows], Du, Dm, D2u, x, t)
+    first = int(rows.start == 0)  # the density equation starts at slice 1
+    steps = slice(rows.start + first, rows.stop)
+    res_m = None
+    if steps.start < steps.stop:
+        res_m = _step_residuals(grid, _time_rows(c_m, steps), G[first:],
+                                m[steps.start - 1:steps.stop])[0]
+        res_m /= grid.dt
+    del G
+    k = min(rows.stop, grid.nt) - rows.start
+    res_u = None
+    if k > 0:
+        cols = slice(rows.start, rows.start + k)
+        F = model.F(u[cols], m[cols], Du[:, :k], Dm[:, :k], tuple(c[:k] for c in x), t[:k])
+        res_u = _step_residuals(grid, _time_rows(c_u, cols)[:, :, ::-1], F[::-1],
+                                u[cols.start:cols.stop + 1][::-1])[0]
+        res_u /= grid.dt
     return res_u, res_m
 
 
-def _pde_residuals(model: CouplingModel, state: IterateState,
-                   coordinates: Optional[tuple] = None) -> dict:
-    """Sups of :func:`_pde_residual_stacks` on the final pair.
+def _certificate_inputs(model: CouplingModel, state: IterateState) -> tuple:
+    """``(u, m, coefficients)`` of :func:`_slab_residuals` for a pair."""
+    # Contiguous, so that only the reversed view of u reads as a backward march.
+    u, m = (np.ascontiguousarray(f.values) for f in (state.u, state.m))
+    coefficients = tuple(ParabolicProblem(state.grid, model.diffusion_values(state.grid, eq))
+                         .coefficients() for eq in ("u", "m"))
+    return u, m, coefficients
 
-    Sources that reject the pair (``ValueError`` or ``ArithmeticError``, e.g.
-    a density that left its domain after divergence) yield NaN residuals and
-    a ``"reason"`` naming the error; any other exception propagates.
+
+def _pde_residual_stacks(model: CouplingModel, state: IterateState,
+                         coordinates: Optional[list] = None) -> tuple[np.ndarray, ...]:
+    """The rows of :func:`_slab_residuals` over every slab, stacked: ``(nt,) + spatial`` each.
+
+    The value equation's rows are slices ``0 .. nt-1``, the density's
+    ``1 .. nt``.  ``coordinates`` is the list of :func:`_slab_coordinates`,
+    built here unless given.
     """
-    try:
-        with np.errstate(all="ignore"):
-            res_u, res_m = _pde_residual_stacks(model, state, coordinates)
-    except (ValueError, ArithmeticError) as exc:
-        return {"u": math.nan, "m": math.nan, "reason": f"{type(exc).__name__}: {exc}"}
-    return {"u": float(np.max(np.abs(res_u))), "m": float(np.max(np.abs(res_m)))}
+    grid = state.grid
+    u, m, coefficients = _certificate_inputs(model, state)
+    parts = [
+        _slab_residuals(model, grid, coefficients, u, m, rows, x, t,
+                        *_derivatives(state, rows)[:3])
+        for rows, x, t in (_slab_coordinates(grid) if coordinates is None else coordinates)
+    ]
+    return tuple(np.concatenate([r for r in res if r is not None]) for res in zip(*parts))
+
+
+def _pde_residuals(model: CouplingModel, state: IterateState, coordinates: Optional[list] = None,
+                   norms: Optional[_PairNorms] = None) -> dict:
+    """Sups of :func:`_slab_residuals` on the final pair, in one pass over its slabs.
+
+    ``norms``, if given, gathers the pair's row norms and clamp bounds in
+    the same pass, from the same derivatives.  Sources that reject the pair
+    (``ValueError`` or ``ArithmeticError``, e.g. a density that left its
+    domain after divergence) yield NaN residuals and a ``"reason"`` naming
+    the error, and the norms are still gathered; any other exception
+    propagates.  ``coordinates`` is built here unless given.
+    """
+    grid = state.grid
+    u, m, coefficients = _certificate_inputs(model, state)
+    sups: tuple[list, list] = ([], [])
+    reason = ""
+    for rows, x, t in _slab_coordinates(grid) if coordinates is None else coordinates:
+        Du, D2u, Dm = _derivatives(state, rows, norms)[:3]
+        if not reason:
+            try:
+                with np.errstate(all="ignore"):
+                    res = _slab_residuals(model, grid, coefficients, u, m, rows, x, t,
+                                          Du, D2u, Dm)
+            except (ValueError, ArithmeticError) as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+            else:
+                for sup, r in zip(sups, res):
+                    if r is not None:
+                        sup.append(np.max(np.abs(r)))
+        del Du, D2u, Dm
+    if reason:
+        return {"u": math.nan, "m": math.nan, "reason": reason}
+    return {"u": float(np.max(sups[0])), "m": float(np.max(sups[1]))}
 
 
 def _checked_inputs(model: CouplingModel, final_cost: FinalCost, m0: Field, grid: TorusGrid,
@@ -473,40 +557,56 @@ def picard_solve(
     M1 = 3.0 * ((final_cost.L_h + 1.0) * trunc.m0_norm_C1 + final_cost.C0)
 
     state = initial_state(grid, m0, trunc.m0_gradient)
-    coordinates = grid.space_time_coordinates()
+    coordinates = _slab_coordinates(grid)
+    # glibc hands the top of its heap back to the system once more than
+    # twice the largest block it has mapped and freed lies free there, and
+    # faults it in again on the next allocation.  A sweep's largest block is
+    # one stack, so each slab's temporaries would be handed back and faulted
+    # in again: 5.6k minor faults per 2D n=32 nt=64 solve, 1.2k with this.
+    # One untouched block of four stacks, mapped and freed, raises the level
+    # (glibc takes no block above 32 MiB as the level: larger stacks are
+    # mapped one by one anyway).
+    if 4 * 8 * (grid.nt + 1) * grid.num_points <= 32 << 20:
+        np.empty((4, grid.nt + 1, *grid.shape))
     rows: list[IterationRow] = []
+    distances: list[float] = []
     m1_violations: list[int] = []
     status = "max_iter"
     error = ""
     increases = 0
+    # (k, d, gamma) of the row of ``state``: its norms are gathered by the
+    # next sweep's forward pass, or by the final checks.
+    pending: Optional[tuple[int, float, float]] = None
+
+    def finish_row(norms: _PairNorms) -> None:
+        row = norms.row(*pending)
+        rows.append(row)
+        if row.norm_u_c10 > M1 or row.norm_m_c10 > M1:
+            m1_violations.append(row.iteration)
+
     for k in range(1, max_iter + 1):
+        norms = None if pending is None else _PairNorms(grid, p)
         try:
-            candidate = apply_T(model, final_cost, m0, state, trunc, coordinates=coordinates)
+            candidate = apply_T(model, final_cost, m0, state, trunc,
+                                coordinates=coordinates, norms=norms)
         except (ValueError, ArithmeticError, SolverError) as exc:
             status = "error"
             error = f"sweep {k}: {type(exc).__name__}: {exc}"
             break
-        # The sweep consumed the old pair's derivatives; only the distance
-        # reads its values.  The new pair's derivatives, which the row and
-        # the next sweep read, first take the room the distance left; then
-        # the old pair goes, before the row.  Released before them, the old
-        # values let the heap top be trimmed and regrown every sweep: six
-        # times the minor page faults per solve.
+        if pending is not None:
+            finish_row(norms)
         d = iterate_distance(candidate, state, p)
-        candidate.Du_mag, candidate.D2u
         state = candidate
-        gamma = d / rows[-1].distance if rows else math.nan
-        row = _iteration_row(k, d, gamma, state, p)
-        rows.append(row)
-        if row.norm_u_c10 > M1 or row.norm_m_c10 > M1:
-            m1_violations.append(k)
+        gamma = d / distances[-1] if distances else math.nan
+        pending = (k, d, gamma)
+        distances.append(d)
         if not math.isfinite(d):
             status = "diverged"
             break
         if d <= tol:
             status = "converged"
             break
-        if len(rows) >= 2 and d > rows[-2].distance:
+        if len(distances) >= 2 and d > distances[-2]:
             increases += 1
             if increases >= 5:
                 status = "diverged"
@@ -514,16 +614,17 @@ def picard_solve(
         else:
             increases = 0
 
-    # The final pair is the one of the last row, if any sweep succeeded.
-    detrunc_ok, failures, bounds = _detrunc_check(state, trunc.K, rows[-1] if rows else None)
-    for name in ("Du_mag", "Dm_mag"):  # the residuals read no magnitude
-        vars(state).pop(name, None)
-    # The residuals consume the rest of the cache.
-    residuals = _pde_residuals(model, state, coordinates)
+    # One pass over the final pair (the one of the last row, if any sweep
+    # succeeded): its row, its clamp bounds and its residual certificate.
+    norms = _PairNorms(grid, None if pending is None else p)
+    residuals = _pde_residuals(model, state, coordinates, norms)
+    if pending is not None:
+        finish_row(norms)
+    bounds = norms.bounds()
+    detrunc_ok, failures = _detrunc_check(bounds, trunc.K)
     return IterationReport(
         status=status,
         rows=tuple(rows),
-        # A fresh pair, so the report does not hold the derivative cache.
         final_state=IterateState(u=state.u, m=state.m),
         K=trunc.K,
         M1=M1,

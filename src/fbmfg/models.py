@@ -84,9 +84,9 @@ class CouplingModel:
         ``Dm`` have shape ``(dim,) + shape``); ``x`` is a tuple of
         coordinate arrays.  ``shape`` is the trailing shape of the field
         arguments, and ``x`` and ``t`` arrive broadcast against it: the
-        solver passes whole space-time stacks, ``shape = (nt + 1,) +
-        spatial``, with ``t`` an array of slice times.  F must be
-        pointwise, returning an array of that shape.  F must not write into
+        solver passes one time slab of a space-time stack at a time,
+        ``shape = (slices,) + spatial``, with ``t`` an array of slice
+        times.  F must be pointwise, returning an array of that shape.  F must not write into
         its arguments: the solver hands on an iterate's own arrays, as
         read-only views wherever a clamp cuts nothing, so such a write
         raises ``ValueError`` there.
@@ -170,9 +170,9 @@ class HamiltonianSpec:
 
     ``x`` is a tuple of coordinate arrays, ``p`` has a leading ``(dim,)``
     axis, and every callable is vectorized over the trailing shape, against
-    which ``x`` and ``t`` arrive broadcast (the solver passes whole
-    ``(nt + 1,) + spatial`` stacks with an array ``t``; the derivative
-    probes pass sample points and a float ``t``).  The derivative fields are
+    which ``x`` and ``t`` arrive broadcast (the solver passes time slabs,
+    ``(slices,) + spatial`` blocks of a space-time stack with an array
+    ``t``; the derivative probes pass sample points and a float ``t``).  The derivative fields are
     the ones the transport terms need; each must match central differences
     of the callable named last:
 
@@ -313,17 +313,20 @@ def build_mfg_coupling(
     def F(u, m, Du, Dm, x, t):
         return np.asarray(spec.H(x, t, Du, m), dtype=float)
 
-    # (x, t, A_div1, A_div2) of the last coordinates G saw: a solve hands the
-    # same (x, t) objects to every sweep, so they are evaluated once per solve.
-    held = None
+    # (x, t, A_div1, A_div2) of each (x, t) G saw, keyed by the objects: a
+    # solve hands the same views of each time slab to every sweep, so they
+    # are evaluated once per slab and solve.  Coordinates that start at t = 0
+    # begin a new set, and the entries of the last one are dropped.
+    held: dict[tuple[int, int], tuple] = {}
 
     def divergences(x, t):
-        nonlocal held
-        current = held  # one read, so a concurrent caller cannot swap it midway
-        if current is None or current[0] is not x or current[1] is not t:
-            current = held = (x, t, np.asarray(spec.A_div1(x, t), dtype=float),
-                              np.asarray(spec.A_div2(x, t), dtype=float))
-        return current[2:]
+        entry = held.get((id(x), id(t)))  # one read: a concurrent caller cannot swap it
+        if entry is None or entry[0] is not x or entry[1] is not t:
+            if np.asarray(t).flat[0] == 0.0:
+                held.clear()
+            entry = held[id(x), id(t)] = (x, t, np.asarray(spec.A_div1(x, t), dtype=float),
+                                          np.asarray(spec.A_div2(x, t), dtype=float))
+        return entry[2:]
 
     # Terms the spec leaves undeclared are zero and are skipped.  Every dot
     # product is taken one component at a time and every update is in place,
@@ -553,7 +556,11 @@ def periodic_gaussian_kernel(grid: TorusGrid, sigma: Optional[float] = None) -> 
     ``sum psi h^dim = 1`` hold exactly, so convolution against the
     kernel preserves constants and total mass to rounding.  ``sigma`` is
     the Gaussian width in torus units, positive and finite; it defaults to
-    four grid cells.
+    four grid cells, ``4h``, so the default kernel changes with the grid:
+    it scales Fourier mode ``k`` by ``exp(-sigma^2 |2 pi k|^2 / 2)`` (up to
+    aliasing), at mode ``(1, 1)`` in 2D 0.085, 0.54 and 0.86 for n = 16, 32
+    and 64.  Pass a fixed ``sigma`` to solve one problem at several
+    resolutions.
     """
     if sigma is None:
         sigma = 4.0 * grid.h
@@ -614,7 +621,11 @@ def final_cost_convolution(
     to the smoothed field and its gradient, and ``A2`` covers its second
     derivative.  ``C0 = |h[0]|_C2`` is evaluated, not declared.  ``sigma``
     must be positive: a zero width would be the identity, whose ``A2``
-    grows like ``1/h^2`` and certifies no smoothing.
+    grows like ``1/h^2`` and certifies no smoothing.  Its default, ``4h``,
+    makes the cost, and with it the problem, change with the grid: ``L_h``
+    grows as the kernel narrows, and the Picard factor, set by the kernel's
+    multiplier at the lowest modes, tends to one under refinement (see
+    :func:`periodic_gaussian_kernel`).  A fixed ``sigma`` keeps one problem.
     """
     kernel = periodic_gaussian_kernel(grid, sigma=sigma)
     hess = hessian_values(kernel, grid.h, grid.dim)

@@ -35,11 +35,17 @@ coefficients' values, not the shape they arrive in, choose one of two paths:
   once per step when the coefficients change in time) under the
   minimum-degree ordering of ``A^T + A``.
 
-Both paths treat the mixed term implicitly.  Either way the finished
-march is checked against its discrete equation: the relative residual of
-every step must stay below ``RESIDUAL_TOL``.  The PDE residual certificate
-of :mod:`fbmfg.fixed_point` is that step residual with the untruncated
-sources, divided by ``dt``.
+Both paths treat the mixed term implicitly.  A march runs over time slabs
+(:class:`_March`): each slab's source rows are transformed or solved, the
+recursion carries its last modes or factors to the next slab, and the slab
+is checked against its discrete equation at once; the relative residual of
+every step must stay below ``RESIDUAL_TOL``, and the worst step is named
+once the march is done.  The result is bitwise the same whatever the
+slabs.  :func:`solve_forward` and :func:`solve_backward` march a whole
+source through it; the sweep of :mod:`fbmfg.fixed_point` hands it each
+slab of the density's source as soon as it is built.  The PDE residual
+certificate of :mod:`fbmfg.fixed_point` is that step residual with the
+untruncated sources, divided by ``dt``.
 
 Sparse matrices come from one CSR builder: every row of a periodic stencil
 matrix holds one entry per offset (``1 + 2d`` points, plus four corners per
@@ -87,6 +93,7 @@ from .torus_grid import (
     Field,
     SpaceTimeField,
     TorusGrid,
+    _time_slabs,
     subtract_second_order,
 )
 
@@ -314,29 +321,6 @@ def _fourier_denominator(grid: TorusGrid, diffusion: bytes) -> np.ndarray:
     return denom
 
 
-def _fourier_march(problem: ParabolicProblem, out: np.ndarray) -> None:
-    """Fill slices ``1..nt`` of ``out`` by the per-mode backward-Euler recursion."""
-    g = problem.grid
-    axes = tuple(range(1, g.dim + 1))
-    denom = _fourier_denominator(g, problem.diffusion.tobytes())
-    # One complex stack of the steps' source modes (slice 0 of the source is
-    # never read), overwritten in place by the solution modes of slices
-    # ``1..nt``.  ``(-dt ĝ_j) + v̂_{j-1}`` is bitwise ``v̂_{j-1} - dt ĝ_j``.
-    hat = np.fft.rfftn(problem.source[1:], axes=axes)
-    hat *= -g.dt
-    # numpy divides a complex row by a real ``d`` as by ``d + 0j``, which is
-    # bitwise a product of both parts with ``1/d``: run the recursion on the
-    # interleaved real view, one scaling per part.
-    flat = hat.view(np.float64)
-    scale = np.repeat(1.0 / denom, 2, axis=-1)
-    previous = np.fft.rfftn(out[0]).view(np.float64)
-    for step in flat:
-        step += previous
-        step *= scale
-        previous = step
-    out[1:] = np.fft.irfftn(hat, s=g.shape, axes=axes)
-
-
 def _spatial_operator(grid: TorusGrid, c: np.ndarray) -> sp.csr_matrix:
     """``L v = -c_ij v_ij`` for one slice of ``c``, with every pair's corners if any is mixed."""
     n, dim, h2 = grid.n, grid.dim, grid.h**2
@@ -354,65 +338,125 @@ def _spatial_operator(grid: TorusGrid, c: np.ndarray) -> sp.csr_matrix:
     return _stencil_matrix(data, _shifted_points(n, dim, cross, 1))
 
 
-def _splu_march(problem: ParabolicProblem, out: np.ndarray) -> None:
-    """Fill slices ``1..nt`` of ``out`` by sparse direct solves, one per step."""
+class _March:
+    """A forward march into ``out`` (``out[0]`` its datum), advanced a slab of steps at a time.
+
+    ``out`` is in march order: a backward solve's time-reversed view.
+    :meth:`advance` marches and checks the next steps from their source
+    rows, so a caller may build each slab's source from the slabs marched
+    before it; :meth:`finish` names the worst step once all are in.  The
+    recursion carries its state (the last step's modes, or the factors)
+    from slab to slab, so the result is bitwise the same whatever the slabs.
+    """
+
+    def __init__(self, problem: ParabolicProblem, out: np.ndarray) -> None:
+        g = problem.grid
+        if not np.all(np.isfinite(out[0])):
+            raise ValueError("initial slice contains non-finite values")
+        self.problem, self.out, self.done = problem, out, 0
+        self.coefficients = problem.coefficients()
+        self.rel = np.empty(g.nt)  # each step's relative residual, in march order
+        self.fourier = problem.diffusion.shape == (g.dim, g.dim)
+        if self.fourier:
+            # numpy divides a complex row by a real ``d`` as by ``d + 0j``,
+            # which is bitwise a product of both parts with ``1/d``: the
+            # recursion runs on the interleaved real view, one scaling per part.
+            denom = _fourier_denominator(g, problem.diffusion.tobytes())
+            self.scale = np.repeat(1.0 / denom, 2, axis=-1)
+            self.modes = np.fft.rfftn(out[0]).view(np.float64)
+        else:
+            self.lu = None
+
+    def advance(self, source: np.ndarray) -> None:
+        """March and check the next ``len(source)`` steps; ``source`` holds their rows."""
+        steps = slice(self.done + 1, self.done + 1 + len(source))
+        (_fourier_march if self.fourier else _splu_march)(self, steps, source)
+        _check_march(self, steps, source)
+        self.done = steps.stop - 1
+
+    def finish(self) -> None:
+        """Raise :class:`SolverError` naming the worst step, if it exceeds ``RESIDUAL_TOL``."""
+        worst = int(np.argmax(self.rel))
+        if self.rel[worst] > RESIDUAL_TOL:
+            raise SolverError(
+                f"march residual {self.rel[worst]:.2e} exceeds {RESIDUAL_TOL} "
+                f"at slice {worst + 1}"
+            )
+
+
+def _fourier_march(march: _March, steps: slice, source: np.ndarray) -> None:
+    """Fill ``out[steps]`` by the per-mode backward-Euler recursion."""
+    g = march.problem.grid
+    axes = tuple(range(1, g.dim + 1))
+    # The steps' source modes, overwritten in place by their solution modes.
+    # ``(-dt ĝ_j) + v̂_{j-1}`` is bitwise ``v̂_{j-1} - dt ĝ_j``.
+    hat = np.fft.rfftn(source, axes=axes)
+    hat *= -g.dt
+    previous = march.modes
+    for step in hat.view(np.float64):
+        step += previous
+        step *= march.scale
+        previous = step
+    march.modes = previous.copy()
+    march.out[steps] = np.fft.irfftn(hat, s=g.shape, axes=axes)
+
+
+def _splu_march(march: _March, steps: slice, source: np.ndarray) -> None:
+    """Fill ``out[steps]`` by sparse direct solves, one per step."""
     import scipy.sparse as sp
 
+    problem, out = march.problem, march.out
     g = problem.grid
-    eye = sp.identity(g.num_points, format="csr")
-    lu = None
-    for j in range(1, g.nt + 1):
-        if lu is None or problem.time_dependent:
+    for j, g_j in zip(range(steps.start, steps.stop), source):
+        if march.lu is None or problem.time_dependent:
             L = _spatial_operator(g, problem.diffusion_slice(j))
-            lu = _factor((eye + g.dt * L).tocsc())
-        rhs = np.ravel(out[j - 1]) - g.dt * np.ravel(problem.source[j])
-        out[j] = lu.solve(rhs).reshape(g.shape)
+            eye = sp.identity(g.num_points, format="csr")
+            march.lu = _factor((eye + g.dt * L).tocsc())
+        rhs = np.ravel(out[j - 1]) - g.dt * np.ravel(g_j)
+        out[j] = march.lu.solve(rhs).reshape(g.shape)
 
 
-def _step_residuals(problem: ParabolicProblem, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(res, rhs)`` of every step of the march ``v``, ``(nt,) + spatial`` each.
+def _step_residuals(grid: TorusGrid, c: np.ndarray, source: np.ndarray,
+                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(res, rhs)`` of the steps ``v[k-1] -> v[k]``, ``(len(v) - 1,) + spatial`` each.
 
-    Step ``j`` reads ``res = (I + dt L_j) v_j - rhs`` with ``rhs = v_{j-1} -
-    dt g_j``; ``L`` is applied through the grid's own stencils
+    ``source`` holds the steps' source rows and ``c`` their coefficients,
+    with axes ``(dim, dim, 1 or steps) + spatial``.  Step ``j`` reads ``res
+    = (I + dt L_j) v_j - rhs`` with ``rhs = v_{j-1} - dt g_j``; ``L`` is
+    applied through the grid's own stencils
     (:func:`~fbmfg.torus_grid.subtract_second_order`), the cross stencil only
     where the mixed coefficient is nonzero.  A backward march's ``v`` and
     time-indexed inputs are time-reversed views: its steps are stacked in
-    memory order (step ``j`` then sits at slice ``nt - j``), so the stencils
-    take no copy.
+    memory order (the last step first), so the stencils take no copy.
     """
-    g = problem.grid
-    c, source, new, old = problem.coefficients(), problem.source, slice(1, None), slice(None, -1)
+    new, old = slice(1, None), slice(None, -1)
     if v.strides[0] < 0:
         v, source, c, new, old = v[::-1], source[::-1], c[:, :, ::-1], old, new
-    if problem.time_dependent:
-        c = c[:, :, new]
-    rhs = g.dt * source[new]
+    rhs = grid.dt * source
     np.subtract(v[old], rhs, out=rhs)
     res = v[new] - rhs
-    subtract_second_order(v[new], g.dt * c, g.h, g.dim, out=res)
+    subtract_second_order(v[new], grid.dt * c, grid.h, grid.dim, out=res)
     return res, rhs
 
 
-def _check_march(problem: ParabolicProblem, v: np.ndarray) -> None:
-    """Verify a finished march against the discrete equation of every step.
+def _check_march(march: _March, steps: slice, source: np.ndarray) -> None:
+    """Check the steps ``steps`` of a march against their discrete equations.
 
-    Each step's :func:`_step_residuals` must stay below ``RESIDUAL_TOL``
-    relative to its right-hand side; a failure names the slice in march order.
+    ``source`` holds the steps' rows.  Each step's :func:`_step_residuals`,
+    relative to its right-hand side, goes to ``march.rel[j - 1]`` for step
+    ``j``; non-finite values raise :class:`SolverError` at once.
     """
-    g = problem.grid
-    if not np.all(np.isfinite(v)):
+    v = march.out[steps.start - 1:steps.stop]
+    if not np.isfinite(v).all():
         raise SolverError("non-finite values produced by the march")
-    res, rhs = _step_residuals(problem, v)
-    rhs, res = rhs.reshape(g.nt, -1), res.reshape(g.nt, -1)
+    c = march.coefficients
+    if march.problem.time_dependent:
+        c = c[:, :, steps]
+    res, rhs = _step_residuals(march.problem.grid, c, source, v)
+    rhs, res = rhs.reshape(len(rhs), -1), res.reshape(len(res), -1)
     scale = np.maximum(np.sqrt(np.einsum("ij,ij->i", rhs, rhs)), 1e-300)
     rel = np.sqrt(np.einsum("ij,ij->i", res, res)) / scale
-    if v.strides[0] < 0:
-        rel = rel[::-1]
-    worst = int(np.argmax(rel))
-    if rel[worst] > RESIDUAL_TOL:
-        raise SolverError(
-            f"march residual {rel[worst]:.2e} exceeds {RESIDUAL_TOL} at slice {worst + 1}"
-        )
+    march.rel[steps.start - 1:steps.stop - 1] = rel[::-1] if v.strides[0] < 0 else rel
 
 
 def solve_forward(problem: ParabolicProblem) -> SpaceTimeField:
@@ -443,22 +487,19 @@ def _reverse_in_time(problem: ParabolicProblem) -> ParabolicProblem:
 
 
 def _march(problem: ParabolicProblem, time: slice) -> SpaceTimeField:
-    """March ``problem`` forward into a new stack seen through ``time``, and check it.
+    """March ``problem`` forward into a new stack seen through ``time``, a slab at a time.
 
     The march and its check see the stack's slices in march order; they
     are stored in the order ``time`` gives (``::-1`` for a backward solve).
     """
     g = problem.grid
-    if not problem.initial.is_finite():
-        raise ValueError("initial slice contains non-finite values")
     values = np.empty((g.nt + 1, *g.shape))
     out = values[time]
     out[0] = problem.initial.values
-    if problem.diffusion.shape == (g.dim, g.dim):
-        _fourier_march(problem, out)
-    else:
-        _splu_march(problem, out)
-    _check_march(problem, out)
+    march = _March(problem, out)
+    for steps in _time_slabs(g, 1):
+        march.advance(problem.source[steps])
+    march.finish()
     return SpaceTimeField(g, values)
 
 

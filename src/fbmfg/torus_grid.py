@@ -23,9 +23,16 @@ Periodicity is enforced purely through indexing.  A stencil reads each
 shifted neighbour as one 1-D slice of the flat contiguous buffer of the
 whole stack, offset by the axis stride; that is right everywhere except on
 the lines at index 0 and ``n - 1`` of the shifted axis, which are then
-recomputed from strided views with wrapped indices.  Only an input that is
-not contiguous is copied.  So ``h * n == 1`` holds exactly at the level of
-stencil bookkeeping; no floating-point coordinate wrapping is involved.
+recomputed in one pass from neighbours gathered with wrapped indices.
+Only an input that is not contiguous is copied.  So ``h * n == 1`` holds
+exactly at the level of stencil bookkeeping; no floating-point coordinate
+wrapping is involved.
+
+The solver streams its stacks over time slabs (:func:`_time_slabs`): every
+array a slab holds is about ``_SLAB_BYTES``, one slice at least.  The
+norms of a stack are gathered slab by slab (:class:`_NormSums`), with sups
+reduced per slab and the ``W21p`` integrand summed whole, so they are
+bitwise those of the whole stack.
 
 All operators here are linear and act on plain ``numpy`` arrays under the
 hood; the ``*_values`` variants are the array-level work functions and are
@@ -36,8 +43,7 @@ or straight from the stencils, one component or entry at a time, with no
 gradient or Hessian tensor.  The norms of a stack go through one kernel,
 :func:`stack_norms`, which builds both magnitudes from the stencils; a
 solver that holds an iterate's magnitudes reduces them itself
-(:func:`norm_C10_values`, :func:`norm_W21p_values`), so each stencil of an
-iterate is evaluated once.  Either way the result is bitwise equal to the
+(:class:`_NormSums`), so each stencil of an iterate is evaluated once.  Either way the result is bitwise equal to the
 tensor formulas: the same operations on the same operands, summed in the
 same order.  :func:`subtract_second_order` applies ``c_ij (D^2 f)_ij``
 for the march check and the residual certificate, which share it; it
@@ -247,34 +253,39 @@ class SpaceTimeField:
 # one ``(axis, step)`` move per shifted axis, each step -1 or 1.
 _Stencil = Callable[[Callable[..., np.ndarray], np.ndarray], None]
 
-# The bands of an axis a stencil shifts along: index 0, 1 .. n-2, n-1.
-_LOW, _INNER, _HIGH = 0, 1, 2
+@lru_cache(maxsize=256)
+def _shift_plan(sizes: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, dict, np.ndarray, dict]:
+    """How a stencil shifting along ``axes`` reads a C-contiguous stack of slices ``sizes``.
 
-
-@lru_cache(maxsize=64)
-def _wrapped_bands(axes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every ``((axis, band), ...)`` of ``axes`` with at least one band not inner."""
-    return tuple(tuple(zip(axes, bands))
-                 for bands in itertools.product((_LOW, _INNER, _HIGH), repeat=len(axes))
-                 if any(b != _INNER for b in bands))
-
-
-@lru_cache(maxsize=1024)
-def _box(sizes: tuple[int, ...], band: tuple, moves: tuple) -> tuple:
-    """Index of ``f(x + moves)`` over the points whose axes lie in ``band``.
-
-    Axes absent from ``band`` are taken whole and must not move.
+    Returns ``(reach, starts, points, gathers)``.  In the flat 1-D pass over
+    the elements ``reach .. size - reach``, ``f(x + moves)`` starts at the
+    flat offset ``starts[moves]``.  ``points`` are the flat indices within a
+    slice of the points with index 0 or ``n - 1`` along ``axes``, which that
+    pass gets wrong, and ``gathers[moves]`` those of ``f(x + moves)`` at
+    them, wrapped periodically.  Moves are keyed as the stencils pass them,
+    ``((axis, ±1), ...)`` in the order of ``axes``; the index arrays are
+    read-only.
     """
-    step = dict(moves)
-    index = [slice(None)] * len(sizes)
-    for k, b in band:
-        n, s = sizes[k], step.get(k, 0)
-        if b == _INNER:
-            index[k] = slice(1 + s, n - 1 + s)
-        else:
-            at = ((0 if b == _LOW else n - 1) + s) % n
-            index[k] = slice(at, at + 1)
-    return (Ellipsis, *index)
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    reach = sum(strides[k] for k in axes)
+    every = [tuple(zip(subset, steps))
+             for r in range(len(axes) + 1) for subset in itertools.combinations(axes, r)
+             for steps in itertools.product((1, -1), repeat=r)]
+    edge = np.zeros(sizes, dtype=bool)
+    for k in axes:
+        edge[(slice(None),) * k + ([0, -1],)] = True
+    index = np.nonzero(edge)
+
+    def wrapped(moves):
+        shifted = list(index)
+        for k, step in moves:
+            shifted[k] = (shifted[k] + step) % sizes[k]
+        flat = np.ravel_multi_index(tuple(shifted), sizes)
+        flat.flags.writeable = False
+        return flat
+
+    starts = {moves: reach + sum(step * strides[k] for k, step in moves) for moves in every}
+    return reach, starts, wrapped(()), {moves: wrapped(moves) for moves in every}
 
 
 class _Periodic:
@@ -286,33 +297,32 @@ class _Periodic:
     index wraps, that is the element at the fixed flat offset
     ``Σ s_k stride_k``, so :meth:`apply` runs the stencil as one 1-D pass
     over the whole stack; the points it gets wrong are those at index 0 or
-    ``n - 1`` of a shifted axis, and it recomputes them from strided views
-    with wrapped indices.  Each output element is the same operations on
-    the same operands either way, so the result is bitwise what shifted
-    copies (``np.roll``) give.
+    ``n - 1`` of a shifted axis, and it recomputes them in one more pass
+    over their neighbours gathered with wrapped indices, slice by slice
+    (:func:`_shift_plan`): a few operations whatever the number of axes
+    shifted.  Each output element is the same operations on the same
+    operands either way, so the result is bitwise what shifted copies
+    (``np.roll``) give.
     """
 
     def __init__(self, values: np.ndarray, h: float, dim: int) -> None:
         self.values = np.ascontiguousarray(values, dtype=float)
         self.h = h
         self.flat = self.values.reshape(-1)
-        lead = self.values.ndim - dim
-        self.sizes = self.values.shape[lead:]
-        self.strides = tuple(s // self.values.itemsize for s in self.values.strides[lead:])
+        self.sizes = self.values.shape[self.values.ndim - dim:]
+        self.rows = self.flat.reshape(-1, math.prod(self.sizes))  # one row per slice
+        self.starts = np.arange(0, self.flat.size, self.rows.shape[1])[:, np.newaxis]
 
     def apply(self, stencil: _Stencil, axes: tuple[int, ...], out: np.ndarray) -> None:
         """Run ``stencil`` (shifting along ``axes``) into the C-contiguous ``out``."""
-        flat, size, strides = self.flat, self.flat.size, self.strides
-        reach = sum(strides[k] for k in axes)
-        if size > 2 * reach:
-            def shifted(*moves):
-                start = reach + sum(s * strides[k] for k, s in moves)
-                return flat[start:start + size - 2 * reach]
-
-            stencil(shifted, out.reshape(-1)[reach:size - reach])
-        values, sizes = self.values, self.sizes
-        for band in _wrapped_bands(axes):
-            stencil(lambda *moves: values[_box(sizes, band, moves)], out[_box(sizes, band, ())])
+        flat, rows, size, out = self.flat, self.rows, self.flat.size, out.reshape(-1)
+        reach, starts, points, gathers = _shift_plan(self.sizes, axes)
+        span = size - 2 * reach
+        if span > 0:
+            stencil(lambda *moves: flat[starts[moves]:starts[moves] + span], out[reach:size - reach])
+        target = np.empty((len(rows), len(points)))
+        stencil(lambda *moves: rows.take(gathers[moves], axis=1), target)
+        out[(self.starts + points).ravel()] = target.ravel()
 
 
 def _gradient_entry(periodic: _Periodic, i: int, out: np.ndarray) -> np.ndarray:
@@ -522,24 +532,108 @@ def norm_C10_values(values: np.ndarray, grad_mag: np.ndarray) -> float:
     return float(np.max(np.abs(values)) + np.max(grad_mag))
 
 
+# Each slab array of a sweep, and of the norms and marches here, holds about
+# this many bytes, and one time slice at least: three slabs of about 22
+# slices at 2D n=32 nt=64, one slice at 3D n=32.  A slab costs a fixed
+# number of numpy calls whatever its size: four slabs there (128 KiB)
+# took a 2D solve 7-11% longer than three, and two left its peak at 10.8
+# stacks of (nt + 1) n^2 floats, against 9.6.
+_SLAB_BYTES = 160 * 1024
+
+
+def _time_slabs(grid: TorusGrid, start: int = 0) -> list[slice]:
+    """The slices ``start .. nt`` cut into consecutive runs of about one slab length each.
+
+    The runs differ in length by one slice at most, so no run is a short tail.
+    """
+    size = grid.nt + 1 - start
+    count = max(1, round(size * 8 * grid.num_points / max(_SLAB_BYTES, 8 * grid.num_points)))
+    bounds = [start + size * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+class _NormSums:
+    """``|f|_C10`` and, given ``p``, ``||f||_W21p`` of one stack, gathered slab by slab.
+
+    :meth:`add` takes the slabs in time order.  The sups are reduced per
+    slab; the ``W21p`` integrand is written into one ``(nt,) + shape`` stack
+    and summed by one ``np.sum`` once its last slice is in, then dropped.
+    So both norms are bitwise those of the whole stack, whatever the slabs.
+    """
+
+    def __init__(self, grid: TorusGrid, p: Optional[float] = None) -> None:
+        if p is not None and not p >= 2:
+            raise ValueError(f"exponent p must be >= 2, got {p}")
+        self.grid, self.p = grid, p
+        self.sups: list[np.floating] = []  # max |f| of each slab
+        self.grad_sups: list[np.floating] = []  # max |Df| of each slab
+        self.integrand = None if p is None else np.empty((grid.nt, *grid.shape))
+        self.w21p = math.nan
+
+    def add(self, start: int, values: np.ndarray, grad_mag: np.ndarray,
+            hess_mag: Optional[np.ndarray] = None) -> None:
+        """Take the slab of slices ``start ..`` with ``len(grad_mag)`` slices.
+
+        ``values`` holds ``f`` on the slab and, if the slab ends before
+        slice ``nt``, on the next slice too (``∂_t f`` reads it);
+        ``grad_mag`` is ``|Df|`` on the slab and ``hess_mag`` (for ``p``
+        only) is ``|D^2 f|`` on its slices below ``nt``.
+        """
+        size = len(grad_mag)
+        self.sups.append(np.abs(values[:size]).max())
+        self.grad_sups.append(grad_mag.max())
+        steps = min(start + size, self.grid.nt) - start  # the quadrature's slices
+        if self.p is None or steps <= 0:
+            return
+        _w21p_integrand(values[:steps + 1], grad_mag[:steps], hess_mag, self.grid.dt, self.p,
+                        self.integrand[start:start + steps])
+        if start + steps == self.grid.nt:
+            g = self.grid
+            total = float(np.sum(self.integrand)) * g.dt * g.h**g.dim
+            self.integrand = None
+            self.w21p = total ** (1.0 / self.p)
+
+    def add_samples(self, rows: slice, values: np.ndarray) -> None:
+        """:meth:`add` with the magnitudes taken straight from the stencils of ``values``.
+
+        ``values`` holds ``f`` on the slices ``rows`` and the next one, if any.
+        """
+        g, size = self.grid, rows.stop - rows.start
+        steps = min(size, g.nt - rows.start)
+        grad_mag = gradient_magnitude(_Periodic(values[:size], g.h, g.dim))
+        hess_mag = None
+        if self.p is not None and steps > 0:
+            hess_mag = hessian_magnitude(_Periodic(values[:steps], g.h, g.dim))
+        self.add(rows.start, values, grad_mag, hess_mag)
+
+    @property
+    def sup(self) -> np.floating:
+        return np.max(self.sups)
+
+    @property
+    def grad_sup(self) -> np.floating:
+        return np.max(self.grad_sups)
+
+    def c10(self) -> float:
+        return float(self.sup + self.grad_sup)
+
+
 def stack_norms(
     values: np.ndarray, grid: TorusGrid, p: Optional[float] = None
 ) -> tuple[float, ...]:
     """``(|f|_C10,)`` of samples ``values``, or ``(|f|_C10, ||f||_W21p)`` given ``p``.
 
-    The norm kernel behind :func:`norm_C10`, :func:`norm_C1`,
-    :func:`norm_W21p` and the solver's distance.  The magnitudes come
-    straight from the stencils of ``values``: the gradient magnitude on every
-    slice, the Hessian magnitude (for ``p`` only) on slices ``0 .. nt-1``,
-    which the quadrature samples.  The result is bitwise that of the
-    magnitudes of :func:`gradient_values` and :func:`hessian_values`.
+    The norm kernel behind :func:`norm_C10`, :func:`norm_W21p` and the
+    solver's distance, run over time slabs.  The magnitudes come straight
+    from the stencils of ``values``: the gradient magnitude on every slice,
+    the Hessian magnitude (for ``p`` only) on slices ``0 .. nt-1``, which the
+    quadrature samples.  The result is bitwise that of the magnitudes of
+    :func:`gradient_values` and :func:`hessian_values`.
     """
-    grad_mag = gradient_magnitude(_Periodic(values, grid.h, grid.dim))
-    c10 = norm_C10_values(values, grad_mag)
-    if p is None:
-        return (c10,)
-    hess_mag = hessian_magnitude(_Periodic(values[:-1], grid.h, grid.dim))
-    return c10, norm_W21p_values(values, grad_mag[:-1], hess_mag, grid, p)
+    norms = _NormSums(grid, p)
+    for rows in _time_slabs(grid):
+        norms.add_samples(rows, values[rows.start:rows.stop + 1])
+    return (norms.c10(),) if p is None else (norms.c10(), norms.w21p)
 
 
 def norm_C10(f: SpaceTimeField) -> float:
@@ -549,7 +643,8 @@ def norm_C10(f: SpaceTimeField) -> float:
 
 def norm_C1(f: Field) -> float:
     """Single-slice analogue of :func:`norm_C10`."""
-    return stack_norms(f.values, f.grid)[0]
+    g = f.grid
+    return norm_C10_values(f.values, gradient_magnitude(_Periodic(f.values, g.h, g.dim)))
 
 
 def norm_C2(f: Field) -> float:
@@ -564,28 +659,30 @@ def norm_W21p_values(
     """:func:`norm_W21p` of the ``(nt + 1,) + shape`` stack ``values``.
 
     ``grad_mag`` and ``hess_mag`` are the gradient and Hessian magnitudes of
-    slices ``0 .. nt-1`` (the slices the quadrature samples).  The powers are
-    summed in the order ``|f|^p + |Df|^p + |D^2 f|^p + |∂_t f|^p`` and take
-    two stacks: the sum, and one buffer that each base and power reuses.
-    ``|∂_t f|`` is taken into that buffer once the Hessian term is summed,
-    and raised a quarter of its slices at a time.
+    slices ``0 .. nt-1`` (the slices the quadrature samples).
     """
-    if not p >= 2:
-        raise ValueError(f"exponent p must be >= 2, got {p}")
+    norms = _NormSums(grid, p)
+    norms.add(0, values, grad_mag, hess_mag)
+    return norms.w21p
+
+
+def _w21p_integrand(values: np.ndarray, grad_mag: np.ndarray, hess_mag: np.ndarray,
+                    dt: float, p: float, out: np.ndarray) -> None:
+    """``out = |f|^p + |Df|^p + |D^2 f|^p + |∂_t f|^p`` on the slices ``values[:-1]``.
+
+    The powers are summed in that order into ``out``, through two buffers;
+    ``|∂_t f|`` is the forward difference.
+    """
     vals = values[:-1]
-    power = np.abs(vals)
-    integrand = _power(power, p, np.empty_like(power))
-    integrand += _power(grad_mag, p, power)
-    integrand += _power(hess_mag, p, power)
-    ft = np.subtract(values[1:], vals, out=power)
-    ft /= grid.dt
+    base = np.abs(vals)
+    _power(base, p, out)
+    power = np.empty_like(base)
+    out += _power(grad_mag, p, power)
+    out += _power(hess_mag, p, power)
+    ft = np.subtract(values[1:], vals, out=base)
+    ft /= dt
     np.abs(ft, out=ft)
-    slab = np.empty_like(ft[:-(-len(ft) // 4)])
-    for start in range(0, len(ft), len(slab)):
-        part = ft[start:start + len(slab)]
-        integrand[start:start + len(part)] += _power(part, p, slab[:len(part)])
-    total = float(np.sum(integrand)) * grid.dt * grid.h**grid.dim
-    return total ** (1.0 / p)
+    out += _power(ft, p, power)
 
 
 def _power(base: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:

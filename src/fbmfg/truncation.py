@@ -17,7 +17,7 @@ A clamp that changes nothing copies nothing: an array already inside the
 identity region comes back as a read-only view of itself, so a model that
 writes into its arguments fails instead of corrupting the caller's array.
 ``clamp_vector`` reads the magnitude ``|p|`` from the caller when it holds
-one (the solver keeps each iterate's gradient magnitudes), so a sweep of a
+one (the solver takes each slab's gradient magnitudes once), so a sweep of a
 de-truncated run clamps by a few reductions.
 
 ``select_K`` fixes the threshold from the initial density, the final-cost

@@ -88,18 +88,24 @@ class TestPerModeGain:
 def manufactured_problem(model, grid: TorusGrid, u_star: np.ndarray, m_star: np.ndarray):
     """``(model, final cost, m0)`` whose discrete fixed point is ``(u*, m*)``.
 
-    The model's sources are shifted by the residual stacks of ``(u*, m*)``;
-    the unused slices (``nt`` of ``F``, ``0`` of ``G``) are left alone.
+    The model's sources are shifted by the residual rows of ``(u*, m*)`` at
+    the slices of the slab each call is handed, read off its ``t``.  ``F``
+    is evaluated only on the slices ``0 .. nt-1`` that the backward march
+    reads; ``G`` also on slice 0, which no march reads, and is not shifted
+    there.
     """
     state = IterateState(SpaceTimeField(grid, u_star), SpaceTimeField(grid, m_star))
     res_u, res_m = _pde_residual_stacks(model, state)
-    zero = np.zeros((1, *grid.shape))
-    shift_u, shift_m = np.concatenate([res_u, zero]), np.concatenate([zero, res_m])
+    shift_m = np.concatenate([np.zeros((1, *grid.shape)), res_m])  # G's slices 0 .. nt
+
+    def slices(t):
+        return np.rint(t[(slice(None),) + (0,) * grid.dim] / grid.dt).astype(int)
+
     F, G = model.F, model.G
     forced = dataclasses.replace(
         model,
-        F=lambda u, m, Du, Dm, x, t: F(u, m, Du, Dm, x, t) - shift_u,
-        G=lambda u, m, Du, Dm, D2u, x, t: G(u, m, Du, Dm, D2u, x, t) - shift_m,
+        F=lambda u, m, Du, Dm, x, t: F(u, m, Du, Dm, x, t) - res_u[slices(t)],
+        G=lambda u, m, Du, Dm, D2u, x, t: G(u, m, Du, Dm, D2u, x, t) - shift_m[slices(t)],
     )
     return forced, final_cost_constant(Field(grid, u_star[-1])), Field(grid, m_star[0])
 

@@ -8,10 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbmfg import parabolic, torus_grid
+from fbmfg import fixed_point, parabolic, torus_grid
 from fbmfg.fixed_point import (
     IterateState,
     SweepRow,
+    _PairNorms,
     _pde_residual_stacks,
     _pde_residuals,
     apply_T,
@@ -68,14 +69,12 @@ def model_with_sources(F=None, G=None, dim: int = 1) -> CouplingModel:
 
 
 class TestApplyT:
-    CACHE = ("Du", "Du_mag", "Dm", "Dm_mag", "D2u")
-
     @pytest.mark.parametrize("model", [quadratic_mfg_model(2), congestion_model(dim=2)],
                              ids=["quadratic", "congestion"])
-    def test_sweep_consumes_the_incoming_cache(self, model):
-        # The incoming pair's derivatives leave its cache once their last
-        # reader returns; a later read recomputes them bitwise, and the
-        # sweep's output is bitwise what an undropped cache gives.
+    def test_forward_pass_gathers_the_incoming_pair_row(self, model, monkeypatch):
+        # The row of the incoming pair is finished by the next sweep's forward
+        # pass, from the derivatives that build G: it equals the public norms,
+        # over one slab or a slice at a time.
         grid = TorusGrid(dim=2, n=16, nt=8, T=0.02)
         m0 = Field.from_function(grid, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x)
                                  * np.sin(2.0 * np.pi * y))
@@ -83,28 +82,21 @@ class TestApplyT:
         trunc = select_K(m0, cost.L_h, cost.C0, 0.5)
         # A pair with nonzero derivatives: one sweep from the initial pair.
         state = apply_T(model, cost, m0, initial_state(grid, m0), trunc)
-        fresh = IterateState(u=state.u, m=state.m)
-        for name in self.CACHE:
-            getattr(state, name)
-        cache = {name: getattr(fresh, name) for name in self.CACHE}
-
-        out = apply_T(model, cost, m0, state, trunc)
-        assert not set(self.CACHE) & set(vars(state))
-        for name in ("D2u", "Du"):
-            assert np.array_equal(getattr(state, name), getattr(fresh, name))
-
-        class Keep(dict):
-            """A cache whose entries stay when the sweep pops them."""
-
-            def pop(self, name):
-                return self[name]
-
-        held = IterateState(u=state.u, m=state.m)
-        object.__setattr__(held, "__dict__", Keep(vars(held), **cache))
-        out_kept = apply_T(model, cost, m0, held, trunc)
-        assert all(name in vars(held) for name in self.CACHE)
-        assert np.array_equal(out.u.values, out_kept.u.values)
-        assert np.array_equal(out.m.values, out_kept.m.values)
+        outputs = []
+        for slab_bytes in (torus_grid._SLAB_BYTES, 1):
+            monkeypatch.setattr(torus_grid, "_SLAB_BYTES", slab_bytes)
+            norms = _PairNorms(grid, 5.0)
+            out = apply_T(model, cost, m0, state, trunc, norms=norms)
+            row = norms.row(1, 0.5, math.nan)
+            assert row.norm_u_w21p == norm_W21p(state.u, 5.0)
+            assert row.norm_u_c10 == norm_C10(state.u)
+            assert row.norm_m_c10 == norm_C10(state.m)
+            assert row.min_m == float(np.min(state.m.values))
+            assert norms.bounds()["max_m"] == float(np.max(state.m.values))
+            outputs.append(out)
+        assert all(np.array_equal(getattr(outputs[0], f).values, getattr(outputs[1], f).values)
+                   for f in ("u", "m"))
+        assert set(vars(outputs[0])) == {"u", "m"}  # the new pair holds no derivatives
 
     def test_decoupled_sweep_matches_direct_solves(self):
         grid = TorusGrid(dim=1, n=32, nt=16, T=0.01)
@@ -185,8 +177,9 @@ class TestApplyT:
         ids=["quadratic-1d", "quadratic-2d", "congestion-2d", "congestion-3d"],
     )
     def test_stacked_sources_match_slice_loop(self, model):
-        # apply_T evaluates each truncated source once on the whole stack;
-        # that must reproduce a slice-by-slice evaluation bit for bit.  The
+        # apply_T evaluates each truncated source once per time slab; on a
+        # whole stack too it must reproduce a slice-by-slice evaluation bit
+        # for bit.  The
         # rough pair drives every clamp past its level somewhere.
         grid = TorusGrid(dim=model.dim, n=16 if model.dim < 3 else 8, nt=8, T=0.05)
         trunc = select_K(Field.full(grid, 1.0), 0.0, 0.0, 0.5)  # K = 4
@@ -209,21 +202,6 @@ class TestApplyT:
         ])
         assert np.array_equal(F_hat(u, m, Du, Dm, x, t), F_loop)
         assert np.array_equal(G_hat(u, m, Du, Dm, D2u, x, t), G_loop)
-
-    def test_new_pair_carries_its_density_gradient_and_magnitude(self):
-        # The backward source's Dm and |Dm| become the new pair's cache; |Du|
-        # is the magnitude of the cached Du, computed on first use.
-        grid = TorusGrid(dim=2, n=16, nt=8, T=0.01)
-        m0 = Field.from_function(grid, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x))
-        cost = final_cost_convolution(grid)
-        trunc = select_K(m0, cost.L_h, cost.C0, 0.5)
-        out = apply_T(quadratic_mfg_model(2), cost, m0, initial_state(grid, m0), trunc)
-
-        assert {"Dm", "Dm_mag"} <= set(vars(out)) and "Du_mag" not in vars(out)
-        Dm = gradient_values(out.m.values, grid.h, grid.dim)
-        assert np.array_equal(out.Dm, Dm)
-        assert np.array_equal(out.Dm_mag, gradient_magnitude(Dm))
-        assert np.array_equal(out.Du_mag, gradient_magnitude(out.Du))
 
     def test_datum_slices_pass_through_exactly(self):
         grid = TorusGrid(dim=1, n=32, nt=16, T=0.01)
@@ -516,7 +494,7 @@ class TestPicardBasics:
         )
         assert report.status == "converged"
         state, row = report.final_state, report.rows[-1]
-        # The report does not keep the derivative cache of its final pair.
+        # The final pair is a plain (u, m) pair: no derivative is kept.
         assert set(vars(state)) == {"u", "m"}
         assert row.norm_u_w21p == norm_W21p(state.u, report.p)
         assert row.norm_u_c10 == norm_C10(state.u)
@@ -529,21 +507,26 @@ class TestPicardBasics:
 
 
 class TestStencilCount:
-    """Stencil sets, counted where each one takes its contiguous input.
+    """Stencil work, counted where it happens.
 
     A gradient, a Hessian or a march check constructs one
     ``torus_grid._Periodic``; the cross stencil is counted per evaluation.
+    A stencil entry is one component of a gradient or one entry of a
+    Hessian, counted once per time slice it is evaluated on.
     """
 
     @staticmethod
     def count_stencils(monkeypatch) -> dict:
-        counts = {"stencils": 0, "cross": 0}
+        counts = {"stencils": 0, "cross": 0, "entries": 0}
 
-        def counted(key, fn):
+        def counted(key, fn, weight=lambda *args: 1):
             def wrapped(*args, **kwargs):
-                counts[key] += 1
+                counts[key] += weight(*args)
                 return fn(*args, **kwargs)
             return wrapped
+
+        def slices(periodic, *args):
+            return periodic.values.size // np.prod(periodic.sizes)
 
         monkeypatch.setattr(
             torus_grid, "_Periodic", counted("stencils", torus_grid._Periodic)
@@ -551,9 +534,13 @@ class TestStencilCount:
         monkeypatch.setattr(
             torus_grid, "_cross_difference", counted("cross", torus_grid._cross_difference)
         )
+        for name in ("_gradient_entry", "_hessian_entry"):
+            monkeypatch.setattr(torus_grid, name,
+                                counted("entries", getattr(torus_grid, name), slices))
         return counts
 
-    def test_one_2d_sweep_evaluates_at_most_eight_stencils(self, monkeypatch):
+    def sweep_counts(self, monkeypatch) -> dict:
+        """The counts of one 2D sweep: the extra sweep of a 3-sweep solve over a 2-sweep one."""
         grid = TorusGrid(dim=2, n=16, nt=8, T=0.01)
         m0 = Field.from_function(
             grid, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
@@ -566,12 +553,27 @@ class TestStencilCount:
             report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=sweeps)
             assert report.iterations == sweeps
             per_solve.append({key: counts[key] - before[key] for key in counts})
-        # The extra sweep of the second solve, net of set-up and final checks.
-        sweep = {key: per_solve[1][key] - per_solve[0][key] for key in counts}
-        assert 0 < sweep["stencils"] <= 8
-        # Only the new iterate's Hessian and the Hessian of du build the cross
-        # stencil; the march checks do not, as the mixed coefficient is zero.
+        return {key: per_solve[1][key] - per_solve[0][key] for key in counts}, grid
+
+    def test_one_2d_sweep_evaluates_at_most_sixteen_stencil_entries(self, monkeypatch):
+        sweep, grid = self.sweep_counts(monkeypatch)
+        # The incoming pair's Du, D2u and Dm, the new density's gradient, and
+        # the distance's gradients and Hessian of the differences: 16 entries
+        # a slice, but the Hessian of du and the new density's gradient skip
+        # slice nt.
+        assert sweep["entries"] == 16 * (grid.nt + 1) - 5
+        assert 0 < sweep["stencils"] <= 9
+        # Only the incoming pair's Hessian and the Hessian of du build the
+        # cross stencil; the march checks do not, as the mixed coefficient is
+        # zero.
         assert sweep["cross"] == 2
+
+    def test_a_sweep_takes_the_same_entries_a_slice_at_a_time(self, monkeypatch):
+        whole, _ = self.sweep_counts(monkeypatch)
+        monkeypatch.setattr(torus_grid, "_SLAB_BYTES", 1)
+        sliced, grid = self.sweep_counts(monkeypatch)
+        assert sliced["entries"] == whole["entries"]
+        assert sliced["cross"] == 2 * (grid.nt + 1) - 1  # the Hessian of du skips slice nt
 
     def test_one_sweep_2d_solve_takes_the_gradient_of_m0_once(self, monkeypatch):
         # select_K's gradient of m0 is the one gradient of the datum: M1 reuses
@@ -584,8 +586,9 @@ class TestStencilCount:
         counts = self.count_stencils(monkeypatch)
         report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=1)
         assert report.iterations == 1
-        # The residual certificate takes one stencil set per equation.
-        assert counts["stencils"] == 11
+        # The final pass takes the pair's three derivatives and one march
+        # check per equation.
+        assert counts["stencils"] == 12
 
     def test_explicit_K_takes_the_gradient_of_m0_once(self, monkeypatch):
         # With K given, the norm behind M1 and the starting pair share one
@@ -599,23 +602,23 @@ class TestStencilCount:
         counts = self.count_stencils(monkeypatch)
         report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=1, K=K)
         assert report.iterations == 1 and report.K == K
-        assert counts["stencils"] == 11
+        assert counts["stencils"] == 12
 
 
 class TestMemoryBudget:
     """What one solve holds at its peak, in stacks of ``(nt + 1) n^dim`` floats.
 
-    A sweep consumes the incoming pair's derivative cache as each entry's
-    last reader returns (``Dm``, ``|Dm|`` once ``G`` is built, ``D2u``
-    after the forward march, ``Du``, ``|Du|`` once ``F`` is built), so the
-    backward march runs beside half a dozen stacks.  The peak now sits
-    where the pair holds its whole cache: building ``G``, and the row,
-    whose norms raise the time difference a quarter of its slices at a
-    time.  In 2D at n=16, nt=32 that is 15.6
-    stacks for both models (21.7 when the backward march still held the old
-    pair's 12 stacks); in 3D at n=8, nt=8 it is 23.2 stacks for the
-    quadratic model (31.0 before).  Each budget is the measured peak in
-    whole stacks plus one.
+    A sweep runs over time slabs of about ``torus_grid._SLAB_BYTES`` per
+    array, so its whole stacks are the two pairs, one source stack and one
+    ``W21p`` integrand; the derivatives, magnitudes, source slabs and march
+    modes of a slab are dropped before the next slab is taken.  At 2D n=32,
+    nt=64 (three slabs of about 22 slices) the peak is 9.6 stacks for
+    either model, where the whole-stack sweep took 15.4; in 3D at n=16,
+    nt=48 (ten slabs of about 5 slices) it is 7.3.  Where one slab is the
+    whole stack (2D n=16, nt=32), the slab holds every derivative of the
+    pair at once, as the whole-stack sweep did, and the peak is 15.9
+    stacks.  The 2D budget holds the peak under 10 stacks; the others are
+    the measured peak in whole stacks plus one.
     """
 
     @staticmethod
@@ -631,14 +634,93 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("model", [quadratic_mfg_model(2), congestion_model(dim=2)],
                              ids=["quadratic", "congestion"])
     def test_2d_solve_peak_within_budget(self, model, traced_peak):
+        grid = TorusGrid(dim=2, n=32, nt=64, T=0.05)
+        assert len(torus_grid._time_slabs(grid)) > 1
+        peak = self.peak_in_stacks(model, grid, traced_peak)
+        assert peak <= 10, f"peak {peak:.2f} stacks"
+
+    @pytest.mark.parametrize("model", [quadratic_mfg_model(2), congestion_model(dim=2)],
+                             ids=["quadratic", "congestion"])
+    def test_one_slab_2d_solve_peak_within_budget(self, model, traced_peak):
         grid = TorusGrid(dim=2, n=16, nt=32, T=0.02)
+        assert len(torus_grid._time_slabs(grid)) == 1
         peak = self.peak_in_stacks(model, grid, traced_peak)
         assert peak <= 17, f"peak {peak:.2f} stacks"
 
     def test_3d_solve_peak_within_budget(self, traced_peak):
-        grid = TorusGrid(dim=3, n=8, nt=8, T=0.02)
+        grid = TorusGrid(dim=3, n=16, nt=48, T=0.02)
+        assert len(torus_grid._time_slabs(grid)) >= 4
         peak = self.peak_in_stacks(quadratic_mfg_model(3), grid, traced_peak)
-        assert peak <= 25, f"peak {peak:.2f} stacks"
+        assert peak <= 8, f"peak {peak:.2f} stacks"
+
+
+class TestSlabInvariance:
+    """A solve gives the same bits whatever its slabs: a slice at a time or the whole stack."""
+
+    @staticmethod
+    def solve(model, grid, monkeypatch, slab_bytes, **kwargs):
+        monkeypatch.setattr(torus_grid, "_SLAB_BYTES", slab_bytes)
+        m0 = Field.from_function(grid, lambda *x: 1.0 + 0.2 * np.prod(
+            [np.cos(2.0 * np.pi * (xi + 0.1 * i)) for i, xi in enumerate(x)], axis=0))
+        return picard_solve(model, final_cost_convolution(grid), m0, grid, **kwargs)
+
+    @staticmethod
+    def assert_same(a, b):
+        # repr is exact for floats, and equates the NaN gamma of the first row.
+        assert (a.status, a.error) == (b.status, b.error)
+        assert repr(a.rows) == repr(b.rows)
+        assert repr(a.bounds) == repr(b.bounds) and repr(a.residuals) == repr(b.residuals)
+        assert np.array_equal(a.final_state.u.values, b.final_state.u.values)
+        assert np.array_equal(a.final_state.m.values, b.final_state.m.values)
+        assert a.m1_violations == b.m1_violations and a.detrunc_ok == b.detrunc_ok
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["quadratic", "congestion"])
+    def test_picard_solve(self, monkeypatch, name, dim):
+        grid = TorusGrid(dim=dim, n=16 if dim < 3 else 8, nt=8, T=0.02)
+        model = quadratic_mfg_model(dim) if name == "quadratic" else congestion_model(dim, 0.5)
+        whole, sliced = (self.solve(model, grid, monkeypatch, slab_bytes, tol=1e-10)
+                         for slab_bytes in (10**12, 1))
+        assert whole.status == "converged" and whole.iterations >= 5
+        self.assert_same(whole, sliced)
+
+    def test_a_failed_sweep_leaves_the_same_report(self, monkeypatch):
+        # Sweep 2 fails part of the way through its slabs, with the row of
+        # sweep 1 pending: the final checks finish it.
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        model = model_with_sources(G=nan_once_u_moves)
+        whole, sliced = (self.solve(model, grid, monkeypatch, slab_bytes, max_iter=20)
+                         for slab_bytes in (10**12, 1))
+        assert whole.status == "error" and whole.iterations == 1
+        self.assert_same(whole, sliced)
+
+
+class TestTracedNames:
+    """``benchmark/tracing.py`` swaps these names in ``fixed_point`` while it traces.
+
+    A refactor that drops one of the imports, or stops calling a sweep
+    through the module's ``apply_T``, breaks the traced benchmark run.
+    """
+
+    NAMES = ("apply_T", "picard_solve", "iterate_distance", "solve_forward", "solve_backward",
+             "select_K", "wrap_model", "gradient_values", "hessian_values", "norm_C1",
+             "norm_C10", "norm_W21p", "time_derivative")
+
+    def test_every_swapped_name_resolves(self):
+        assert all(callable(getattr(fixed_point, name)) for name in self.NAMES)
+
+    def test_each_sweep_goes_through_the_module_lookups(self, monkeypatch):
+        calls = {"apply_T": 0, "iterate_distance": 0, "solve_backward": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(fixed_point, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(fixed_point, name, counted)
+        grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
+        report = picard_solve(quadratic_mfg_model(1), final_cost_convolution(grid),
+                              cosine_density(grid, 0.25), grid, tol=0.0, max_iter=3)
+        assert report.iterations == 3
+        assert calls == {name: 3 for name in calls}
 
 
 class TestAgainstClosedForm:
@@ -884,6 +966,18 @@ class TestResiduals:
         # The first sweep of either solve is the same sweep.
         assert reports[0].rows[0] == reports[1].rows[0]
 
+    def test_divergences_are_evaluated_once_per_slab_and_solve(self, monkeypatch):
+        # A slice per slab: G keeps each slab's divergences, so a solve
+        # evaluates them once per slab however many sweeps it makes.
+        monkeypatch.setattr(torus_grid, "_SLAB_BYTES", 1)
+        grid, m0, cost = self.hamiltonian_problem()
+        calls = []
+        model = self.x_dependent_hamiltonian_model(div_calls=calls)
+        for sweeps in (1, 4):
+            calls.clear()
+            picard_solve(model, cost, m0, grid, tol=0.0, max_iter=sweeps)
+            assert calls == [(1, *grid.shape)] * (grid.nt + 1)
+
     @staticmethod
     def reference_residual_stacks(model, state):
         """The residual stacks by the tensor formulas, each with its largest term.
@@ -895,15 +989,16 @@ class TestResiduals:
         grid = state.grid
         u, m = state.u.values, state.m.values
         x, t = grid.space_time_coordinates()
-        D2m = hessian_values(m, grid.h, grid.dim)
+        Du, Dm = (gradient_values(f, grid.h, grid.dim) for f in (u, m))
+        D2u, D2m = (hessian_values(f, grid.h, grid.dim) for f in (u, m))
         c_u, c_m = (
             ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
             for eq in ("u", "m")
         )
-        F = model.F(u, m, state.Du, state.Dm, x, t)
-        G = model.G(u, m, state.Du, state.Dm, state.D2u, x, t)
+        F = model.F(u, m, Du, Dm, x, t)
+        G = model.G(u, m, Du, Dm, D2u, x, t)
         terms_u = (-time_derivative(state.u)[:-1],
-                   -np.sum(c_u * state.D2u, axis=(0, 1))[:-1], F[:-1])
+                   -np.sum(c_u * D2u, axis=(0, 1))[:-1], F[:-1])
         terms_m = (time_derivative(state.m)[:-1], -np.sum(c_m * D2m, axis=(0, 1))[1:], G[1:])
         return tuple((sum(terms), max(np.max(np.abs(term)) for term in terms))
                      for terms in (terms_u, terms_m))
@@ -934,12 +1029,23 @@ class TestResiduals:
         u, m = state.u.values, state.m.values
         got = _pde_residual_stacks(model, state)
         x, t = grid.space_time_coordinates()
-        value = ParabolicProblem(grid, model.diffusion_values(grid, "u"),
-                                 source=model.F(u, m, state.Du, state.Dm, x, t))
-        density = ParabolicProblem(grid, model.diffusion_values(grid, "m"),
-                                   source=model.G(u, m, state.Du, state.Dm, state.D2u, x, t))
-        steps = (parabolic._step_residuals(parabolic._reverse_in_time(value), u[::-1])[0],
-                 parabolic._step_residuals(density, m)[0])
+        Du, Dm = (gradient_values(f, grid.h, grid.dim) for f in (u, m))
+        D2u = hessian_values(u, grid.h, grid.dim)
+        c_u, c_m = (
+            ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
+            for eq in ("u", "m")
+        )
+        # Each equation's steps: the value equation's, slices 0 .. nt-1, as
+        # the reversed views of a backward march; the density's, 1 .. nt.
+        def rows(c, s):  # the time-dependent coefficients of the slices s
+            return c[:, :, s] if c.shape[2] > 1 else c
+
+        F, G = model.F(u, m, Du, Dm, x, t), model.G(u, m, Du, Dm, D2u, x, t)
+        steps = (
+            parabolic._step_residuals(grid, rows(c_u, slice(None, -1))[:, :, ::-1],
+                                      F[:-1][::-1], u[::-1])[0],
+            parabolic._step_residuals(grid, rows(c_m, slice(1, None)), G[1:], m)[0],
+        )
         assert all(np.array_equal(a, b / grid.dt) for a, b in zip(got, steps))
         expected = self.reference_residual_stacks(model, state)
         for a, (b, largest) in zip(got, expected):
@@ -1043,9 +1149,9 @@ class TestSweepFailures:
 
     @pytest.mark.parametrize("slot", ["F writes Du", "G writes D2u"])
     def test_model_writing_into_a_derivative_is_an_error(self, slot):
-        # A clamp that cuts nothing hands the iterate's cached Du on as a
-        # read-only view, and D2u is always one: the write fails instead of
-        # corrupting the cache.
+        # A clamp that cuts nothing hands the slab's Du on as a read-only
+        # view, and D2u is always one: the write fails instead of corrupting
+        # the derivatives the sweep shares between G, F and the row.
         grid = TorusGrid(dim=1, n=16, nt=8, T=0.01)
         m0 = cosine_density(grid, 0.25)
 

@@ -594,6 +594,28 @@ class TestFinalCostConvolution:
             with pytest.raises(ValueError, match=message):
                 build(grid, sigma=sigma)
 
+    @staticmethod
+    def mode_11_multiplier(n, sigma=None):
+        """The factor by which smoothing scales Fourier mode ``(1, 1)`` on the 2D grid of size n."""
+        grid = TorusGrid(dim=2, n=n, nt=2, T=0.1)
+        return np.fft.fftn(periodic_gaussian_kernel(grid, sigma))[1, 1].real * grid.h**2
+
+    @pytest.mark.parametrize("sigma", [None, 0.125])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_mode_11_multiplier_is_the_gaussian_symbol(self, n, sigma):
+        # exp(-sigma^2 |k|^2 / 2) with |k|^2 = 8 pi^2, the default sigma being 4h.
+        width = 4.0 / n if sigma is None else sigma
+        expected = math.exp(-width**2 * 8.0 * math.pi**2 / 2.0)
+        assert self.mode_11_multiplier(n, sigma) == pytest.approx(expected, rel=1e-12)
+
+    def test_default_width_changes_the_problem_with_the_grid(self):
+        # sigma = 4h: the multiplier, and with it the observed Picard factor,
+        # tends to one under refinement; a fixed width keeps it put.
+        default = [self.mode_11_multiplier(n) for n in (16, 32, 64)]
+        assert default[0] < 0.09 < 0.5 < default[1] < 0.55 < 0.85 < default[2]
+        fixed = [self.mode_11_multiplier(n, 0.125) for n in (16, 32, 64)]
+        assert max(fixed) - min(fixed) <= 1e-12
+
     def test_shape_mismatch_rejected(self):
         grid = TorusGrid(dim=1, n=32, nt=2, T=0.1)
         other = TorusGrid(dim=1, n=64, nt=2, T=0.1)

@@ -215,8 +215,22 @@ class TestTwoDimensional:
         assert len(calls) == crosses
 
 
+def check_march(problem, v):
+    """Check the finished march ``v`` (march order) as a march checks itself, slab by slab."""
+    march = parabolic._March(problem, v)
+    for steps in torus_grid._time_slabs(problem.grid, 1):
+        parabolic._check_march(march, steps, problem.source[steps])
+    march.finish()
+
+
+def step_inputs(problem):
+    """``(coefficients, source)`` of the steps ``1 .. nt`` of a problem, in march order."""
+    c = problem.coefficients()
+    return (c[:, :, 1:] if problem.time_dependent else c), problem.source[1:]
+
+
 class TestMarchCheck:
-    """``_check_march`` passes an exact march and rejects a corrupted one.
+    """The march check passes an exact march and rejects a corrupted one.
 
     dt/h^2 is about one, so a zero-mean perturbation ``δ`` of slice ``j``
     leaves the residual ``(I + dt L) δ`` at step ``j`` clearly above the
@@ -254,7 +268,7 @@ class TestMarchCheck:
     @pytest.mark.parametrize("kind", KINDS)
     def test_exact_march_passes(self, kind):
         problem, v = self.exact_march(kind)
-        parabolic._check_march(problem, v)
+        check_march(problem, v)
 
     @pytest.mark.parametrize("j", [1, 4, 7, 8])
     @pytest.mark.parametrize("kind", KINDS)
@@ -263,7 +277,7 @@ class TestMarchCheck:
         noise = np.random.default_rng(61 + j).normal(size=v[j].shape)
         v[j] += 1e-6 * np.max(np.abs(v[j])) * (noise - noise.mean())
         with pytest.raises(SolverError, match=rf"march residual .* at slice {j}$"):
-            parabolic._check_march(problem, v)
+            check_march(problem, v)
 
     def backward_march(self, kind):
         """A backward solve's reversed problem and its output in march order (a reversed view)."""
@@ -280,7 +294,7 @@ class TestMarchCheck:
         periodic = torus_grid._Periodic
         monkeypatch.setattr(torus_grid, "_Periodic", lambda values, h, dim: (
             contiguous.append(values.flags.c_contiguous) or periodic(values, h, dim)))
-        parabolic._check_march(reversed_problem, v)
+        check_march(reversed_problem, v)
         assert contiguous == [True]
 
     @pytest.mark.parametrize("j", [1, 4, 8])
@@ -290,16 +304,42 @@ class TestMarchCheck:
         noise = np.random.default_rng(67 + j).normal(size=v[j].shape)
         v[j] += 1e-6 * np.max(np.abs(v[j])) * (noise - noise.mean())
         with pytest.raises(SolverError, match=rf"march residual .* at slice {j}$"):
-            parabolic._check_march(reversed_problem, v)
+            check_march(reversed_problem, v)
 
     def test_one_dimensional_march(self):
         g, problem = make_problem_1d(n=16, nt=8, T=0.01)
         problem.initial = Field.from_function(g, lambda x: heat_exact_1d(x, 0.0))
         v = solve_forward(problem).values.copy()
-        parabolic._check_march(problem, v)
+        check_march(problem, v)
         v[3, 5] *= 1.0 + 1e-6
         with pytest.raises(SolverError, match=r"march residual .* at slice 3$"):
-            parabolic._check_march(problem, v)
+            check_march(problem, v)
+
+
+class TestSlabs:
+    """A march gives the same bits whatever its slabs: a slice at a time or the whole stack."""
+
+    @pytest.mark.parametrize("kind", TestMarchCheck.KINDS)
+    def test_marches_are_bitwise_the_same_for_any_slab_size(self, monkeypatch, kind):
+        problem, _ = TestMarchCheck().exact_march(kind)
+        backward = replace(problem, initial=None, final=problem.initial)
+        runs = []
+        for slab_bytes in (1, 10**12):
+            monkeypatch.setattr(torus_grid, "_SLAB_BYTES", slab_bytes)
+            runs.append((solve_forward(problem).values, solve_backward(backward).values))
+        assert len(torus_grid._time_slabs(problem.grid, 1)) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+    @pytest.mark.parametrize("j", [1, 4, 8])
+    @pytest.mark.parametrize("kind", ["constant", "mixed-xt"])
+    def test_the_check_names_the_slice_a_slice_at_a_time(self, monkeypatch, kind, j):
+        monkeypatch.setattr(torus_grid, "_SLAB_BYTES", 1)
+        check = TestMarchCheck()
+        for problem, v in (check.exact_march(kind), check.backward_march(kind)):
+            noise = np.random.default_rng(71 + j).normal(size=v[j].shape)
+            v[j] += 1e-6 * np.max(np.abs(v[j])) * (noise - noise.mean())
+            with pytest.raises(SolverError, match=rf"march residual .* at slice {j}$"):
+                check_march(problem, v)
 
 
 class TestStepResiduals:
@@ -329,13 +369,14 @@ class TestStepResiduals:
     @pytest.mark.parametrize("kind", TestMarchCheck.KINDS)
     def test_forward_march(self, kind):
         problem, v = TestMarchCheck().exact_march(kind)
-        got, expected = parabolic._step_residuals(problem, v), self.reference(problem, v)
+        got = parabolic._step_residuals(problem.grid, *step_inputs(problem), v)
+        expected = self.reference(problem, v)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     @pytest.mark.parametrize("kind", TestMarchCheck.KINDS)
     def test_backward_march(self, kind):
         reversed_problem, v = TestMarchCheck().backward_march(kind)
-        got = parabolic._step_residuals(reversed_problem, v)
+        got = parabolic._step_residuals(reversed_problem.grid, *step_inputs(reversed_problem), v)
         expected = self.reference(reversed_problem, v)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         # Row nt - j is backward step j: its right-hand side reads u_{nt-j+1}.
@@ -1030,10 +1071,10 @@ class TestFourierMarchLoop:
         problem = ParabolicProblem(
             grid=g, diffusion=np.array(C), source=source, initial=Field(g, initial)
         )
-        ref, new = (np.empty((g.nt + 1, *g.shape)) for _ in range(2))
-        ref[0] = new[0] = initial
+        ref = np.empty((g.nt + 1, *g.shape))
+        ref[0] = initial
         reference_fourier_march(problem, ref)
-        parabolic._fourier_march(problem, new)
+        new = solve_forward(problem).values
         assert np.array_equal(new, ref)
         assert np.array_equal(np.signbit(new), np.signbit(ref))
 
