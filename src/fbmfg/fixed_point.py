@@ -76,6 +76,7 @@ from .models import CouplingModel, FinalCost
 from .parabolic import (  # noqa: F401
     ParabolicProblem,
     SolverError,
+    _levels,
     _March,
     _step_residuals,
     solve_backward,
@@ -271,8 +272,8 @@ def apply_T(
         if march is None:
             values = np.empty((grid.nt + 1, *grid.shape))
             values[0] = m0.values
-            march = _March(ParabolicProblem(grid, model.diffusion_values(grid, "m"),
-                                            initial=m0), values)
+            diffusion = ParabolicProblem(grid, model.diffusion_values(grid, "m")).diffusion
+            march = _March(grid, diffusion, values)
         if rows.stop > 1:  # slice 0 of G holds no step
             march.advance(G[1:] if rows.start == 0 else G)
         del G
@@ -393,13 +394,8 @@ def _detrunc_check(bounds: dict, K: float) -> tuple[bool, tuple[str, ...]]:
     return not failures, tuple(failures)
 
 
-def _time_rows(c: np.ndarray, rows: slice) -> np.ndarray:
-    """The coefficients ``c`` (axes ``(dim, dim, 1 or nt + 1) + spatial``) of the slices ``rows``."""
-    return c[:, :, rows] if c.shape[2] > 1 else c
-
-
-def _slab_residuals(model: CouplingModel, grid: TorusGrid, coefficients: tuple,
-                    u: np.ndarray, m: np.ndarray, rows: slice, x: tuple, t: np.ndarray,
+def _slab_residuals(model: CouplingModel, grid: TorusGrid, u: np.ndarray, m: np.ndarray,
+                    rows: slice, x: tuple, t: np.ndarray,
                     Du: np.ndarray, D2u: np.ndarray, Dm: np.ndarray) -> tuple:
     """Residual rows ``(u, m)`` of the *untruncated* equations on the slab ``rows`` of a pair.
 
@@ -408,18 +404,17 @@ def _slab_residuals(model: CouplingModel, grid: TorusGrid, coefficients: tuple,
     source and divided by ``dt``: the value equation at the slab's slices
     below ``nt`` against the forward difference, the density equation at
     those above 0 against the backward difference (``None`` where the slab
-    has no such slice).  ``coefficients`` are the ``(u, m)`` diffusions with
-    axes ``(dim, dim, 1 or nt + 1) + spatial``; ``u`` and ``m`` are whole
-    contiguous stacks, so that only the reversed view of ``u`` reads as a
-    backward march.  At an exact fixed point both are round-off.
+    has no such slice).  ``model`` holds its diffusions resolved
+    (:func:`_resolved`); ``u`` and ``m`` are whole contiguous stacks, so
+    that only the reversed view of ``u`` reads as a backward march.  At an
+    exact fixed point both are round-off.
     """
-    c_u, c_m = coefficients
     G = model.G(u[rows], m[rows], Du, Dm, D2u, x, t)
     first = int(rows.start == 0)  # the density equation starts at slice 1
     steps = slice(rows.start + first, rows.stop)
     res_m = None
     if steps.start < steps.stop:
-        res_m = _step_residuals(grid, _time_rows(c_m, steps), G[first:],
+        res_m = _step_residuals(grid, _levels(model.diffusion_m, steps), G[first:],
                                 m[steps.start - 1:steps.stop])[0]
         res_m /= grid.dt
     del G
@@ -428,19 +423,15 @@ def _slab_residuals(model: CouplingModel, grid: TorusGrid, coefficients: tuple,
     if k > 0:
         cols = slice(rows.start, rows.start + k)
         F = model.F(u[cols], m[cols], Du[:, :k], Dm[:, :k], tuple(c[:k] for c in x), t[:k])
-        res_u = _step_residuals(grid, _time_rows(c_u, cols)[:, :, ::-1], F[::-1],
+        res_u = _step_residuals(grid, _levels(model.diffusion_u, cols)[:, :, ::-1], F[::-1],
                                 u[cols.start:cols.stop + 1][::-1])[0]
         res_u /= grid.dt
     return res_u, res_m
 
 
-def _certificate_inputs(model: CouplingModel, state: IterateState) -> tuple:
-    """``(u, m, coefficients)`` of :func:`_slab_residuals` for a pair."""
-    # Contiguous, so that only the reversed view of u reads as a backward march.
-    u, m = (np.ascontiguousarray(f.values) for f in (state.u, state.m))
-    coefficients = tuple(ParabolicProblem(state.grid, model.diffusion_values(state.grid, eq))
-                         .coefficients() for eq in ("u", "m"))
-    return u, m, coefficients
+def _contiguous(state: IterateState) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, m)`` of a pair, contiguous: only ``u``'s reversed view reads as a backward march."""
+    return tuple(np.ascontiguousarray(f.values) for f in (state.u, state.m))
 
 
 def _pde_residual_stacks(model: CouplingModel, state: IterateState,
@@ -448,14 +439,15 @@ def _pde_residual_stacks(model: CouplingModel, state: IterateState,
     """The rows of :func:`_slab_residuals` over every slab, stacked: ``(nt,) + spatial`` each.
 
     The value equation's rows are slices ``0 .. nt-1``, the density's
-    ``1 .. nt``.  ``coordinates`` is the list of :func:`_slab_coordinates`,
-    built here unless given.
+    ``1 .. nt``.  ``model`` is any model: its diffusions are resolved here.
+    ``coordinates`` is the list of :func:`_slab_coordinates`, built here
+    unless given.
     """
     grid = state.grid
-    u, m, coefficients = _certificate_inputs(model, state)
+    model = _resolved(model, grid)
+    u, m = _contiguous(state)
     parts = [
-        _slab_residuals(model, grid, coefficients, u, m, rows, x, t,
-                        *_derivatives(state, rows)[:3])
+        _slab_residuals(model, grid, u, m, rows, x, t, *_derivatives(state, rows)[:3])
         for rows, x, t in (_slab_coordinates(grid) if coordinates is None else coordinates)
     ]
     return tuple(np.concatenate([r for r in res if r is not None]) for res in zip(*parts))
@@ -465,6 +457,7 @@ def _pde_residuals(model: CouplingModel, state: IterateState, coordinates: Optio
                    norms: Optional[_PairNorms] = None) -> dict:
     """Sups of :func:`_slab_residuals` on the final pair, in one pass over its slabs.
 
+    ``model`` holds its diffusions resolved, as :func:`picard_solve` does.
     ``norms``, if given, gathers the pair's row norms and clamp bounds in
     the same pass, from the same derivatives.  Sources that reject the pair
     (``ValueError`` or ``ArithmeticError``, e.g. a density that left its
@@ -473,7 +466,7 @@ def _pde_residuals(model: CouplingModel, state: IterateState, coordinates: Optio
     propagates.  ``coordinates`` is built here unless given.
     """
     grid = state.grid
-    u, m, coefficients = _certificate_inputs(model, state)
+    u, m = _contiguous(state)
     sups: tuple[list, list] = ([], [])
     reason = ""
     for rows, x, t in _slab_coordinates(grid) if coordinates is None else coordinates:
@@ -481,8 +474,7 @@ def _pde_residuals(model: CouplingModel, state: IterateState, coordinates: Optio
         if not reason:
             try:
                 with np.errstate(all="ignore"):
-                    res = _slab_residuals(model, grid, coefficients, u, m, rows, x, t,
-                                          Du, D2u, Dm)
+                    res = _slab_residuals(model, grid, u, m, rows, x, t, Du, D2u, Dm)
             except (ValueError, ArithmeticError) as exc:
                 reason = f"{type(exc).__name__}: {exc}"
             else:
@@ -495,13 +487,26 @@ def _pde_residuals(model: CouplingModel, state: IterateState, coordinates: Optio
     return {"u": float(np.max(sups[0])), "m": float(np.max(sups[1]))}
 
 
+def _resolved(model: CouplingModel, grid: TorusGrid) -> CouplingModel:
+    """The model with each diffusion checked and in the layout of :class:`ParabolicProblem`.
+
+    Each is evaluated on ``grid`` (a callable depends on nothing else) and
+    resolved by a problem one equation at a time, and the model keeps that
+    problem's array: where a stack collapses to its first slice, the stack
+    is gone before the other equation's is evaluated.
+    """
+    for equation in ("u", "m"):
+        diffusion = ParabolicProblem(grid, model.diffusion_values(grid, equation)).diffusion
+        model = replace(model, **{f"diffusion_{equation}": diffusion})
+    return model
+
+
 def _checked_inputs(model: CouplingModel, final_cost: FinalCost, m0: Field, grid: TorusGrid,
                     tol: float, max_iter: int, delta: Optional[float], K: Optional[float],
                     p: Optional[float]) -> tuple[CouplingModel, float, float, TruncationParams]:
     """``(model, delta, p, truncation)`` of a solve with defaults filled in, or ``ValueError``.
 
-    The model comes back with both diffusions evaluated on ``grid`` (a callable
-    depends on nothing else), each checked as a march takes it."""
+    The model comes back resolved (:func:`_resolved`)."""
     if m0.values.shape != grid.shape:
         raise ValueError(
             f"initial density shape {m0.values.shape} does not match grid {grid.shape}"
@@ -520,11 +525,7 @@ def _checked_inputs(model: CouplingModel, final_cost: FinalCost, m0: Field, grid
         raise ValueError(f"exponent p must be >= 2 and finite, got {p}")
     if delta is None:
         delta = float(np.min(m0.values))
-    model = replace(model, diffusion_u=model.diffusion_values(grid, "u"),
-                    diffusion_m=model.diffusion_values(grid, "m"))
-    for diffusion in (model.diffusion_u, model.diffusion_m):
-        ParabolicProblem(grid, diffusion)
-    return model, delta, p, select_K(m0, final_cost.L_h, final_cost.C0, delta, K)
+    return _resolved(model, grid), delta, p, select_K(m0, final_cost.L_h, final_cost.C0, delta, K)
 
 
 def picard_solve(

@@ -96,11 +96,14 @@ class CouplingModel:
         The existence theorem assumes G affine in ``D2u``; nothing checks
         it.  G must not write into its arguments either.
     diffusion_u, diffusion_m : ndarray or callable
-        A coefficient array accepted by the stepper (a constant ``(dim,
+        A coefficient array accepted by
+        :class:`~fbmfg.parabolic.ParabolicProblem` (a constant ``(dim,
         dim)`` matrix, say) or a callable mapping a :class:`TorusGrid` to
-        one; ``picard_solve`` evaluates a callable once per solve and
-        rejects a diffusion that is not symmetric or not uniformly
-        elliptic before the first sweep.
+        one.  ``picard_solve`` evaluates a callable once per solve, one
+        equation at a time, and resolves each diffusion before the first
+        sweep: it rejects one that is not symmetric or not uniformly
+        elliptic, and keeps one that is constant in time as its collapsed
+        slice, an owned copy, not the whole stack.
     optimal_drift : callable, optional
         Velocity ``b(u, m, Du, Dm, x, t)`` such that the forward equation
         is equivalent to ``m_t = d_ij (c_ij m) + div(m b)``; None when the
@@ -357,9 +360,9 @@ def build_mfg_coupling(
 
     if A_is_callable:
         def diffusion(grid: TorusGrid) -> np.ndarray:
+            # (dim, dim, nt + 1) + spatial: the layout of ParabolicProblem.
             x, t = grid.space_time_coordinates()
-            A = np.broadcast_to(np.asarray(spec.A(x, t), dtype=float), (dim, dim) + t.shape)
-            return np.moveaxis(A, 2, 0)
+            return np.broadcast_to(np.asarray(spec.A(x, t), dtype=float), (dim, dim) + t.shape)
     else:
         diffusion = constant_diffusion(dim, spec.A if spec.A is not None else 1.0)
 

@@ -21,9 +21,12 @@ Time stepping is backward Euler: each step solves
 
 with ``L_j`` the spatial operator sampled at the implicit level ``t_j``.
 Spatial stencils are the second-order centered ones from
-:mod:`fbmfg.torus_grid`.  A time-stacked diffusion whose slices are all
-equal is constant in time and is stored as its first slice, so the
-coefficients' values, not the shape they arrive in, choose one of two paths:
+:mod:`fbmfg.torus_grid`.  :class:`ParabolicProblem` resolves its diffusion
+once, into the one layout every march, check and certificate reads: axes
+``(dim, dim, 1 or nt + 1) + (spatial or ones)``.  A time stack whose slices
+are all equal is constant in time and is kept as an owned copy of its first
+slice, so the coefficients' values, not the shape they arrive in, choose one
+of two paths:
 
 - a constant ``(dim, dim)`` matrix makes ``I + dt * L`` circulant, so the
   march is one scalar recursion per discrete Fourier mode,
@@ -82,7 +85,7 @@ implicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -198,15 +201,22 @@ class ParabolicProblem:
     ----------
     grid : TorusGrid
     diffusion : ndarray
-        Second-order coefficients ``c_ij``.  Accepted shapes:
-        ``(dim, dim)`` (constant), ``(dim, dim) + spatial`` (x-dependent),
-        or with a leading ``nt + 1`` axis for time dependence.  A stack
-        whose slices are all equal is replaced by its first slice, so a
-        matrix constant in x and t takes the Fourier march whichever of
-        the two constant shapes it comes in.  ``(c_ij)`` must be
-        symmetric, as the marches read only ``c_ij`` with ``i <= j``, and
-        its smallest eigenvalue must reach ``ELLIPTICITY_FLOOR`` (both
-        validated at construction).
+        Second-order coefficients ``c_ij``.  Accepted shapes: ``(dim, dim)``
+        (constant) or ``(dim, dim) + spatial`` (x-dependent), either with a
+        leading ``nt + 1`` axis for time dependence, or the layout below.
+        Construction resolves it, once, into the one layout that every
+        march, check and certificate reads, axes ``(dim, dim, 1 or nt + 1)
+        + (spatial or ones)``, and stores that as ``diffusion``.  An array
+        in that layout is taken as it is, so a problem's ``diffusion``
+        builds the same problem again; a stack ``(nt + 1, dim, dim) +
+        spatial`` has the layout's shape only when ``nt + 1 == dim``, and
+        is then read as the layout.  A time stack whose slices are all
+        equal is stored as an owned copy of its first slice, never a view
+        that would keep the stack alive, so a matrix constant in x and t
+        takes the Fourier march whichever shape it comes in.  ``(c_ij)``
+        must be symmetric, as the marches read only ``c_ij`` with ``i <=
+        j``, and its smallest eigenvalue must reach ``ELLIPTICITY_FLOOR``
+        (both validated at construction).
     source : ndarray, optional
         The inhomogeneity ``g`` with our sign convention
         ``v_t - c_ij v_ij + g = 0``, shape ``(nt + 1,) + spatial``; a
@@ -223,16 +233,23 @@ class ParabolicProblem:
 
     def __post_init__(self) -> None:
         g = self.grid
-        self.diffusion = np.asarray(self.diffusion, float)
-        comp = (g.dim, g.dim)
-        ok_shapes = {comp, comp + g.shape, (g.nt + 1,) + comp, (g.nt + 1,) + comp + g.shape}
-        if self.diffusion.shape not in ok_shapes:
+        c = np.asarray(self.diffusion, float)
+        comp, time, ones = (g.dim, g.dim), (g.nt + 1,), (1,) * g.dim
+        stacks = {time + comp, time + comp + g.shape}
+        layouts = {comp + k + s for k in ((1,), time) for s in (ones, g.shape)}
+        if c.shape in {comp, comp + g.shape}:
+            c = c[:, :, np.newaxis]
+        elif c.shape in stacks - layouts:
+            c = np.moveaxis(c, 0, 2)
+        elif c.shape not in layouts:
             raise ValueError(
-                f"coefficient shape {self.diffusion.shape} not understood "
-                f"(expected one of {sorted(ok_shapes)})"
+                f"coefficient shape {c.shape} not understood (expected one of "
+                f"{sorted({comp, comp + g.shape} | stacks | layouts)})"
             )
-        if self.time_dependent and np.all(self.diffusion == self.diffusion[:1]):
-            self.diffusion = self.diffusion[0]
+        c = c.reshape(c.shape[:3] + (c.shape[3:] or ones))
+        if c.shape[2] > 1 and np.all(c == c[:, :, :1]):
+            c = c[:, :, :1].copy()
+        self.diffusion = c
         if self.source is None:
             self.source = np.broadcast_to(0.0, (g.nt + 1, *g.shape))
         self.source = np.asarray(self.source, float)
@@ -240,39 +257,13 @@ class ParabolicProblem:
             raise ValueError(
                 f"source shape {self.source.shape} does not match {(g.nt + 1, *g.shape)}"
             )
-        self._validate_coefficients()
+        self._validate_coefficients(c)
 
-    # -- coefficient bookkeeping ------------------------------------------
-
-    @property
-    def time_dependent(self) -> bool:
-        c = self.diffusion
-        return c.ndim in (3, 3 + self.grid.dim) and c.shape[0] == self.grid.nt + 1
-
-    def coefficients(self) -> np.ndarray:
-        """``c_ij`` with axes ``(dim, dim, time) + spatial``.
-
-        Axes along which the coefficients are constant have size 1, so the
-        result broadcasts against ``(dim, dim, nt + 1) + spatial`` stacks.
-        """
-        c = self.diffusion if self.time_dependent else self.diffusion[np.newaxis]
-        c = np.moveaxis(c, 0, 2)
-        if c.ndim == 3:
-            c = c.reshape(c.shape + (1,) * self.grid.dim)
-        return c
-
-    def diffusion_slice(self, j: int) -> np.ndarray:
-        """``c_ij`` at slice ``j`` as a read-only ``(dim, dim) + spatial`` view."""
-        g = self.grid
-        c = self.coefficients()[:, :, j if self.time_dependent else 0]
-        return np.broadcast_to(c, (g.dim, g.dim, *g.shape))
-
-    # -- validation --------------------------------------------------------
-
-    def _validate_coefficients(self) -> None:
-        if not np.all(np.isfinite(self.diffusion)):
+    @staticmethod
+    def _validate_coefficients(c: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``c`` is finite, symmetric and uniformly elliptic."""
+        if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        c = self.coefficients()
         if not np.array_equal(c, c.swapaxes(0, 1)):
             gap = np.max(np.abs(c - c.swapaxes(0, 1)))
             raise ValueError(f"diffusion is not symmetric: max |c_ij - c_ji| = {gap}")
@@ -287,6 +278,14 @@ class ParabolicProblem:
                 f"diffusion is not uniformly elliptic: "
                 f"min eigenvalue {min_eig} < {ELLIPTICITY_FLOOR}"
             )
+
+
+def _levels(c: np.ndarray, rows: Union[int, slice]) -> np.ndarray:
+    """The coefficients ``c`` (the problem's layout) at the time levels ``rows``.
+
+    All of ``c`` where it is constant in time, whose one level serves them all.
+    """
+    return c[:, :, rows] if c.shape[2] > 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -341,27 +340,27 @@ def _spatial_operator(grid: TorusGrid, c: np.ndarray) -> sp.csr_matrix:
 class _March:
     """A forward march into ``out`` (``out[0]`` its datum), advanced a slab of steps at a time.
 
-    ``out`` is in march order: a backward solve's time-reversed view.
-    :meth:`advance` marches and checks the next steps from their source
-    rows, so a caller may build each slab's source from the slabs marched
-    before it; :meth:`finish` names the worst step once all are in.  The
-    recursion carries its state (the last step's modes, or the factors)
-    from slab to slab, so the result is bitwise the same whatever the slabs.
+    ``out`` is in march order: a backward solve's time-reversed view, and
+    ``c``, the diffusion in the layout of :class:`ParabolicProblem`, is
+    seen in the same order.  :meth:`advance` marches and checks the next
+    steps from their source rows, so a caller may build each slab's source
+    from the slabs marched before it; :meth:`finish` names the worst step
+    once all are in.  The recursion carries its state (the last step's
+    modes, or the factors) from slab to slab, so the result is bitwise the
+    same whatever the slabs.
     """
 
-    def __init__(self, problem: ParabolicProblem, out: np.ndarray) -> None:
-        g = problem.grid
+    def __init__(self, grid: TorusGrid, c: np.ndarray, out: np.ndarray) -> None:
         if not np.all(np.isfinite(out[0])):
             raise ValueError("initial slice contains non-finite values")
-        self.problem, self.out, self.done = problem, out, 0
-        self.coefficients = problem.coefficients()
-        self.rel = np.empty(g.nt)  # each step's relative residual, in march order
-        self.fourier = problem.diffusion.shape == (g.dim, g.dim)
+        self.grid, self.c, self.out, self.done = grid, c, out, 0
+        self.rel = np.empty(grid.nt)  # each step's relative residual, in march order
+        self.fourier = c.size == grid.dim**2
         if self.fourier:
             # numpy divides a complex row by a real ``d`` as by ``d + 0j``,
             # which is bitwise a product of both parts with ``1/d``: the
             # recursion runs on the interleaved real view, one scaling per part.
-            denom = _fourier_denominator(g, problem.diffusion.tobytes())
+            denom = _fourier_denominator(grid, c.tobytes())
             self.scale = np.repeat(1.0 / denom, 2, axis=-1)
             self.modes = np.fft.rfftn(out[0]).view(np.float64)
         else:
@@ -386,7 +385,7 @@ class _March:
 
 def _fourier_march(march: _March, steps: slice, source: np.ndarray) -> None:
     """Fill ``out[steps]`` by the per-mode backward-Euler recursion."""
-    g = march.problem.grid
+    g = march.grid
     axes = tuple(range(1, g.dim + 1))
     # The steps' source modes, overwritten in place by their solution modes.
     # ``(-dt ĝ_j) + v̂_{j-1}`` is bitwise ``v̂_{j-1} - dt ĝ_j``.
@@ -405,11 +404,10 @@ def _splu_march(march: _March, steps: slice, source: np.ndarray) -> None:
     """Fill ``out[steps]`` by sparse direct solves, one per step."""
     import scipy.sparse as sp
 
-    problem, out = march.problem, march.out
-    g = problem.grid
+    g, c, out = march.grid, march.c, march.out
     for j, g_j in zip(range(steps.start, steps.stop), source):
-        if march.lu is None or problem.time_dependent:
-            L = _spatial_operator(g, problem.diffusion_slice(j))
+        if march.lu is None or c.shape[2] > 1:
+            L = _spatial_operator(g, _levels(c, j))
             eye = sp.identity(g.num_points, format="csr")
             march.lu = _factor((eye + g.dt * L).tocsc())
         rhs = np.ravel(out[j - 1]) - g.dt * np.ravel(g_j)
@@ -420,14 +418,14 @@ def _step_residuals(grid: TorusGrid, c: np.ndarray, source: np.ndarray,
                     v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(res, rhs)`` of the steps ``v[k-1] -> v[k]``, ``(len(v) - 1,) + spatial`` each.
 
-    ``source`` holds the steps' source rows and ``c`` their coefficients,
-    with axes ``(dim, dim, 1 or steps) + spatial``.  Step ``j`` reads ``res
-    = (I + dt L_j) v_j - rhs`` with ``rhs = v_{j-1} - dt g_j``; ``L`` is
-    applied through the grid's own stencils
-    (:func:`~fbmfg.torus_grid.subtract_second_order`), the cross stencil only
-    where the mixed coefficient is nonzero.  A backward march's ``v`` and
-    time-indexed inputs are time-reversed views: its steps are stacked in
-    memory order (the last step first), so the stencils take no copy.
+    ``source`` holds the steps' source rows and ``c`` their coefficients
+    (:func:`_levels` of the layout).  Step ``j`` reads ``res = (I + dt L_j)
+    v_j - rhs`` with ``rhs = v_{j-1} - dt g_j``; ``L`` is applied through
+    the grid's own stencils (:func:`~fbmfg.torus_grid.subtract_second_order`),
+    the cross stencil only where the mixed coefficient is nonzero.  A
+    backward march's ``v`` and time-indexed inputs are time-reversed views:
+    its steps are stacked in memory order (the last step first), so the
+    stencils take no copy.
     """
     new, old = slice(1, None), slice(None, -1)
     if v.strides[0] < 0:
@@ -449,10 +447,7 @@ def _check_march(march: _March, steps: slice, source: np.ndarray) -> None:
     v = march.out[steps.start - 1:steps.stop]
     if not np.isfinite(v).all():
         raise SolverError("non-finite values produced by the march")
-    c = march.coefficients
-    if march.problem.time_dependent:
-        c = c[:, :, steps]
-    res, rhs = _step_residuals(march.problem.grid, c, source, v)
+    res, rhs = _step_residuals(march.grid, _levels(march.c, steps), source, v)
     rhs, res = rhs.reshape(len(rhs), -1), res.reshape(len(res), -1)
     scale = np.maximum(np.sqrt(np.einsum("ij,ij->i", rhs, rhs)), 1e-300)
     rel = np.sqrt(np.einsum("ij,ij->i", res, res)) / scale
@@ -463,42 +458,37 @@ def solve_forward(problem: ParabolicProblem) -> SpaceTimeField:
     """March the problem from its initial slice to ``T``."""
     if problem.initial is None:
         raise ValueError("solve_forward needs an initial slice")
-    return _march(problem, slice(None))
+    return _march(problem, problem.initial, slice(None))
 
 
 def solve_backward(problem: ParabolicProblem) -> SpaceTimeField:
     """Solve ``-u_t - c_ij u_ij + g = 0`` down from the final slice.
 
     Implemented by time reversal: the forward march runs on time-reversed
-    views of every time-indexed input and of the output, so no slice is
-    copied to reverse it.  Slice ``nt`` of the result equals the supplied
-    final slice exactly.
+    views of the source, of the diffusion's time axis and of the output, so
+    no slice is copied to reverse it.  Slice ``nt`` of the result equals the
+    supplied final slice exactly.
     """
     if problem.final is None:
         raise ValueError("solve_backward needs a final slice")
-    return _march(_reverse_in_time(problem), slice(None, None, -1))
+    return _march(problem, problem.final, slice(None, None, -1))
 
 
-def _reverse_in_time(problem: ParabolicProblem) -> ParabolicProblem:
-    """The problem with time reversed: views of its time-indexed inputs, the final slice first."""
-    diffusion = problem.diffusion[::-1] if problem.time_dependent else problem.diffusion
-    return replace(problem, diffusion=diffusion, source=problem.source[::-1],
-                   initial=problem.final, final=None)
+def _march(problem: ParabolicProblem, datum: Field, time: slice) -> SpaceTimeField:
+    """March ``problem`` from ``datum`` into a new stack seen through ``time``, a slab at a time.
 
-
-def _march(problem: ParabolicProblem, time: slice) -> SpaceTimeField:
-    """March ``problem`` forward into a new stack seen through ``time``, a slab at a time.
-
-    The march and its check see the stack's slices in march order; they
-    are stored in the order ``time`` gives (``::-1`` for a backward solve).
+    The march and its check see the stack's slices, the source's and the
+    diffusion's time levels in march order; they are stored in the order
+    ``time`` gives (``::-1`` for a backward solve).
     """
     g = problem.grid
     values = np.empty((g.nt + 1, *g.shape))
     out = values[time]
-    out[0] = problem.initial.values
-    march = _March(problem, out)
+    out[0] = datum.values
+    march = _March(g, problem.diffusion[:, :, time], out)
+    source = problem.source[time]
     for steps in _time_slabs(g, 1):
-        march.advance(problem.source[steps])
+        march.advance(source[steps])
     march.finish()
     return SpaceTimeField(g, values)
 
@@ -656,17 +646,17 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
         )
     if not np.all(np.isfinite(drift)):
         raise ValueError("drift contains non-finite values")
-    if np.any(problem.coefficients()[np.triu_indices(g.dim, 1)] != 0.0):
+    c = problem.diffusion
+    if np.any(c[np.triu_indices(g.dim, 1)] != 0.0):
         raise ValueError("solve_fp_conservative takes no mixed coefficient c_ij")
 
     out = np.empty((g.nt + 1, *g.shape))
     out[0] = problem.initial.values
     m = np.ravel(out[0])
-    c = problem.coefficients()[:, :, 1:] if problem.time_dependent else problem.coefficients()
-    columns = _conservative_rates(g, c, -drift[1:])
+    columns = _conservative_rates(g, _levels(c, slice(1, None)), -drift[1:])
     sources = _shifted_points(g.n, g.dim, False, -1)
     index = sources + g.n**g.dim * np.arange(len(sources))[:, np.newaxis]
-    inverse = _fourier_inverse(problem) if problem.diffusion.shape == (g.dim, g.dim) else None
+    inverse = _fourier_inverse(problem) if c.size == g.dim**2 else None
     for j in range(1, g.nt + 1):
         apply = partial(_column_apply, columns[j - 1], index)
         rhs = m

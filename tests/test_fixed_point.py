@@ -618,7 +618,9 @@ class TestMemoryBudget:
     whole stack (2D n=16, nt=32), the slab holds every derivative of the
     pair at once, as the whole-stack sweep did, and the peak is 15.9
     stacks.  The 2D budget holds the peak under 10 stacks; the others are
-    the measured peak in whole stacks plus one.
+    the measured peak in whole stacks plus one.  A callable ``A(x, t)``
+    peaks while its whole stack is evaluated, before the first sweep: 12.7
+    stacks at 2D n=32, nt=64, held under 14.
     """
 
     @staticmethod
@@ -652,6 +654,38 @@ class TestMemoryBudget:
         assert len(torus_grid._time_slabs(grid)) >= 4
         peak = self.peak_in_stacks(quadratic_mfg_model(3), grid, traced_peak)
         assert peak <= 8, f"peak {peak:.2f} stacks"
+
+    def test_callable_diffusion_solve_peak_within_budget(self, traced_peak):
+        # A(x, t) is evaluated on the whole stack, 4 stacks in 2D; each
+        # equation's is resolved before the other's is evaluated, and the
+        # model keeps the owned slice it collapses to.  12.7 stacks, where
+        # keeping both raw stacks for the whole solve took 20.6.
+        grid = TorusGrid(dim=2, n=32, nt=64, T=0.01)
+        model = TestResiduals.x_dependent_hamiltonian_model()
+        peak = self.peak_in_stacks(model, grid, traced_peak)
+        assert peak <= 14, f"peak {peak:.2f} stacks"
+
+
+class TestProblemCount:
+    """A solve builds two problems to resolve its diffusions, then two per sweep.
+
+    The march checks and the residual certificate read the diffusions the
+    model keeps, so they build none.
+    """
+
+    @pytest.mark.parametrize("sweeps", [1, 5])
+    @pytest.mark.parametrize("name", ["quadratic", "x-dependent"])
+    def test_a_k_sweep_solve_builds_at_most_2_plus_2k(self, monkeypatch, name, sweeps):
+        built = []
+        validate = ParabolicProblem._validate_coefficients
+        monkeypatch.setattr(ParabolicProblem, "_validate_coefficients",
+                            staticmethod(lambda c: built.append(1) or validate(c)))
+        grid, m0, cost = TestResiduals.hamiltonian_problem()
+        model = (quadratic_mfg_model(2) if name == "quadratic"
+                 else TestResiduals.x_dependent_hamiltonian_model())
+        report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=sweeps)
+        assert report.iterations == sweeps
+        assert len(built) <= 2 + 2 * sweeps
 
 
 class TestSlabInvariance:
@@ -992,7 +1026,7 @@ class TestResiduals:
         Du, Dm = (gradient_values(f, grid.h, grid.dim) for f in (u, m))
         D2u, D2m = (hessian_values(f, grid.h, grid.dim) for f in (u, m))
         c_u, c_m = (
-            ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
+            ParabolicProblem(grid, model.diffusion_values(grid, eq)).diffusion
             for eq in ("u", "m")
         )
         F = model.F(u, m, Du, Dm, x, t)
@@ -1032,7 +1066,7 @@ class TestResiduals:
         Du, Dm = (gradient_values(f, grid.h, grid.dim) for f in (u, m))
         D2u = hessian_values(u, grid.h, grid.dim)
         c_u, c_m = (
-            ParabolicProblem(grid, model.diffusion_values(grid, eq)).coefficients()
+            ParabolicProblem(grid, model.diffusion_values(grid, eq)).diffusion
             for eq in ("u", "m")
         )
         # Each equation's steps: the value equation's, slices 0 .. nt-1, as
@@ -1080,6 +1114,8 @@ class TestResiduals:
 
 
 class TestResidualFailures:
+    """The certificate takes the model as a solve holds it, its diffusions resolved."""
+
     @staticmethod
     def state_with_density(grid: TorusGrid, m: np.ndarray) -> IterateState:
         u = np.zeros((grid.nt + 1, *grid.shape))
@@ -1090,7 +1126,8 @@ class TestResidualFailures:
         m = np.ones((grid.nt + 1, *grid.shape))
         m[-1, 0, 0] = -0.5
         residuals = _pde_residuals(
-            congestion_model(dim=2, alpha=1.0), self.state_with_density(grid, m)
+            fixed_point._resolved(congestion_model(dim=2, alpha=1.0), grid),
+            self.state_with_density(grid, m),
         )
         assert math.isnan(residuals["u"]) and math.isnan(residuals["m"])
         assert residuals["reason"].startswith("ValueError")
@@ -1098,7 +1135,7 @@ class TestResidualFailures:
     def test_a_finite_pair_has_no_reason(self):
         grid = TorusGrid(dim=2, n=8, nt=4, T=0.01)
         residuals = _pde_residuals(
-            congestion_model(dim=2, alpha=1.0),
+            fixed_point._resolved(congestion_model(dim=2, alpha=1.0), grid),
             self.state_with_density(grid, np.ones((grid.nt + 1, *grid.shape))),
         )
         assert set(residuals) == {"u", "m"}
@@ -1111,7 +1148,7 @@ class TestResidualFailures:
         grid = TorusGrid(dim=1, n=8, nt=4, T=0.01)
         state = self.state_with_density(grid, np.ones((grid.nt + 1, grid.n)))
         with pytest.raises(TypeError, match="stacked"):
-            _pde_residuals(model_with_sources(G=G), state)
+            _pde_residuals(fixed_point._resolved(model_with_sources(G=G), grid), state)
 
 
 def nan_once_u_moves(u, m, Du, Dm, D2u, x, t):

@@ -253,7 +253,7 @@ class TestVariableDiffusionCoupling:
         model = self._model()
         grid = TorusGrid(dim=1, n=16, nt=3, T=0.05)
         arr = model.diffusion_values(grid, "m")
-        assert arr.shape == (4, 1, 1, 16)
+        assert arr.shape == (1, 1, 4, 16)  # the layout of ParabolicProblem
         (x,) = grid.coordinates()
         assert np.allclose(arr[0, 0, 0], 1.0 + 0.3 * np.sin(2 * np.pi * x))
 

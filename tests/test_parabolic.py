@@ -217,7 +217,7 @@ class TestTwoDimensional:
 
 def check_march(problem, v):
     """Check the finished march ``v`` (march order) as a march checks itself, slab by slab."""
-    march = parabolic._March(problem, v)
+    march = parabolic._March(problem.grid, problem.diffusion, v)
     for steps in torus_grid._time_slabs(problem.grid, 1):
         parabolic._check_march(march, steps, problem.source[steps])
     march.finish()
@@ -225,8 +225,20 @@ def check_march(problem, v):
 
 def step_inputs(problem):
     """``(coefficients, source)`` of the steps ``1 .. nt`` of a problem, in march order."""
-    c = problem.coefficients()
-    return (c[:, :, 1:] if problem.time_dependent else c), problem.source[1:]
+    c = problem.diffusion
+    return (c[:, :, 1:] if c.shape[2] > 1 else c), problem.source[1:]
+
+
+def reversed_in_time(problem):
+    """What a backward march of ``problem`` reads: its diffusion and source, time-reversed."""
+    return SimpleNamespace(grid=problem.grid, diffusion=problem.diffusion[:, :, ::-1],
+                           source=problem.source[::-1])
+
+
+def diffusion_at(problem, j):
+    """``c_ij`` of ``problem`` at slice ``j``, broadcast to ``(dim, dim) + spatial``."""
+    g, c = problem.grid, problem.diffusion
+    return np.broadcast_to(c[:, :, j if c.shape[2] > 1 else 0], (g.dim, g.dim, *g.shape))
 
 
 class TestMarchCheck:
@@ -284,7 +296,7 @@ class TestMarchCheck:
         problem, _ = self.exact_march(kind)
         problem = replace(problem, initial=None, final=problem.initial)
         values = solve_backward(problem).values.copy()
-        return parabolic._reverse_in_time(problem), values[::-1]
+        return reversed_in_time(problem), values[::-1]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_reversed_views_pass_and_take_no_copy(self, monkeypatch, kind):
@@ -353,13 +365,13 @@ class TestStepResiduals:
     @staticmethod
     def reference(problem, v):
         g = problem.grid
-        c = problem.coefficients()
+        c = problem.diffusion
         if v.strides[0] < 0:
             u, source, new, old = v[::-1], problem.source[::-1], slice(None, -1), slice(1, None)
             c = c[:, :, ::-1]
         else:
             u, source, new, old = v, problem.source, slice(1, None), slice(None, -1)
-        if problem.time_dependent:
+        if c.shape[2] > 1:
             c = c[:, :, new]
         rhs = u[old] - g.dt * source[new]
         res = u[new] - rhs
@@ -587,7 +599,7 @@ def reference_splu_march(problem):
     out = np.empty((g.nt + 1, *g.shape))
     out[0] = problem.initial.values
     for j in range(1, g.nt + 1):
-        L = reference_spatial_operator(g.n, g.dim, g.h, problem.diffusion_slice(j))
+        L = reference_spatial_operator(g.n, g.dim, g.h, diffusion_at(problem, j))
         rhs = np.ravel(out[j - 1]) - g.dt * np.ravel(problem.source[j])
         out[j] = splu((eye + g.dt * L).tocsc()).solve(rhs).reshape(g.shape)
     return out
@@ -721,7 +733,8 @@ class TestEqualSliceStacks:
         dim = len(C)
         g = TorusGrid(dim=dim, n=16, nt=8, T=0.01)
         stack = np.repeat(C[np.newaxis], g.nt + 1, axis=0)
-        assert ParabolicProblem(grid=g, diffusion=stack).diffusion.shape == (dim, dim)
+        resolved = ParabolicProblem(grid=g, diffusion=stack).diffusion
+        assert resolved.shape == (dim, dim, 1) + (1,) * dim
         for plain, stacked in self.solve_both(g, C, stack):
             assert np.array_equal(plain.values, stacked.values)
 
@@ -729,10 +742,81 @@ class TestEqualSliceStacks:
         g = TorusGrid(dim=1, n=8, nt=4, T=0.01)
         stack = np.ones((g.nt + 1, 1, 1))
         stack[-1] = 2.0
-        assert ParabolicProblem(grid=g, diffusion=stack).time_dependent
+        assert ParabolicProblem(grid=g, diffusion=stack).diffusion.shape[2] == g.nt + 1
         stack[:] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ParabolicProblem(grid=g, diffusion=stack)
+
+
+class TestDiffusionLayout:
+    """Every accepted diffusion resolves to the one layout ``(dim, dim, 1 or nt + 1) + (spatial or ones)``.
+
+    Each case is ``(input, time stack?, layout shape)``; the stored array
+    must hold the input's ``c_ij`` at every time level.
+    """
+
+    @staticmethod
+    def cases(g):
+        dim, ones, time = g.dim, (1,) * g.dim, (g.nt + 1,)
+        rng = np.random.default_rng(13 + dim)
+        constant = np.diag(rng.uniform(0.5, 1.5, dim))
+        mixed = constant + 0.1 * (1.0 - np.eye(dim))
+        space = random_diffusion(rng, dim, g.n, mixed=dim > 1)
+        growth = (1.0 + g.times()).reshape(time + (1, 1))
+        varying = growth.reshape(time + (1,) * (2 + dim)) * space
+        return {
+            "constant": (constant, False, (dim, dim, 1) + ones),
+            "x-dependent": (space, False, (dim, dim, 1) + g.shape),
+            "mixed": (mixed, False, (dim, dim, 1) + ones),
+            "equal-slice constant stack": (np.repeat(mixed[None], g.nt + 1, axis=0), True,
+                                           (dim, dim, 1) + ones),
+            "equal-slice stack": (np.repeat(space[None], g.nt + 1, axis=0), True,
+                                  (dim, dim, 1) + g.shape),
+            "varying constant stack": (growth * mixed, True, (dim, dim, g.nt + 1) + ones),
+            "varying stack": (varying, True, (dim, dim, g.nt + 1) + g.shape),
+        }
+
+    GRIDS = [(1, 16), (2, 8), (3, 8)]
+
+    @pytest.mark.parametrize("dim, n", GRIDS)
+    def test_every_shape_resolves_to_the_layout(self, dim, n):
+        g = TorusGrid(dim=dim, n=n, nt=4, T=0.01)
+        for kind, (c, stacked, shape) in self.cases(g).items():
+            resolved = ParabolicProblem(grid=g, diffusion=c).diffusion
+            assert resolved.shape == shape, kind
+            for k in range(g.nt + 1):
+                level = resolved[:, :, k if shape[2] > 1 else 0]
+                expected = c[k] if stacked else c
+                expected = expected.reshape(expected.shape + (1,) * (2 + dim - expected.ndim))
+                full = (dim, dim) + g.shape
+                assert np.array_equal(np.broadcast_to(level, full),
+                                      np.broadcast_to(expected, full)), kind
+            if stacked and shape[2] == 1:  # collapsed: an owned copy, not a view
+                assert not np.shares_memory(resolved, c), kind
+            # The layout builds the same problem again, as it is.
+            again = ParabolicProblem(grid=g, diffusion=resolved).diffusion
+            assert again.shape == shape and np.array_equal(again, resolved), kind
+
+    @pytest.mark.parametrize("dim, n", GRIDS)
+    def test_a_stack_holding_nan_stays_stacked_and_is_rejected(self, monkeypatch, dim, n):
+        g = TorusGrid(dim=dim, n=n, nt=4, T=0.01)
+        seen = []
+        validate = ParabolicProblem._validate_coefficients
+        monkeypatch.setattr(ParabolicProblem, "_validate_coefficients",
+                            staticmethod(lambda c: seen.append(c.shape) or validate(c)))
+        space = random_diffusion(np.random.default_rng(dim), dim, g.n, mixed=False)
+        stack = np.repeat(space[None], g.nt + 1, axis=0)
+        stack[(slice(None), 0, 0) + (0,) * dim] = np.nan  # in every slice: NaN != NaN
+        with pytest.raises(ValueError, match="finite"):
+            ParabolicProblem(grid=g, diffusion=stack)
+        assert seen == [(dim, dim, g.nt + 1) + g.shape]
+
+    def test_a_stack_in_the_layout_shape_is_read_as_the_layout(self):
+        # (nt + 1, dim, dim) + spatial is the layout's shape when nt + 1 == dim.
+        g = TorusGrid(dim=3, n=8, nt=2, T=0.01)
+        space = random_diffusion(np.random.default_rng(3), 3, g.n, True)
+        c = space[:, :, None] * np.array([1.0, 1.5, 2.0])[:, None, None, None]
+        assert np.array_equal(ParabolicProblem(grid=g, diffusion=c).diffusion, c)
 
 
 def reference_conservative_audit(problem, drift):
@@ -744,7 +828,7 @@ def reference_conservative_audit(problem, drift):
     out[0] = problem.initial.values
     for j in range(1, g.nt + 1):
         A = reference_conservative_matrix(
-            g.n, g.dim, g.h, g.dt, problem.diffusion_slice(j), -drift[j]
+            g.n, g.dim, g.h, g.dt, diffusion_at(problem, j), -drift[j]
         )
         out[j] = splu(A.tocsc()).solve(np.ravel(out[j - 1])).reshape(g.shape)
     return out
@@ -940,7 +1024,7 @@ class TestConservativeFP:
         solve_fp_conservative(prob, drift)
         # A drift this sharp between steps defeats refinement: every step is factored.
         assert len(factored) == g.nt
-        columns = parabolic._conservative_rates(g, prob.coefficients(), -drift[1:])
+        columns = parabolic._conservative_rates(g, prob.diffusion, -drift[1:])
         targets = parabolic._shifted_points(g.n, g.dim, False, 1)
         sources = np.broadcast_to(np.arange(g.num_points), targets.shape)
         for matrix, column in zip(factored, columns):
@@ -1010,7 +1094,7 @@ def reference_fourier_march(problem, out):
     """The Fourier march's step loop as it was, on complex rows."""
     g = problem.grid
     axes = tuple(range(1, g.dim + 1))
-    denom = 1.0 + g.dt * parabolic._fourier_symbol(g, problem.diffusion)
+    denom = 1.0 + g.dt * parabolic._fourier_symbol(g, problem.diffusion.reshape(g.dim, g.dim))
     hat = np.fft.rfftn(problem.source, axes=axes)
     hat *= -g.dt
     hat[0] = np.fft.rfftn(out[0])
