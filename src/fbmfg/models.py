@@ -41,6 +41,7 @@ resolution rather than fitted numbers.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
@@ -213,6 +214,18 @@ _FD_SAMPLES = 24
 _FD_TIMES = (0.0, 0.37)
 
 
+def _probe_points(rows: int) -> np.ndarray:
+    """``(rows, _FD_SAMPLES)`` fixed sample points in ``[0, 1)``.
+
+    Row ``i`` is the Weyl sequence ``frac(k sqrt(q_i))``, ``k = 1, 2, ...``,
+    with ``q_i`` the ``i``-th prime, so the points are spread evenly and
+    the rows are independent, with no random draws.
+    """
+    primes = [q for q in range(2, 8 * rows + 8) if all(q % d for d in range(2, q))][:rows]
+    k = np.arange(1, _FD_SAMPLES + 1)
+    return np.mod(k * np.sqrt(np.array(primes, dtype=float))[:, np.newaxis], 1.0)
+
+
 def _partials(f: Callable, v: np.ndarray) -> np.ndarray:
     """Central differences of ``f`` along each row of the ``(k, S)`` samples ``v``.
 
@@ -249,10 +262,8 @@ def _fd_validate_hamiltonian(
     spec: HamiltonianSpec, H_mp: Callable, H_xp_div: Callable, dim: int
 ) -> None:
     """Probe H_p, H_pp, H_mp and H_xp_div against differences of H and H_p."""
-    rng = np.random.default_rng(0)
-    X = rng.uniform(0.0, 1.0, (dim, _FD_SAMPLES))
-    p = rng.uniform(-2.0, 2.0, (dim, _FD_SAMPLES))
-    m = rng.uniform(0.6, 1.8, _FD_SAMPLES)
+    X, p, m = np.split(_probe_points(2 * dim + 1), [dim, 2 * dim])
+    p, m = 4.0 * p - 2.0, 0.6 + 1.2 * m[0]
     x = tuple(X)
     for t in _FD_TIMES:
         _assert_close("H_p", spec.H_p(x, t, p, m), _partials(lambda v: spec.H(x, t, v, m), p))
@@ -266,7 +277,7 @@ def _fd_validate_hamiltonian(
 
 def _fd_validate_diffusion(A: Callable, A_div1: Callable, A_div2: Callable, dim: int) -> None:
     """Probe ``A_div1_j = sum_i d_i A_ij`` and ``A_div2`` = the divergence of that."""
-    X = np.random.default_rng(1).uniform(0.0, 1.0, (dim, _FD_SAMPLES))
+    X = _probe_points(dim)
     for t in _FD_TIMES:
         def A_at(v):
             A_v = np.asarray(A(tuple(v), t), dtype=float)
@@ -316,20 +327,27 @@ def build_mfg_coupling(
     def F(u, m, Du, Dm, x, t):
         return np.asarray(spec.H(x, t, Du, m), dtype=float)
 
-    # (x, t, A_div1, A_div2) of each (x, t) G saw, keyed by the objects: a
-    # solve hands the same views of each time slab to every sweep, so they
-    # are evaluated once per slab and solve.  Coordinates that start at t = 0
-    # begin a new set, and the entries of the last one are dropped.
-    held: dict[tuple[int, int], tuple] = {}
+    # (weak refs to x, A_div1, A_div2) of each (x, t) G saw, keyed by id(t):
+    # a solve hands the same views of each time slab to every sweep, so they
+    # are evaluated once per slab and solve.  An entry goes when its t does,
+    # so nothing outlives the solve's views, and an id in the keys is always
+    # that of a live t.  Coordinates that are not arrays are not kept.
+    held: dict[int, tuple] = {}
 
     def divergences(x, t):
-        entry = held.get((id(x), id(t)))  # one read: a concurrent caller cannot swap it
-        if entry is None or entry[0] is not x or entry[1] is not t:
-            if np.asarray(t).flat[0] == 0.0:
-                held.clear()
-            entry = held[id(x), id(t)] = (x, t, np.asarray(spec.A_div1(x, t), dtype=float),
-                                          np.asarray(spec.A_div2(x, t), dtype=float))
-        return entry[2:]
+        entry = held.get(id(t))  # one read: a concurrent caller cannot swap it
+        if (entry is not None and len(entry[0]) == len(x)
+                and all(ref() is c for ref, c in zip(entry[0], x))):
+            return entry[1:]
+        values = (np.asarray(spec.A_div1(x, t), dtype=float),
+                  np.asarray(spec.A_div2(x, t), dtype=float))
+        try:
+            refs = tuple(map(weakref.ref, x))
+            weakref.finalize(t, held.pop, id(t), None)
+        except TypeError:
+            return values
+        held[id(t)] = (refs,) + values
+        return values
 
     # Terms the spec leaves undeclared are zero and are skipped.  Every dot
     # product is taken one component at a time and every update is in place,
@@ -421,7 +439,7 @@ def build_congestion_coupling(
         f = lambda x, t, m: m
 
     if custom_H1:
-        q = np.random.default_rng(0).uniform(-2.0, 2.0, (dim, _FD_SAMPLES))
+        q = 4.0 * _probe_points(dim) - 2.0
         _assert_close("H1_p", H1_p(q), _partials(H1, q))
         _assert_close("H1_pp", H1_pp(q), _partials(H1_p, q))
 

@@ -72,15 +72,19 @@ Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48, 2010).  Its implicit system
 matrix is an M-matrix with unit column sums, so densities stay nonnegative
 and the discrete total mass is conserved exactly (up to the linear-solver
 residual).  The step matrices are applied matrix-free from their columns,
-which come from one pass and are the only copy held.  Each step is refined
-to round-off, with its mass exact, on an approximate inverse: for constant
-diffusion the per-mode solve of the step without its drift, otherwise the
-factors of an earlier step.  Only a step that refinement cannot finish is
-factored, as the transpose of the CSR matrix of ``A^T`` that its columns
-give, and its factors serve the steps that follow; a constant-diffusion
-audit along a gentle drift (``|v| dt / h`` far below one) factors nothing.
-It takes no mixed coefficient, so every path that accepts one treats it
-implicitly.
+which are built one time slab at a time, the slab's column block about
+``_SLAB_BYTES`` (four steps at 2D n=32), and are the only copy held; a
+slab's columns are dropped before the next slab's are built, so the audit
+peaks at about two stacks above its inputs, its output one of them (2D
+n=32 nt=64; it took twelve with every step's columns at once).  Each step
+is refined to round-off, with its mass exact, on an approximate inverse:
+for constant diffusion the per-mode solve of the step without its drift,
+otherwise the factors of an earlier step.  Only a step that refinement
+cannot finish is factored, as the transpose of the CSR matrix of ``A^T``
+that its columns give, and its factors serve the steps that follow; a
+constant-diffusion audit along a gentle drift (``|v| dt / h`` far below
+one) factors nothing.  It takes no mixed coefficient, so every path that
+accepts one treats it implicitly.
 """
 
 from __future__ import annotations
@@ -507,14 +511,16 @@ def _check_residual(x: np.ndarray, rel: float, context: str) -> None:
 
 
 def _conservative_rates(grid: TorusGrid, c: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """The columns of ``I - dt (D + adv)`` of every step, computed in one pass.
+    """The columns of ``I - dt (D + adv)`` of the steps ``velocity`` holds, in one pass over them.
 
     ``D m = d_ii (c_ii m)`` in flux form, ``adv m = -div(m v)`` upwinded at
     the faces; ``velocity`` is ``(steps, dim) + spatial`` and ``c`` has axes
     ``(dim, dim, 1 or steps) + spatial``.  The result is ``(steps, 1 + 2 dim,
     n**dim)``: column ``q`` holds entry ``k`` at row ``q + offset_k`` (offsets
     as in :func:`_shifted_points`), and says where the mass at ``q`` goes.  It
-    sums to one and is nonpositive off the diagonal.
+    sums to one and is nonpositive off the diagonal.  Every entry depends on
+    its own step's velocity and coefficients only, so a time slab's columns
+    are bitwise those of the whole stack.
     """
     n, dim, h, dt = grid.n, grid.dim, grid.h, grid.dt
     steps, size = velocity.shape[0], n**dim
@@ -619,7 +625,12 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     density nonnegative.
 
     Each step's matrix is applied matrix-free from its columns
-    (:func:`_column_apply`), and each step is refined (:func:`_refine`) on
+    (:func:`_column_apply`).  The columns are built one time slab at a time
+    (:func:`_conservative_rates` on the slab's velocity and diffusion
+    levels), the slab's column block about ``_SLAB_BYTES``, and dropped
+    before the next slab's are built, so the audit holds its output and the
+    drift it was given, plus one slab; the result is bitwise the same
+    whatever the slabs.  Each step is refined (:func:`_refine`) on
     an approximate inverse.  For a constant diffusion the first inverse is
     the per-mode solve of ``I - dt D`` (:func:`_fourier_inverse`), the step
     matrix without its drift; otherwise no inverse is held at the first step.  A step that
@@ -653,22 +664,24 @@ def solve_fp_conservative(problem: ParabolicProblem, drift: np.ndarray) -> Space
     out = np.empty((g.nt + 1, *g.shape))
     out[0] = problem.initial.values
     m = np.ravel(out[0])
-    columns = _conservative_rates(g, _levels(c, slice(1, None)), -drift[1:])
     sources = _shifted_points(g.n, g.dim, False, -1)
     index = sources + g.n**g.dim * np.arange(len(sources))[:, np.newaxis]
     inverse = _fourier_inverse(problem) if c.size == g.dim**2 else None
-    for j in range(1, g.nt + 1):
-        apply = partial(_column_apply, columns[j - 1], index)
-        rhs = m
-        step = None if inverse is None else _refine(inverse, apply, rhs)
-        if step is None:
-            # The CSR matrix of A^T: its transpose is A in CSC form, not copied.
-            targets = _shifted_points(g.n, g.dim, False, 1)
-            inverse = _factor(_stencil_matrix(columns[j - 1], targets).T).solve
-            m = inverse(rhs)
-            res = rhs - apply(m)
-            step = m, float(np.linalg.norm(res)) / max(float(np.linalg.norm(rhs)), 1e-300)
-        m, rel = step
-        _check_residual(m, rel, f"fp slice {j}")
-        out[j] = m.reshape(g.shape)
+    for rows in _time_slabs(g, 1, len(sources)):
+        columns = _conservative_rates(g, _levels(c, rows), -drift[rows])
+        for j, column in zip(range(rows.start, rows.stop), columns):
+            apply = partial(_column_apply, column, index)
+            rhs = m
+            step = None if inverse is None else _refine(inverse, apply, rhs)
+            if step is None:
+                # The CSR matrix of A^T: its transpose is A in CSC form, not copied.
+                targets = _shifted_points(g.n, g.dim, False, 1)
+                inverse = _factor(_stencil_matrix(column, targets).T).solve
+                m = inverse(rhs)
+                res = rhs - apply(m)
+                step = m, float(np.linalg.norm(res)) / max(float(np.linalg.norm(rhs)), 1e-300)
+            m, rel = step
+            _check_residual(m, rel, f"fp slice {j}")
+            out[j] = m.reshape(g.shape)
+        del columns, column, apply  # the slab's columns, before the next slab's are built
     return SpaceTimeField(g, out)

@@ -28,8 +28,9 @@ Only an input that is not contiguous is copied.  So ``h * n == 1`` holds
 exactly at the level of stencil bookkeeping; no floating-point coordinate
 wrapping is involved.
 
-The solver streams its stacks over time slabs (:func:`_time_slabs`): every
-array a slab holds is about ``_SLAB_BYTES``, one slice at least.  The
+The solver streams its stacks over time slabs (:func:`_time_slabs`) of
+about ``_SLAB_BYTES``, one slice at least: per array of one value a point
+in a sweep, for the column block in the conservative audit.  The
 norms of a stack are gathered slab by slab (:class:`_NormSums`), with sups
 reduced per slab and the ``W21p`` integrand summed whole, so they are
 bitwise those of the whole stack.
@@ -541,13 +542,15 @@ def norm_C10_values(values: np.ndarray, grad_mag: np.ndarray) -> float:
 _SLAB_BYTES = 160 * 1024
 
 
-def _time_slabs(grid: TorusGrid, start: int = 0) -> list[slice]:
+def _time_slabs(grid: TorusGrid, start: int = 0, rows: int = 1) -> list[slice]:
     """The slices ``start .. nt`` cut into consecutive runs of about one slab length each.
 
+    A run is as long as the widest array a caller builds on it, ``rows``
+    grid rows per slice, takes to fill ``_SLAB_BYTES`` (one slice at least).
     The runs differ in length by one slice at most, so no run is a short tail.
     """
-    size = grid.nt + 1 - start
-    count = max(1, round(size * 8 * grid.num_points / max(_SLAB_BYTES, 8 * grid.num_points)))
+    size, width = grid.nt + 1 - start, 8 * rows * grid.num_points
+    count = max(1, round(size * width / max(_SLAB_BYTES, width)))
     bounds = [start + size * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 

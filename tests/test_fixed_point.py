@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -1011,6 +1013,31 @@ class TestResiduals:
             calls.clear()
             picard_solve(model, cost, m0, grid, tol=0.0, max_iter=sweeps)
             assert calls == [(1, *grid.shape)] * (grid.nt + 1)
+
+    def test_divergences_are_released_with_the_solve(self):
+        # G holds each slab's divergences only as long as the solve's views
+        # of its coordinates live: once the report is dropped, nothing of
+        # them stays (3.06 stacks stayed when G held the views themselves).
+        # A solve of another model first fills the one-off caches, and the
+        # collection empties the interpreter's free lists.
+        grid = TorusGrid(dim=2, n=32, nt=64, T=0.01)
+        m0 = Field.from_function(grid, lambda x, y: 1.0 + 0.1 * np.cos(2.0 * np.pi * x)
+                                 * np.cos(2.0 * np.pi * (y - 0.2)))
+        cost = final_cost_convolution(grid)
+        picard_solve(self.x_dependent_hamiltonian_model(), cost, m0, grid, tol=0.0, max_iter=2)
+        model = self.x_dependent_hamiltonian_model()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = picard_solve(model, cost, m0, grid, tol=0.0, max_iter=2)
+            assert report.iterations == 2
+            del report
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        stack = (grid.nt + 1) * grid.num_points * 8
+        assert kept < 0.1 * stack, f"{kept / stack:.2f} stacks kept"
 
     @staticmethod
     def reference_residual_stacks(model, state):

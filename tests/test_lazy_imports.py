@@ -1,4 +1,5 @@
-"""SciPy's sparse modules load only when a run takes a sparse path.
+"""SciPy's sparse modules load only when a run takes a sparse path, and
+``numpy.random`` never loads.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -111,3 +112,42 @@ def test_constant_diffusion_audit_never_loads_the_sparse_stack(tmp_path):
     mass_drift, moved, loaded = out.split()
     assert float(mass_drift) <= 1e-14
     assert moved == "True" and loaded == "[]"
+
+
+def test_model_builds_and_a_run_never_load_numpy_random(tmp_path):
+    # The derivative probes use fixed points, not random draws.
+    (tmp_path / "run.cfg").write_text(QUADRATIC_2D)
+    out = run_fresh(
+        """\
+        import sys
+
+        import numpy as np
+
+        from fbmfg import (congestion_model, decoupled_heat_model,
+                           linear_counterexample_model, quadratic_mfg_model)
+        from fbmfg.cli import main
+        from fbmfg.models import HamiltonianSpec, build_congestion_coupling, build_mfg_coupling
+
+        for dim in (1, 2, 3):
+            quadratic_mfg_model(dim)
+            decoupled_heat_model(dim)
+            congestion_model(dim=dim)
+            linear_counterexample_model(alpha=-3.0, dim=dim)
+        build_congestion_coupling(0.5, dim=2, H1=lambda q: 0.25 * np.sum(q**4, axis=0),
+                                  H1_p=lambda q: q**3, H1_pp=lambda q: np.einsum(
+                                      "ij,j...->ij...", np.eye(2), 3.0 * q**2))
+        w = 2.0 * np.pi
+        build_mfg_coupling(HamiltonianSpec(
+            H=lambda x, t, p, m: 0.5 * p[0] ** 2 - m,
+            H_p=lambda x, t, p, m: p,
+            H_pp=lambda x, t, p, m: np.ones((1,) + p.shape),
+            A=lambda x, t: (0.5 + 0.1 * np.sin(w * x[0]))[None, None],
+            A_div1=lambda x, t: (0.1 * w * np.cos(w * x[0]))[None],
+            A_div2=lambda x, t: -0.1 * w * w * np.sin(w * x[0]),
+        ), dim=1)
+        print("numpy.random" in sys.modules)
+        print(main(["run", "run.cfg", "--out", "out"]), "numpy.random" in sys.modules)
+        """,
+        tmp_path,
+    )
+    assert out.split() == ["False", "0", "False"]
